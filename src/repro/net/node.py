@@ -13,7 +13,7 @@ Hosts do two things:
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, Collection, Optional, Sequence
 
 from repro.net.packet import Packet
 from repro.net.simulator import Simulator
@@ -30,6 +30,10 @@ class Host:
     as one Python call per hop instead of one call per packet.  Both paths
     produce identical timestamps, counters and tap invocations; the batch
     variants only amortize interpreter dispatch.
+
+    Media-plane contract of the batched path: a forwarded train has a single
+    destination and a single flow, and every flow's batch handler given a
+    one-packet train behaves exactly like its single-packet handler.
     """
 
     __slots__ = (
@@ -37,6 +41,7 @@ class Host:
         "name",
         "_egress",
         "_egress_batch",
+        "_egress_trains",
         "_flow_handlers",
         "_flow_batch_handlers",
         "_default_handler",
@@ -53,6 +58,7 @@ class Host:
         self.name = name
         self._egress: Optional[Callable[[Packet], None]] = None
         self._egress_batch: Optional[Callable[[Sequence[Packet]], None]] = None
+        self._egress_trains: Optional[Callable[[Collection[list]], None]] = None
         self._flow_handlers: dict[str, Callable[[Packet], None]] = {}
         self._flow_batch_handlers: dict[str, Callable[[Sequence[Packet]], None]] = {}
         self._default_handler: Optional[Callable[[Packet], None]] = None
@@ -71,15 +77,20 @@ class Host:
         self,
         egress: Callable[[Packet], None],
         batch: Optional[Callable[[Sequence[Packet]], None]] = None,
+        trains: Optional[Callable[[Collection[list]], None]] = None,
     ) -> None:
         """Attach the first-hop send function (done by the topology builder).
 
         ``batch``, when provided, accepts a whole packet train in one call
         (``Link.send_batch`` / ``DelayPipe.send_batch``); without it,
-        :meth:`send_batch` falls back to per-packet egress.
+        :meth:`send_batch` falls back to per-packet egress.  ``trains``, when
+        provided, accepts every train of one forwarded burst in one call
+        (``SourceRoutedEgress.send_trains``); without it,
+        :meth:`send_forwarded_trains` sends the trains one at a time.
         """
         self._egress = egress
         self._egress_batch = batch
+        self._egress_trains = trains
 
     def register_flow(
         self,
@@ -172,6 +183,9 @@ class Host:
         """
         if not packets:
             return
+        egress_batch = self._egress_batch
+        if egress_batch is None and self._egress is None:
+            raise RuntimeError(f"host {self.name!r} has no egress configured")
         if self.taps:
             taps = self.taps
             for packet in packets:
@@ -179,15 +193,41 @@ class Host:
                     tap("tx", packet)
         self.bytes_sent += size_total
         self.packets_sent += len(packets)
-        egress_batch = self._egress_batch
         if egress_batch is not None:
             egress_batch(packets)
         else:
             egress = self._egress
-            if egress is None:
-                raise RuntimeError(f"host {self.name!r} has no egress configured")
             for packet in packets:
                 egress(packet)
+
+    def send_forwarded_trains(self, outbound: Collection[list]) -> None:
+        """Send one forwarded burst: several non-empty trains, one per destination.
+
+        Each entry of ``outbound`` is ``[size_total, packets]`` as the media
+        server accumulates it.  Taps and counters see the trains in order,
+        exactly as one :meth:`send_forwarded_batch` call per train would;
+        an egress that takes whole bursts then receives them in one call.
+        Taps only record, so running them all before the egress is
+        indistinguishable from interleaving them with per-train sends.
+        """
+        send_trains = self._egress_trains
+        if send_trains is None:
+            for size_total, packets in outbound:
+                self.send_forwarded_batch(packets, size_total)
+            return
+        taps = self.taps
+        bytes_sent = 0
+        packets_sent = 0
+        for size_total, packets in outbound:
+            if taps:
+                for packet in packets:
+                    for tap in taps:
+                        tap("tx", packet)
+            bytes_sent += size_total
+            packets_sent += len(packets)
+        self.bytes_sent += bytes_sent
+        self.packets_sent += packets_sent
+        send_trains(outbound)
 
     def receive(self, packet: Packet) -> None:
         """Deliver a packet arriving from the network to its flow handler."""
@@ -207,15 +247,20 @@ class Host:
         the byte counters and checks flow homogeneity, then the train is
         handed to the flow's batch handler in a single call.  Mixed-flow
         trains fall back to runs of consecutive identical flow ids so handler
-        semantics match per-packet delivery exactly.
+        semantics match per-packet delivery exactly.  A one-packet train
+        (most forwarded audio) goes to the flow's single-packet handler, as
+        :meth:`receive` would deliver it.
         """
-        if not packets:
+        n = len(packets)
+        if n == 1:
+            self.receive(packets[0])
             return
-        first = packets[0]
-        flow_id = first.flow_id
-        size_total = first.size_bytes
+        if not n:
+            return
+        flow_id = packets[0].flow_id
+        size_total = 0
         uniform = True
-        for packet in packets[1:] if len(packets) > 1 else ():
+        for packet in packets:
             size_total += packet.size_bytes
             if packet.flow_id != flow_id:
                 uniform = False
@@ -230,7 +275,6 @@ class Host:
             self._dispatch_run(flow_id, packets)
             return
         start = 0
-        n = len(packets)
         while start < n:
             flow_id = packets[start].flow_id
             end = start + 1

@@ -164,7 +164,7 @@ class Packet:
         """Size in bits, used for serialization-time computation."""
         return self.size_bytes * 8
 
-    def copy_for_forwarding(self, *, src: str, dst: str, flow_id: Optional[str] = None) -> "Packet":
+    def copy_for_forwarding(self, src: str, dst: str, flow_id: Optional[str] = None) -> "Packet":
         """Clone the packet as a relay/SFU would when forwarding it.
 
         The clone keeps the media metadata (frame ids, layers, sequence
@@ -176,7 +176,8 @@ class Packet:
         # Hand-rolled clone: this runs once per forwarded copy (the single
         # most frequent allocation in an SFU call), so skip __init__'s
         # argument parsing and validation -- the source packet is valid --
-        # and share the write-once metadata dict instead of copying it.
+        # and share the write-once metadata dict instead of copying it.  The
+        # media server calls it positionally (keyword binding costs more).
         clone: Packet = object.__new__(Packet)
         clone.size_bytes = self.size_bytes
         clone.flow_id = flow_id if flow_id is not None else self.flow_id

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappush
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from repro.net.link import Link
 from repro.net.packet import Packet
@@ -193,6 +193,9 @@ class SourceRoutedEgress:
     the heap events and none of the per-hop dispatch.  Destinations that are
     not registered (e.g. behind a shaped link or another router) fall back to
     the original hop-by-hop path.
+
+    A media server's whole fan-out burst enters through :meth:`send_trains`
+    and rides a single bus record, delivered train by train in send order.
     """
 
     __slots__ = ("bus", "_routes", "_routes_batch", "_fallback", "_fallback_batch")
@@ -254,6 +257,33 @@ class SourceRoutedEgress:
         if packets.__class__ is not list:
             packets = list(packets)
         self.bus.push(receiver_batch, packets)
+
+    def send_trains(self, outbound: Iterable[list]) -> None:
+        """Send a fan-out burst: ``[size_total, train]`` entries, one destination each.
+
+        Every bus-routed train joins one ``(receiver_batch, train)`` record,
+        pushed when the first such train is seen -- the point where a
+        per-train :meth:`send_batch` would have pushed (and armed the bus) --
+        so heap sequence numbers and delivery order are unchanged.  Trains to
+        unregistered destinations take :meth:`send_batch`'s fallback in place.
+        """
+        routes = self._routes_batch
+        record: Optional[list] = None
+        for _size, packets in outbound:
+            receiver_batch = routes.get(packets[0].dst)
+            if receiver_batch is None:
+                self.send_batch(packets)
+            elif record is None:
+                record = [(receiver_batch, packets)]
+                self.bus.push(_deliver_trains, record)
+            else:
+                record.append((receiver_batch, packets))
+
+
+def _deliver_trains(record: list) -> None:
+    """Deliver a :meth:`SourceRoutedEgress.send_trains` bus record, train by train."""
+    for receiver_batch, packets in record:
+        receiver_batch(packets)
 
 
 class ForwardingEntry:

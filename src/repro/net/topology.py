@@ -258,7 +258,8 @@ def build_access_topology(
         pipe = DelayPipe(sim, core.receive, DEFAULT_LAN_DELAY_S, receiver_batch=core.receive_batch)
         if fused:
             # The whole client fan-out shares one data-centre + WAN delay,
-            # so one DelayBus covers every destination of the server.
+            # so one DelayBus covers every destination of the server, and
+            # each forwarded burst rides it as a single record.
             egress = SourceRoutedEgress(
                 sim, DEFAULT_LAN_DELAY_S + wan_delay_s, pipe.send, fallback_batch=pipe.send_batch
             )
@@ -267,7 +268,7 @@ def build_access_topology(
             egress.add_route(measured, home_router.receive, home_router.receive_batch)
             for local_name in local_client_names:
                 egress.add_route(local_name, home_router.receive, home_router.receive_batch)
-            server.set_egress(egress.send, batch=egress.send_batch)
+            server.set_egress(egress.send, batch=egress.send_batch, trains=egress.send_trains)
         else:
             server.set_egress(pipe.send, batch=pipe.send_batch)
         core.add_delay_route(

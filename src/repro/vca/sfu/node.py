@@ -125,6 +125,9 @@ class SfuNode:
         #: Uplink flow id -> participant state, so the per-train dispatch
         #: skips the flow-id string parse (invalidated with the plans).
         self._state_by_flow: dict[str, ParticipantState] = {}
+        #: Downlink RTCP flow id -> ``(sender, receiver)``, so each report
+        #: skips the flow-id string parse.
+        self._rtcp_streams: dict[str, tuple[str, str]] = {}
         #: Interval between downlink bandwidth probes toward an
         #: application-limited receiver (the emulated ALR probing).
         self.probe_interval_s = 3.0
@@ -293,21 +296,17 @@ class SfuNode:
     # --------------------------------------------------------------- RTCP
     def _on_rtcp(self, packet: Packet) -> None:
         flow = packet.flow_id
-        # Reports/FIRs from receivers concern flows named
-        # ``{call}:down:{sender}>{receiver}:rtcp``.
-        if ":down:" not in flow:
-            if self._control is not None and ":up:" in flow and flow.endswith(":rtcp"):
-                # Uplink-directed RTCP (relayed reports / keyframe requests)
-                # in transit across the cascade toward a remote sender.
-                target = flow.split(":up:", 1)[1].rsplit(":rtcp", 1)[0]
-                if target in self.participants:
-                    packet.dst = target
-                    self.host.send(packet)
-                elif self._control.home_of(target) is not None:
-                    self._forward_toward(target, packet)
-            return
-        stream_part = flow.split(":down:", 1)[1].rsplit(":rtcp", 1)[0]
-        sender_name, _, receiver_name = stream_part.partition(">")
+        stream = self._rtcp_streams.get(flow)
+        if stream is None:
+            # Reports/FIRs from receivers concern flows named
+            # ``{call}:down:{sender}>{receiver}:rtcp``.
+            if ":down:" not in flow:
+                self._relay_uplink_rtcp(packet)
+                return
+            stream_part = flow.split(":down:", 1)[1].rsplit(":rtcp", 1)[0]
+            sender_name, _, receiver_name = stream_part.partition(">")
+            stream = self._rtcp_streams[flow] = (sender_name, receiver_name)
+        sender_name, receiver_name = stream
         if is_fir(packet):
             # Ask the original sender for a keyframe regardless of architecture.
             fir = make_fir_packet(
@@ -361,6 +360,22 @@ class SfuNode:
                 self._forward_toward(sender_name, relayed)
             else:
                 self.host.send(relayed)
+
+    def _relay_uplink_rtcp(self, packet: Packet) -> None:
+        """Pass uplink-directed RTCP on toward its remote sender.
+
+        Relayed reports and keyframe requests cross the cascade this way;
+        a standalone node drops them.
+        """
+        flow = packet.flow_id
+        if self._control is None or ":up:" not in flow or not flow.endswith(":rtcp"):
+            return
+        target = flow.split(":up:", 1)[1].rsplit(":rtcp", 1)[0]
+        if target in self.participants:
+            packet.dst = target
+            self.host.send(packet)
+        elif self._control.home_of(target) is not None:
+            self._forward_toward(target, packet)
 
     @staticmethod
     def _aggregate_reports(state: ParticipantState):
@@ -459,7 +474,8 @@ class SfuNode:
         FEC draws in arrival x receiver order) are identical to calling
         :meth:`_on_media` per packet; the difference is that the forwarding
         decision comes from :meth:`_video_plan` / :meth:`_audio_plan` and the
-        per-receiver copies leave the host as one train each.  With egress
+        per-receiver copies leave the host as one train each, all handed to
+        :meth:`Host.send_forwarded_trains` as one burst.  With egress
         trunks configured, each train is additionally copied *once per
         demanding trunk* (never once per downstream receiver) from the
         per-hop trunk plans.
@@ -477,13 +493,33 @@ class SfuNode:
         if state.uplink_receiver is not None:
             state.uplink_receiver.on_packet_batch(packets)
         host_name = self.host.name
+        has_trunks = self._control is not None and len(self._control.neighbors.get(self.node_id, ())) > 0
+        if len(packets) == 1 and packets[0].kind is PacketKind.RTP_AUDIO:
+            # One audio packet (the common case: one every 20 ms per sender)
+            # fans out as one single-packet train per receiver and trunk.
+            packet = packets[0]
+            size = packet.size_bytes
+            copy = packet.copy_for_forwarding
+            outbound = [
+                [size, [copy(host_name, receiver, flow_id)]]
+                for receiver, flow_id in self._audio_plan(state)
+            ]
+            self.bytes_forwarded += size * len(outbound)
+            if has_trunks:
+                trunk = [
+                    [size, [copy(host_name, peer, flow_id)]]
+                    for peer, flow_id in self._trunk_audio_plan(state)
+                ]
+                self.trunk_bytes_forwarded += size * len(trunk)
+                outbound += trunk
+            self.host.send_forwarded_trains(outbound)
+            return
         layer_bytes = state.layer_bytes
         server_fec = self.profile.server_fec_ratio
         fec_rng = self.sim.rng if server_fec > 0 else None
         rtp_video = PacketKind.RTP_VIDEO
         rtp_audio = PacketKind.RTP_AUDIO
         now = self.sim._now
-        has_trunks = self._control is not None and len(self._control.neighbors.get(self.node_id, ())) > 0
         bytes_forwarded = 0
         trunk_bytes = 0
         fec_bytes = 0
@@ -493,12 +529,11 @@ class SfuNode:
         trunk_plan: list = []
         for packet in packets:
             kind = packet.kind
+            copy = packet.copy_for_forwarding
             if kind is rtp_audio:
                 size = packet.size_bytes
                 for receiver, flow_id in self._audio_plan(state):
-                    forwarded = packet.copy_for_forwarding(
-                        src=host_name, dst=receiver, flow_id=flow_id
-                    )
+                    forwarded = copy(host_name, receiver, flow_id)
                     bytes_forwarded += size
                     out = outbound.get(receiver)
                     if out is None:
@@ -507,9 +542,7 @@ class SfuNode:
                     out[1].append(forwarded)
                 if has_trunks:
                     for peer, flow_id in self._trunk_audio_plan(state):
-                        forwarded = packet.copy_for_forwarding(
-                            src=host_name, dst=peer, flow_id=flow_id
-                        )
+                        forwarded = copy(host_name, peer, flow_id)
                         trunk_bytes += size
                         out = outbound.get(peer)
                         if out is None:
@@ -520,8 +553,10 @@ class SfuNode:
             meta = packet._meta
             layer = meta.get("layer", "main") if meta is not None else "main"
             is_video = kind is rtp_video
+            size = packet.size_bytes
             if is_video:
-                layer_bytes[layer] = layer_bytes.get(layer, 0) + packet.size_bytes
+                layer_bytes[layer] = layer_bytes.get(layer, 0) + size
+            repairs = fec_rng is not None and is_video
             if layer != plan_layer:
                 plan_layer = layer
                 plan = self._video_plan(state, layer)
@@ -534,24 +569,17 @@ class SfuNode:
                     frame_id = meta.get("frame_id", packet.seq) if meta is not None else packet.seq
                     if not (frame_id * 2654435761 % 1000) / 1000.0 < keep:
                         continue
-                forwarded = packet.copy_for_forwarding(
-                    src=host_name, dst=receiver, flow_id=flow_id
-                )
+                forwarded = copy(host_name, receiver, flow_id)
                 if is_video:
                     seq_cell[0] = seq = seq_cell[0] + 1
                     forwarded.seq = seq
-                size = forwarded.size_bytes
                 bytes_forwarded += size
                 out = outbound.get(receiver)
                 if out is None:
                     out = outbound[receiver] = [0, []]
                 out[0] += size
                 out[1].append(forwarded)
-                if (
-                    fec_rng is not None
-                    and is_video
-                    and fec_rng.random() < server_fec
-                ):
+                if repairs and fec_rng.random() < server_fec:
                     repair = Packet(
                         size_bytes=size,
                         flow_id=forwarded.flow_id,
@@ -571,13 +599,10 @@ class SfuNode:
                 # the trunk leg -- the egress node regenerates FEC for its
                 # local receivers, so a trunk carries the clean layer stream.
                 for peer, flow_id, seq_cell in trunk_plan:
-                    forwarded = packet.copy_for_forwarding(
-                        src=host_name, dst=peer, flow_id=flow_id
-                    )
+                    forwarded = copy(host_name, peer, flow_id)
                     if is_video:
                         seq_cell[0] = seq = seq_cell[0] + 1
                         forwarded.seq = seq
-                    size = forwarded.size_bytes
                     trunk_bytes += size
                     out = outbound.get(peer)
                     if out is None:
@@ -587,9 +612,7 @@ class SfuNode:
         self.bytes_forwarded += bytes_forwarded
         self.trunk_bytes_forwarded += trunk_bytes
         self.fec_bytes_added += fec_bytes
-        host = self.host
-        for out in outbound.values():
-            host.send_forwarded_batch(out[1], out[0])
+        self.host.send_forwarded_trains(outbound.values())
 
     # ------------------------------------------------------------- trunks
     def _trunk_sender_state(self, flow: str) -> Optional[ParticipantState]:
@@ -892,20 +915,21 @@ class SfuNode:
             self._publish_trunk_demands()
 
     def _update_forwarding_decisions(self) -> None:
-        for sender_name, sender_state in self.participants.items():
-            for receiver_name, receiver_state in self.participants.items():
-                if receiver_name == sender_name:
-                    continue
-                decision = self._decide_forwarding(sender_state, receiver_state)
-                sender_state.forwarding[receiver_name] = decision
-        for sender_name, sender_state in self.remote_senders.items():
-            for receiver_name, receiver_state in self.participants.items():
-                if receiver_name == sender_name:
-                    continue
-                decision = self._decide_forwarding(sender_state, receiver_state)
-                sender_state.forwarding[receiver_name] = decision
-        # The cached dispatch plans encode the (possibly changed) decisions.
-        self._forward_plans.clear()
+        changed = False
+        for senders in (self.participants, self.remote_senders):
+            for sender_name, sender_state in senders.items():
+                forwarding = sender_state.forwarding
+                for receiver_name, receiver_state in self.participants.items():
+                    if receiver_name == sender_name:
+                        continue
+                    decision = self._decide_forwarding(sender_state, receiver_state)
+                    if not changed and forwarding.get(receiver_name) != decision:
+                        changed = True
+                    forwarding[receiver_name] = decision
+        # The cached dispatch plans encode the decisions: rebuild them only
+        # when one changed.
+        if changed:
+            self._forward_plans.clear()
 
     def _maybe_probe_downlinks(self) -> None:
         """Send padding bursts toward application-limited receivers.

@@ -359,6 +359,249 @@ class TestBatchPath:
         assert run(True) == run(False)
 
 
+class TestForwardedBursts:
+    """A fused fan-out burst must be indistinguishable from one send per train."""
+
+    ROUTED = ("A", "B", "C")
+
+    @staticmethod
+    def _outbound(unrouted_at: int = 2) -> list:
+        trains = [
+            [make_packet(dst="A", seq=1, size=300)],
+            [make_packet(dst="B", seq=2, size=900), make_packet(dst="B", seq=3, size=500)],
+            [make_packet(dst="C", seq=4, size=200)],
+        ]
+        trains.insert(unrouted_at, [make_packet(dst="elsewhere", seq=9, size=700)])
+        return [[sum(p.size_bytes for p in train), train] for train in trains]
+
+    def _egress(self, sim, log):
+        from repro.net.router import DelayPipe, SourceRoutedEgress
+
+        fallback = DelayPipe(
+            sim,
+            lambda p: log.append((sim.now, "fallback", [p.seq])),
+            0.005,
+            receiver_batch=lambda ps: log.append((sim.now, "fallback", [p.seq for p in ps])),
+        )
+        egress = SourceRoutedEgress(sim, 0.013, fallback.send, fallback_batch=fallback.send_batch)
+        for name in self.ROUTED:
+            egress.add_route(
+                name,
+                lambda p, n=name: log.append((sim.now, n, [p.seq])),
+                lambda ps, n=name: log.append((sim.now, n, [p.seq for p in ps])),
+            )
+        return egress
+
+    @staticmethod
+    def _heap(sim):
+        return sorted((when, seq) for when, seq, *_ in sim._queue)
+
+    def _run_host(self, fused: bool, unrouted_at: int):
+        sim = Simulator()
+        log: list = []
+        egress = self._egress(sim, log)
+        host = Host(sim, "S")
+        if fused:
+            host.set_egress(egress.send, batch=egress.send_batch, trains=egress.send_trains)
+        else:
+            host.set_egress(egress.send, batch=egress.send_batch)
+        taps: list = []
+        host.taps.append(lambda d, p: taps.append((d, p.dst, p.seq)))
+        # An earlier event, so the burst's heap sequence numbers are not the first.
+        sim.schedule_at(0.05, lambda: None)
+        outbound = self._outbound(unrouted_at)
+        if fused:
+            host.send_forwarded_trains(outbound)
+        else:
+            for size_total, train in outbound:
+                host.send_forwarded_batch(train, size_total)
+        heap = self._heap(sim)
+        sim.run(until=1.0)
+        return taps, (host.packets_sent, host.bytes_sent), heap, log
+
+    @pytest.mark.parametrize("unrouted_at", [0, 2, 4])
+    def test_send_forwarded_trains_matches_per_train_sends(self, unrouted_at):
+        fused = self._run_host(True, unrouted_at)
+        assert fused == self._run_host(False, unrouted_at)
+        taps, counters, _heap, _log = fused
+        assert [seq for _d, _dst, seq in taps] == [
+            p.seq for _size, train in self._outbound(unrouted_at) for p in train
+        ]
+        assert counters == (5, 2600)
+
+    def test_send_forwarded_trains_without_trains_egress_sends_per_train(self):
+        sim = Simulator()
+        host = Host(sim, "S")
+        batches: list = []
+        host.set_egress(lambda p: batches.append([p.seq]), batch=lambda ps: batches.append([p.seq for p in ps]))
+        host.send_forwarded_trains(self._outbound())
+        assert batches == [[1], [2, 3], [9], [4]]
+        assert (host.packets_sent, host.bytes_sent) == (5, 2600)
+
+    @pytest.mark.parametrize("armed", [False, True])
+    @pytest.mark.parametrize("unrouted_at", [0, 2, 4])
+    def test_send_trains_arms_the_bus_like_per_train_pushes(self, armed, unrouted_at):
+        def run(fused: bool):
+            sim = Simulator()
+            log: list = []
+            egress = self._egress(sim, log)
+            sim.schedule_at(0.05, lambda: None)
+            if armed:
+                egress.send(make_packet(dst="C", seq=0))
+            outbound = self._outbound(unrouted_at)
+            if fused:
+                egress.send_trains(outbound)
+            else:
+                for _size, train in outbound:
+                    egress.send_batch(train)
+            heap = self._heap(sim)
+            pending = len(egress.bus._transit)
+            sim.run(until=1.0)
+            return heap, pending, log
+
+        fused_heap, fused_pending, fused_log = run(True)
+        heap, pending, log = run(False)
+        assert fused_heap == heap
+        assert fused_log == log
+        # Every routed train rides one bus record instead of one each.
+        assert fused_pending == 1 + armed and pending == 3 + armed
+        routed = [(dst, seqs) for _t, dst, seqs in fused_log if dst != "fallback"]
+        assert routed[-3:] == [("A", [1]), ("B", [2, 3]), ("C", [4])]
+
+    def test_send_trains_unrouted_destination_falls_back_per_train(self):
+        from repro.net.router import SourceRoutedEgress
+
+        sim = Simulator()
+        fallback: list = []
+        egress = SourceRoutedEgress(
+            sim, 0.013, lambda p: fallback.append([p.seq]),
+            fallback_batch=lambda ps: fallback.append([p.seq for p in ps]),
+        )
+        outbound = [
+            [100, [make_packet(dst="x", seq=1)]],
+            [200, [make_packet(dst="y", seq=2), make_packet(dst="y", seq=3)]],
+        ]
+        egress.send_trains(outbound)
+        assert fallback == [[1], [2, 3]]
+        assert not egress.bus._transit and not sim._queue
+
+    def test_send_forwarded_batch_without_egress_changes_nothing(self):
+        sim = Simulator()
+        host = Host(sim, "S")
+        taps: list = []
+        host.taps.append(lambda d, p: taps.append(p.seq))
+        with pytest.raises(RuntimeError):
+            host.send_forwarded_batch([make_packet(seq=1)], 1000)
+        assert taps == []
+        assert (host.packets_sent, host.bytes_sent) == (0, 0)
+
+
+class TestOnePacketTrains:
+    """``receive_batch([p])`` must behave exactly like ``receive(p)``."""
+
+    @staticmethod
+    def _receiver_state(receiver):
+        return (
+            receiver.total_bytes,
+            receiver.total_video_packets,
+            receiver.total_frames,
+            receiver._highest_seq,
+            receiver._prev_highest_seq,
+            receiver._smoothed_owd,
+            receiver._fec_credits,
+            sorted(receiver._pending),
+        )
+
+    @staticmethod
+    def _media(kind, seq, frame_id, flow, dst):
+        from repro.net.packet import PacketKind
+
+        meta = None
+        if kind is PacketKind.RTP_VIDEO:
+            meta = {"frame_id": frame_id, "frag_count": 2, "layer": "main"}
+        packet = make_packet(size=400 + seq, flow=flow, src="S", dst=dst, kind=kind, seq=seq, meta=meta)
+        packet.created_at = 0.01 * seq
+        return packet
+
+    def test_client_host(self):
+        from repro.net.packet import PacketKind
+        from repro.rtp.jitter import StreamReceiver
+
+        def run(one_packet_trains: bool):
+            sim = Simulator()
+            host = Host(sim, "C2")
+            receiver = StreamReceiver(sim, "call:down:C1>C2")
+            host.register_flow(receiver.flow_id, receiver.on_packet, batch_handler=receiver.on_packet_batch)
+            unclassified: list = []
+            host.set_default_handler(lambda p: unclassified.append(p.seq))
+            taps: list = []
+            host.taps.append(lambda d, p: taps.append((d, p.seq)))
+            kinds = [PacketKind.RTP_VIDEO, PacketKind.RTP_AUDIO, PacketKind.FEC, PacketKind.RTP_VIDEO]
+            packets = [
+                self._media(kind, seq, frame_id=1, flow=receiver.flow_id, dst="C2")
+                for seq, kind in enumerate(kinds, start=1)
+            ]
+            packets.append(make_packet(flow="stray", dst="C2", seq=99))
+            for index, packet in enumerate(packets):
+                sim._now = 0.1 * (index + 1)
+                if one_packet_trains:
+                    host.receive_batch([packet])
+                else:
+                    host.receive(packet)
+            return self._receiver_state(receiver), unclassified, taps, (host.packets_received, host.bytes_received)
+
+        one = run(True)
+        assert one == run(False)
+        state, unclassified, _taps, _counters = one
+        assert state[2] == 1 and unclassified == [99]
+
+    @pytest.mark.parametrize("vca", ["meet", "zoom", "teams"])
+    def test_sfu_host(self, vca):
+        from repro.net.packet import PacketKind
+        from repro.vca import get_profile
+        from repro.vca.base import uplink_flow
+        from repro.vca.sfu import SfuNode
+
+        def run(one_packet_trains: bool):
+            sim = Simulator(seed=11)
+            topo = build_access_topology(sim, client_names=("C1", "C2", "C3", "C4"))
+            arrivals: list = []
+            for name in ("C2", "C3", "C4"):
+                topo.host(name).set_default_handler(
+                    lambda p, n=name: arrivals.append((round(sim.now, 9), n, p.flow_id, p.kind, p.seq, p.size_bytes))
+                )
+            server = topo.host("S")
+            node = SfuNode(sim, server, get_profile(vca))
+            for name in ("C1", "C2", "C3", "C4"):
+                node.add_participant(name)
+            flow = uplink_flow("C2")
+            kinds = [PacketKind.RTP_AUDIO, PacketKind.RTP_VIDEO, PacketKind.RTP_VIDEO, PacketKind.FEC]
+
+            def deliver():
+                for seq, kind in enumerate(kinds, start=1):
+                    packet = self._media(kind, seq, frame_id=seq // 2, flow=flow, dst="S")
+                    if one_packet_trains:
+                        server.receive_batch([packet])
+                    else:
+                        server.receive(packet)
+
+            sim.schedule_at(0.2, deliver)
+            sim.run(until=1.0)
+            state = node.participants["C2"]
+            return (
+                arrivals,
+                self._receiver_state(state.uplink_receiver),
+                dict(state.layer_bytes),
+                (node.bytes_forwarded, node.fec_bytes_added),
+                (server.packets_received, server.bytes_received, server.packets_sent, server.bytes_sent),
+                sim.events_processed,
+            )
+
+        one = run(True)
+        assert one == run(False)
+        assert {n for _t, n, *_ in one[0]} >= {"C3", "C4"}
+
+
 class TestTopologies:
     def test_access_topology_end_to_end_delivery(self):
         sim = Simulator()

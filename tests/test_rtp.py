@@ -209,6 +209,53 @@ class TestStreamReceiver:
         assert fired == []
         assert receiver.total_frames >= 1
 
+    def test_one_fragment_frames_match_the_reference_receiver(self):
+        """One-fragment frames complete on arrival, even while other frames
+        are pending, exactly as the per-packet reference receiver counts them."""
+        from repro.rtp.jitter import LegacyStreamReceiver
+
+        def schedule():
+            # (time, train): a 3-fragment keyframe missing a fragment, one-
+            # fragment frames around it, an FEC repair that recovers it on
+            # expiry, then a keyframe lost for good (FIR).
+            multi = self._packets_for_frame(1, 3, start_seq=1, keyframe=True)
+            lost = self._packets_for_frame(7, 3, start_seq=10, keyframe=True)
+            fec = Packet(1200, "f", "a", "b", kind=PacketKind.FEC, seq=999)
+            return [
+                (0.00, multi[:1]),
+                (0.01, self._packets_for_frame(2, 1, start_seq=4)),
+                (0.02, [multi[2], fec]),
+                (0.03, self._packets_for_frame(3, 1, start_seq=5)),
+                (0.60, self._packets_for_frame(4, 1, start_seq=6)),
+                (0.61, self._packets_for_frame(5, 2, start_seq=7)),
+                (1.50, self._packets_for_frame(6, 1, start_seq=9) + lost[:1]),
+                (1.60, self._packets_for_frame(8, 1, start_seq=13)),
+                (2.00, self._packets_for_frame(9, 1, start_seq=14)),
+            ]
+
+        def observe(receiver_cls, batched):
+            sim = Simulator()
+            fired = []
+            receiver = receiver_cls(sim, "f", on_fir=fired.append)
+            trajectory = []
+            for when, train in schedule():
+                sim._now = when
+                if batched:
+                    receiver.on_packet_batch(train)
+                else:
+                    for packet in train:
+                        receiver.on_packet(packet)
+                trajectory.append(
+                    (receiver.total_frames, receiver.lost_frames, len(fired),
+                     receiver._fec_credits, sorted(receiver._pending))
+                )
+            return trajectory, receiver.sample_received_fps(), receiver.make_report(now=2.5)
+
+        reference = observe(LegacyStreamReceiver, batched=False)
+        assert reference[0][-1][:3] == (8, 1, 1)
+        assert observe(StreamReceiver, batched=False) == reference
+        assert observe(StreamReceiver, batched=True) == reference
+
     def test_received_fps_sampler_resets(self):
         sim = Simulator()
         receiver = StreamReceiver(sim, "f")

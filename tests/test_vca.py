@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import struct
+import sys
+
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.core.capture import PacketCapture
 from repro.core.profiles import static_profile
@@ -255,6 +260,37 @@ def make_report(now, rate=500_000.0, loss=0.0, queueing=0.0, expected=100, recei
     )
 
 
+def _aggregate_reports_by_generators(reports):
+    """The max/sum generator form that the single-pass aggregate replaced."""
+    from repro.cc.base import FeedbackReport
+
+    reports = list(reports)
+    if not reports:
+        return None
+    return FeedbackReport(
+        timestamp=max(r.timestamp for r in reports),
+        interval_s=max(r.interval_s for r in reports),
+        receive_rate_bps=sum(r.receive_rate_bps for r in reports),
+        loss_fraction=max(r.loss_fraction for r in reports),
+        queueing_delay_s=max(r.queueing_delay_s for r in reports),
+        delay_gradient_s=max(r.delay_gradient_s for r in reports),
+        rtt_s=max(r.rtt_s for r in reports),
+        packets_expected=sum(r.packets_expected for r in reports),
+        packets_received=sum(r.packets_received for r in reports),
+    )
+
+
+#: Few distinct values (so maxima tie, ``-0.0`` next to ``0.0``) mixed with
+#: arbitrary finite floats; packet counts are integers.
+_tie_prone = st.sampled_from([-0.0, 0.0, 0.25, 1.0]) | st.floats(
+    allow_nan=False, allow_infinity=False, width=64
+)
+_report_fields = st.tuples(
+    _tie_prone, _tie_prone, _tie_prone, _tie_prone, _tie_prone, _tie_prone, _tie_prone,
+    st.integers(0, 10_000), st.integers(0, 10_000),
+)
+
+
 class TestServerDownlinkEstimator:
     """Unit coverage of the per-receiver estimator and its feed-in paths."""
 
@@ -293,6 +329,59 @@ class TestServerDownlinkEstimator:
         _, server = self.make_server()
         state = server.add_participant("C1")
         assert MediaServer._aggregate_reports(state) is None
+
+    def test_aggregate_reports_takes_first_of_tied_maxima(self):
+        from repro.cc.base import FeedbackReport
+        from repro.vca.sfu.state import aggregate_reports
+
+        reports = [
+            FeedbackReport(1.0, 0.25, -0.0, -0.0, 0.0, delay_gradient_s=-0.0),
+            FeedbackReport(1.0, 0.25, 0.0, 0.0, -0.0, delay_gradient_s=0.0),
+        ]
+        aggregate = aggregate_reports(iter(reports))
+        assert str(aggregate.loss_fraction) == "-0.0"
+        assert str(aggregate.delay_gradient_s) == "-0.0"
+        assert str(aggregate.queueing_delay_s) == "0.0"
+        assert str(aggregate_reports(reports[:1]).receive_rate_bps) == "0.0"
+
+    @pytest.mark.skipif(
+        sys.version_info >= (3, 12),
+        reason="sum() of floats is compensated from CPython 3.12 on; the pinned interpreter is 3.11",
+    )
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_report_fields, max_size=8))
+    def test_aggregate_reports_single_pass_matches_max_sum(self, fields):
+        from repro.cc.base import FeedbackReport
+        from repro.vca.sfu.state import aggregate_reports
+
+        reports = [FeedbackReport(*values) for values in fields]
+        got = aggregate_reports(reports)
+        want = _aggregate_reports_by_generators(reports)
+        if want is None:
+            assert got is None
+            return
+        for name in FeedbackReport.__dataclass_fields__:
+            a, b = getattr(got, name), getattr(want, name)
+            assert type(a) is type(b), name
+            if isinstance(b, float):
+                assert struct.pack("<d", a) == struct.pack("<d", b), (name, a, b)
+            else:
+                assert a == b, name
+
+    def test_dispatch_plans_rebuilt_only_when_a_decision_changes(self):
+        _, server = self.make_server("zoom")
+        for name in ("C1", "C2", "C3"):
+            server.add_participant(name)
+        sender = server.participants["C1"]
+        server._update_forwarding_decisions()
+        plan = server._video_plan(sender, "base")
+        server._update_forwarding_decisions()
+        assert server._video_plan(sender, "base") is plan
+        server._decide_forwarding = lambda sender_state, receiver_state: ({"base"}, 0.5)
+        server._update_forwarding_decisions()
+        rebuilt = server._video_plan(sender, "base")
+        assert rebuilt is not plan
+        assert [keep for _receiver, keep, _flow, _seq in rebuilt] == [0.5, 0.5]
 
     def test_estimator_recovers_out_of_dead_zone(self):
         """The 2-10 % loss band must not pin the downlink estimate forever.
