@@ -16,8 +16,8 @@ via a generated ``__lt__``, a dataclass packet with an eagerly allocated
 (serialization, propagation, and the per-packet double-lambda egress hop the
 seed topology used), and dict-of-dicts capture binning.  That replica is the
 baseline the tentpole's claimed speedup is measured against; the
-``events_processed`` counters provide the events/sec rates and verify the
-coalesced path schedules strictly fewer heap events.
+``events_processed`` counters provide the events/sec rates and pin the
+coalesced path's heap-event count below the replica's.
 """
 
 from __future__ import annotations
@@ -51,6 +51,11 @@ FLOW_IDS = tuple(f"bench-flow-{i}" for i in range(8))
 
 # Pure-scheduling workload.
 N_EVENTS = 200_000
+
+#: Heap events the coalesced forwarding path processes for the workload
+#: above: per packet, one send plus one event per hop (egress pipe, link A,
+#: link B).  The seed replica needs two per link, 120,000 in all.
+FAST_FORWARDING_EVENTS = 80_000
 
 #: Required speedups over the seed-engine replica.  Scaled down by
 #: ``REPRO_ENGINE_BENCH_MARGIN`` (default 1.0) so shared CI runners, whose
@@ -352,14 +357,14 @@ def _seed_case(capture: bool) -> tuple[float, int, int]:
     return wall, events, received[0]
 
 
-def _fast_case(capture: bool, legacy_links: bool = False) -> tuple[float, int, int]:
+def _fast_case(capture: bool) -> tuple[float, int, int]:
     """Production path: DelayPipe egress -> link A -> router -> link B -> host."""
     sim = Simulator()
     sender = Host(sim, "src")
     receiver = Host(sim, "dst")
     router = Router(sim, "r")
-    link_a = Link(sim, "a", LINK_RATE_BPS, legacy=legacy_links)
-    link_b = Link(sim, "b", LINK_RATE_BPS, legacy=legacy_links)
+    link_a = Link(sim, "a", LINK_RATE_BPS)
+    link_b = Link(sim, "b", LINK_RATE_BPS)
     sender.set_egress(DelayPipe(sim, link_a.send, EGRESS_DELAY_S).send)
     link_a.connect(router.receive)
     router.add_link_route("dst", link_b)
@@ -460,24 +465,22 @@ def test_bench_engine_capture_forwarding():
 
 
 def test_bench_engine_coalescing_reduces_heap_events():
-    """Coalesced links/pipes must not schedule more heap events than per-packet."""
-    legacy_wall, legacy_events, legacy_rx = _best_of(
-        lambda: _fast_case(capture=False, legacy_links=True)
-    )
+    """Coalesced links/pipes schedule fewer heap events than the seed replica."""
+    seed_wall, seed_events, seed_rx = _best_of(lambda: _seed_case(capture=False))
     fast_wall, fast_events, fast_rx = _best_of(lambda: _fast_case(capture=False))
-    assert legacy_rx == fast_rx == N_PACKETS
+    assert seed_rx == fast_rx == N_PACKETS
     print(
-        f"\ncoalescing: per-packet link events {legacy_events:,} ({legacy_wall:.3f}s) "
+        f"\ncoalescing: seed replica events {seed_events:,} ({seed_wall:.3f}s) "
         f"vs coalesced {fast_events:,} ({fast_wall:.3f}s)"
     )
     record_bench_result(
         "engine",
         "test_bench_engine_coalescing_reduces_heap_events",
-        legacy_events=legacy_events,
+        seed_events=seed_events,
         fast_events=fast_events,
-        legacy_wall_s=legacy_wall,
+        seed_wall_s=seed_wall,
         fast_wall_s=fast_wall,
     )
-    # The event count is deterministic (unlike wall clock): the analytic
-    # link must schedule strictly fewer heap events than per-packet mode.
-    assert fast_events < legacy_events
+    # Event counts are deterministic (unlike wall clock), so they are pinned.
+    assert fast_events == FAST_FORWARDING_EVENTS
+    assert fast_events < seed_events

@@ -29,7 +29,7 @@ Layout
 
 ``sweep`` and ``verify`` are imported lazily (``import
 repro.calibrate.sweep``) because they pull in the experiment drivers;
-importing them here would cycle back into :mod:`repro.vca.server`, which
+importing them here would cycle back into :mod:`repro.vca.sfu.node`, which
 reads the active constants at import time.
 """
 

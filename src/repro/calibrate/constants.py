@@ -2,7 +2,7 @@
 
 :class:`CompetitionConstants` collects every constant that the calibration
 sweep may vary: the parameters of the per-receiver downlink estimators the
-media servers build (:meth:`~repro.vca.server.MediaServer.add_participant`)
+media servers build (:meth:`~repro.vca.sfu.node.SfuNode.add_participant`)
 and the loss-BWE parameters of the Teams sender controller.  The relay
 estimators and controllers read :func:`active_constants` at *construction*
 time, so a sweep worker activates a candidate (:func:`set_active_constants`)

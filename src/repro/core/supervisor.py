@@ -283,13 +283,20 @@ class UnitCallbacks:
 # --------------------------------------------------------------------------
 
 
-def _worker_main(conn, chaos) -> None:
+def _worker_main(conn, chaos, inherited) -> None:
     """Worker loop: receive ``(uid, attempt, fn, params, seed)``, reply once.
 
     SIGINT is ignored so a terminal Ctrl-C (delivered to the whole process
     group) leaves drain control with the supervisor; the supervisor stops
     workers with a ``None`` sentinel, pipe EOF, or SIGTERM.
+
+    ``inherited`` holds the supervisor-side pipe ends a forked worker got
+    copies of (its own and those of the workers forked before it).  They are
+    closed first: while any process holds a supervisor end open, ``recv``
+    never sees EOF, so a SIGKILLed supervisor would leave its workers alive.
     """
+    for end in inherited:
+        end.close()
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except (ValueError, OSError):  # pragma: no cover - non-main thread
@@ -334,9 +341,16 @@ class _Worker:
         self.started: Optional[float] = None
 
 
-def _spawn_worker(ctx, chaos) -> _Worker:
+def _spawn_worker(ctx, chaos, pool: list[_Worker]) -> _Worker:
     parent_conn, child_conn = ctx.Pipe(duplex=True)
-    proc = ctx.Process(target=_worker_main, args=(child_conn, chaos), daemon=True)
+    # Only a forked child inherits the supervisor's open pipe ends; other
+    # start methods pass the worker nothing but its own end.
+    inherited = (
+        (parent_conn, *(worker.conn for worker in pool))
+        if ctx.get_start_method() == "fork"
+        else ()
+    )
+    proc = ctx.Process(target=_worker_main, args=(child_conn, chaos, inherited), daemon=True)
     proc.start()
     child_conn.close()
     return _Worker(proc, parent_conn)
@@ -431,9 +445,9 @@ def execute_supervised(
     ready: deque[WorkUnit] = deque(units)
     delayed: list[tuple[float, int, WorkUnit]] = []  # (ready_time, tiebreak, unit)
     delay_seq = 0
-    pool: list[_Worker] = [
-        _spawn_worker(ctx, chaos) for _ in range(max(1, min(workers, len(units))))
-    ]
+    pool: list[_Worker] = []
+    for _ in range(max(1, min(workers, len(units)))):
+        pool.append(_spawn_worker(ctx, chaos, pool))
     interrupted = False
     drain_deadline: Optional[float] = None
 
@@ -463,7 +477,7 @@ def execute_supervised(
 
     def replace(slot: int) -> None:
         _stop_worker(pool[slot])
-        pool[slot] = _spawn_worker(ctx, chaos)
+        pool[slot] = _spawn_worker(ctx, chaos, pool)
 
     def handle_crash(slot: int) -> None:
         worker = pool[slot]

@@ -22,8 +22,8 @@ needs: delivered/dropped packets and bytes, and a time series of queue
 occupancy samples used to diagnose bufferbloat-style behaviour in the
 competition experiments.
 
-Fast path
----------
+Scheduling
+----------
 
 Arrivals are FIFO and the propagation delay is fixed, so the whole life of a
 packet on the link is computable at arrival time::
@@ -32,26 +32,18 @@ packet on the link is computable at arrival time::
     done       = start + size_bits / current_rate    # serialization complete
     deliver_at = done + delay_s                      # at the sink
 
-which is exactly the cascade the event-per-stage implementation produces,
-just evaluated eagerly.  The fast path therefore keeps a pending deque of
-``[arrival, start, done, deliver_at, packet]`` records and **one** heap event
-per link -- the delivery of the head record -- instead of one serialization
-plus one propagation event per packet; every callback is a bound method, so
-no closures are allocated on the data path.  Rate changes from the shaper
+The link therefore keeps a pending deque of ``[arrival, start, done,
+deliver_at, packet]`` records and **one** heap event per link -- the
+delivery of the head record -- instead of one serialization plus one
+propagation event per packet; every callback is a bound method, so no
+closures are allocated on the data path.  Rate changes from the shaper
 re-run the cascade over the records whose service has not started yet (the
-packet in service keeps its old rate, as in the event-driven version) and
-re-arm the delivery event.  Queue occupancy is maintained lazily: a record
-occupies the queue from arrival until its service start passes the clock.
+packet in service keeps the rate it started with) and re-arm the delivery
+event.  Queue occupancy is maintained lazily: a record occupies the queue
+from arrival until its service start passes the clock.
 
-Random loss is decided when the delivery event fires rather than at
-serialization completion; the per-packet decisions and their order are
-unchanged, but the draws interleave differently with other consumers of the
-simulator RNG, so seeds produce different (equally valid) loss patterns than
-the legacy path on lossy links.
-
-``Link(..., legacy=True)`` preserves the original one-event-per-packet
-scheduling (closures included) so equivalence tests and the engine
-microbenchmark can compare the two paths on identical seeds.
+Random loss is decided when the delivery event fires, one draw per
+delivered packet in delivery order.
 """
 
 from __future__ import annotations
@@ -75,7 +67,7 @@ UNSET = object()
 #: the paper's Turris Omnia router.
 DEFAULT_QUEUE_BYTES = 64_000
 
-# Record field indices of the fast path's pending entries.
+# Record field indices of the pending entries.
 _ARRIVAL, _START, _DONE, _DELIVER, _PACKET = range(5)
 
 
@@ -133,9 +125,6 @@ class Link:
         Independent random loss probability applied to packets that survive
         the queue (models residual last-mile loss; zero by default because
         the paper's testbed used wired links).
-    legacy:
-        Use the original per-packet event scheduling instead of the
-        single-event fast path (for equivalence tests and benchmarks only).
     """
 
     __slots__ = (
@@ -146,12 +135,9 @@ class Link:
         "queue_bytes",
         "loss_rate",
         "stats",
-        "_queue",
         "_queued_bytes",
-        "_busy",
         "_sink",
         "on_drop",
-        "legacy",
         "_pending",
         "_waiting",
         "_delivery_seq",
@@ -169,7 +155,6 @@ class Link:
         delay_s: float = 0.005,
         queue_bytes: int = DEFAULT_QUEUE_BYTES,
         loss_rate: float = 0.0,
-        legacy: bool = False,
         loss_model=None,
         jitter_model=None,
         aqm=None,
@@ -178,6 +163,8 @@ class Link:
             raise ValueError("link rate must be positive")
         if not 0.0 <= loss_rate < 1.0:
             raise ValueError("loss rate must be in [0, 1)")
+        if delay_s < 0:
+            raise ValueError("link delay must be non-negative")
         self.sim = sim
         self.name = name
         self._rate_bps = float(rate_bps)
@@ -185,7 +172,6 @@ class Link:
         self.queue_bytes = int(queue_bytes)
         self.loss_rate = float(loss_rate)
         self.stats = LinkStats()
-        self.legacy = bool(legacy)
         #: Impairment policies (see :mod:`repro.netem`); all off by default.
         if loss_model is not None and loss_rate > 0.0:
             # At construction the two loss configurations are ambiguous;
@@ -202,14 +188,11 @@ class Link:
             aqm=aqm if aqm is not None else UNSET,
         )
 
-        #: Legacy-mode drop-tail queue (fast mode uses ``_pending``).
-        self._queue: deque[Packet] = deque()
         self._queued_bytes = 0
-        self._busy = False
         self._sink: Optional[Callable[[Packet], None]] = None
-        #: Fast path: per-packet ``[arrival, start, done, deliver_at, packet]``.
+        #: Per-packet ``[arrival, start, done, deliver_at, packet]``.
         self._pending: deque[list] = deque()
-        #: Fast path: ``(service_start, size)`` of records still in the queue.
+        #: ``(service_start, size)`` of records still in the queue.
         self._waiting: deque[tuple[float, int]] = deque()
         #: Sequence number of the armed delivery event (None when idle).
         self._delivery_seq: Optional[int] = None
@@ -258,17 +241,16 @@ class Link:
     def set_rate(self, rate_bps: float) -> None:
         """Change the link capacity (the emulated ``tc class change``).
 
-        On the fast path the serialization cascade of every not-yet-started
-        packet is recomputed at the new rate (the packet in service keeps the
-        rate it started with, matching the event-driven behaviour) and the
-        delivery event is re-armed.
+        The serialization cascade of every not-yet-started packet is
+        recomputed at the new rate (the packet in service keeps the rate it
+        started with) and the delivery event is re-armed.
         """
         if rate_bps <= 0:
             raise ValueError("link rate must be positive")
         if float(rate_bps) == self._rate_bps:
             return
         self._rate_bps = float(rate_bps)
-        if self.legacy or not self._pending:
+        if not self._pending:
             return
         sim = self.sim
         now = sim._now
@@ -318,15 +300,12 @@ class Link:
     @property
     def queued_bytes(self) -> int:
         """Bytes currently waiting in the queue (excludes the packet in service)."""
-        if not self.legacy:
-            self._advance(self.sim._now)
+        self._advance(self.sim._now)
         return self._queued_bytes
 
     @property
     def queue_depth(self) -> int:
         """Number of packets currently waiting in the queue."""
-        if self.legacy:
-            return len(self._queue)
         self._advance(self.sim._now)
         return len(self._waiting)
 
@@ -347,21 +326,6 @@ class Link:
         now = sim._now
         size = packet.size_bytes
         aqm = self.aqm
-        if self.legacy:
-            if aqm is not None and aqm.should_drop(
-                now, (self._queued_bytes * 8) / self._rate_bps
-            ):
-                self._drop(packet, size, aqm=True)
-                return
-            if self._queued_bytes + size > self.queue_bytes:
-                self._drop(packet, size)
-                return
-            packet.enqueued_at = now
-            self._queue.append(packet)
-            self._queued_bytes += size
-            if not self._busy:
-                self._serve_next()
-            return
         waiting = self._waiting
         queued = self._queued_bytes
         while waiting and waiting[0][0] <= now:
@@ -402,10 +366,6 @@ class Link:
         """
         if self._sink is None:
             raise RuntimeError(f"link {self.name!r} has no sink connected")
-        if self.legacy:
-            for packet in packets:
-                self.send(packet)
-            return
         sim = self.sim
         now = sim._now
         waiting = self._waiting
@@ -457,8 +417,7 @@ class Link:
 
         ``base_at`` is the unjittered absolute delivery time; the extra
         delay is clamped so deliveries stay monotonic per link -- jitter
-        widens inter-arrival gaps but never reorders packets.  Shared by
-        the fast and legacy pipelines so their clamp logic cannot diverge.
+        widens inter-arrival gaps but never reorders packets.
         """
         sim = self.sim
         extra = self.jitter_model.sample(sim.rng)
@@ -503,38 +462,6 @@ class Link:
             heappush(sim._queue, (pending[0][_DELIVER], seq, self._deliver_due))
         else:
             self._delivery_seq = None
-
-    # --------------------------------------------------- legacy per-packet path
-    def _serve_next(self) -> None:
-        if not self._queue:
-            self._busy = False
-            return
-        self._busy = True
-        packet = self._queue.popleft()
-        self._queued_bytes -= packet.size_bytes
-        if packet.enqueued_at is not None:
-            packet.queueing_delay += self.sim.now - packet.enqueued_at
-        serialization = packet.size_bits / self._rate_bps
-        self.sim.call_in(serialization, lambda p=packet: self._transmit_done(p))
-
-    def _transmit_done(self, packet: Packet) -> None:
-        self.stats.packets_sent += 1
-        self.stats.bytes_sent += packet.size_bytes
-        sim = self.sim
-        if self.loss_model is not None:
-            lost = self.loss_model.sample(sim.rng)
-        else:
-            lost = self.loss_rate > 0.0 and sim.rng.random() < self.loss_rate
-        if lost:
-            self.stats.packets_lost_random += 1
-        else:
-            sink = self._sink
-            assert sink is not None
-            if self.jitter_model is None:
-                sim.call_in(self.delay_s, lambda p=packet: sink(p))
-            else:
-                self._deliver_jittered(packet, sim._now + self.delay_s)
-        self._serve_next()
 
     # ---------------------------------------------------------- monitoring
     def sample_queue(self) -> None:

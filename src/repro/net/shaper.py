@@ -156,31 +156,20 @@ class LinkShaper:
     the router at scheduled times: it sets the link's initial rate
     immediately and schedules the future rate changes.
 
-    ``mode`` selects how the steps reach the simulator heap:
+    How the steps reach the simulator heap depends on the profile's size:
 
-    * ``"eager"`` -- one pre-scheduled event per step (the original
-      behaviour; event sequence numbers are allocated at apply time, which
-      is what existing seeded experiments depend on),
-    * ``"chained"`` -- a single pending event that applies the next step and
-      re-arms itself, keeping heap occupancy O(1) for trace-driven
-      schedules with thousands of steps,
-    * ``"auto"`` (default) -- eager for sparse profiles, chained above
-      :data:`DENSE_STEP_THRESHOLD` steps.
+    * up to :data:`DENSE_STEP_THRESHOLD` steps -- one pre-scheduled event
+      per step (event sequence numbers are allocated at apply time, which is
+      what seeded experiments with sparse profiles depend on),
+    * above it -- *chained*: a single pending event that applies the next
+      step and re-arms itself, keeping heap occupancy O(1) for trace-driven
+      schedules with thousands of steps.
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        link: Link,
-        profile: BandwidthProfile,
-        mode: str = "auto",
-    ) -> None:
-        if mode not in ("auto", "eager", "chained"):
-            raise ValueError(f"unknown shaper mode {mode!r}")
+    def __init__(self, sim: Simulator, link: Link, profile: BandwidthProfile) -> None:
         self.sim = sim
         self.link = link
         self.profile = profile
-        self.mode = mode
         self._applied = False
         self._steps: tuple[tuple[float, float], ...] = ()
         self._index = 0
@@ -192,10 +181,7 @@ class LinkShaper:
         self._applied = True
         self.link.set_rate(self.profile.rate_at(self.sim.now))
         steps = self.profile.steps
-        chained = self.mode == "chained" or (
-            self.mode == "auto" and len(steps) > DENSE_STEP_THRESHOLD
-        )
-        if not chained:
+        if len(steps) <= DENSE_STEP_THRESHOLD:
             for start, rate in steps:
                 self.sim.schedule_at(start, lambda r=rate: self.link.set_rate(r))
             return

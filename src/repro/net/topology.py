@@ -156,7 +156,6 @@ def build_access_topology(
     wan_delay_s: float = DEFAULT_WAN_DELAY_S,
     access_delay_s: float = DEFAULT_ACCESS_DELAY_S,
     queue_bytes: int = DEFAULT_QUEUE_BYTES,
-    fused: bool = True,
     local_client_names: Sequence[str] = (),
 ) -> AccessTopology:
     """Build the single-shaped-client topology.
@@ -174,20 +173,17 @@ def build_access_topology(
     When empty (the default) the wiring is exactly the classic single-client
     layout.
 
-    With ``fused=True`` (the default) the delay-only paths are source-routed:
-    a host's egress resolves the destination immediately and delivers over a
-    single-event :class:`~repro.net.router.DelayBus` with the summed path
-    delay, instead of hopping egress pipe -> core router -> destination pipe.
-    Arrival times and per-flow ordering are identical; the hop-by-hop wiring
-    (``fused=False``) is kept for the PR 1 engine baseline in the scaling
-    benchmark.
+    The delay-only paths between remote clients and servers are
+    source-routed: a host's egress resolves the destination immediately and
+    delivers over a single-event :class:`~repro.net.router.DelayBus` with the
+    summed path delay (WAN plus data-centre LAN, always positive), instead of
+    hopping egress pipe -> core router -> destination pipe.  Destinations
+    without a route fall back to that hop-by-hop pipe.
     """
     if not client_names:
         raise ValueError("at least one client is required")
-    # Source routing delivers over a DelayBus, which needs a positive total
-    # path delay; a zero-delay topology keeps the hop-by-hop wiring (where
-    # DelayPipe degenerates to a direct call).
-    fused = fused and wan_delay_s + DEFAULT_LAN_DELAY_S > 0.0
+    if wan_delay_s < 0 or access_delay_s < 0:
+        raise ValueError("wan_delay_s and access_delay_s must be non-negative")
     measured = client_names[0]
     hosts: dict[str, Host] = {}
 
@@ -239,14 +235,11 @@ def build_access_topology(
         hosts[name] = host
         remote_clients.append(host)
         pipe = DelayPipe(sim, core.receive, wan_delay_s, receiver_batch=core.receive_batch)
-        if fused:
-            egress = SourceRoutedEgress(
-                sim, wan_delay_s + DEFAULT_LAN_DELAY_S, pipe.send, fallback_batch=pipe.send_batch
-            )
-            client_egresses.append(egress)
-            host.set_egress(egress.send, batch=egress.send_batch)
-        else:
-            host.set_egress(pipe.send, batch=pipe.send_batch)
+        egress = SourceRoutedEgress(
+            sim, wan_delay_s + DEFAULT_LAN_DELAY_S, pipe.send, fallback_batch=pipe.send_batch
+        )
+        client_egresses.append(egress)
+        host.set_egress(egress.send, batch=egress.send_batch)
         core.add_delay_route(
             name, host.receive, wan_delay_s, receiver_batch=host.receive_batch
         )
@@ -256,21 +249,18 @@ def build_access_topology(
         server = Host(sim, name)
         hosts[name] = server
         pipe = DelayPipe(sim, core.receive, DEFAULT_LAN_DELAY_S, receiver_batch=core.receive_batch)
-        if fused:
-            # The whole client fan-out shares one data-centre + WAN delay,
-            # so one DelayBus covers every destination of the server, and
-            # each forwarded burst rides it as a single record.
-            egress = SourceRoutedEgress(
-                sim, DEFAULT_LAN_DELAY_S + wan_delay_s, pipe.send, fallback_batch=pipe.send_batch
-            )
-            for client in remote_clients:
-                egress.add_route(client.name, client.receive, client.receive_batch)
-            egress.add_route(measured, home_router.receive, home_router.receive_batch)
-            for local_name in local_client_names:
-                egress.add_route(local_name, home_router.receive, home_router.receive_batch)
-            server.set_egress(egress.send, batch=egress.send_batch, trains=egress.send_trains)
-        else:
-            server.set_egress(pipe.send, batch=pipe.send_batch)
+        # The whole client fan-out shares one data-centre + WAN delay, so one
+        # DelayBus covers every destination of the server, and each
+        # forwarded burst rides it as a single record.
+        egress = SourceRoutedEgress(
+            sim, DEFAULT_LAN_DELAY_S + wan_delay_s, pipe.send, fallback_batch=pipe.send_batch
+        )
+        for client in remote_clients:
+            egress.add_route(client.name, client.receive, client.receive_batch)
+        egress.add_route(measured, home_router.receive, home_router.receive_batch)
+        for local_name in local_client_names:
+            egress.add_route(local_name, home_router.receive, home_router.receive_batch)
+        server.set_egress(egress.send, batch=egress.send_batch, trains=egress.send_trains)
         core.add_delay_route(
             name, server.receive, DEFAULT_LAN_DELAY_S, receiver_batch=server.receive_batch
         )

@@ -14,10 +14,9 @@ Integration note
 The fast-path link computes a packet's whole schedule at arrival, so the
 AQM decision is made *at enqueue* against the packet's deterministic
 standing-queue delay (``queued_bytes * 8 / rate`` -- the sojourn it is about
-to experience), not at dequeue as in kernel CoDel.  Because arrivals and the
-backlog estimate are identical in the fast and legacy pipelines, the drop
-decisions are too, and a link with ``aqm=None`` is byte-identical to the
-pre-netem engine.  The control law itself (first_above_time arming, the
+to experience), not at dequeue as in kernel CoDel.  The backlog estimate is
+known analytically at arrival, and a link with ``aqm=None`` is
+byte-identical to the pre-netem engine.  The control law itself (first_above_time arming, the
 dropping state, count decay on re-entry) follows the reference
 implementation.
 """

@@ -20,10 +20,10 @@ Seeding
 
 Every stochastic policy accepts an optional ``seed``.  With a seed the
 policy owns a private ``numpy`` generator, so its draws do not interleave
-with the simulator RNG -- this is what keeps the fast and legacy packet
-pipelines byte-identical under impairments (they consume the shared RNG in
-different orders).  Without a seed the policy draws from the RNG the link
-passes in (the simulator's), matching the old ``loss_rate`` behaviour.
+with the simulator RNG: an impaired run does not depend on how many draws
+other consumers take from the shared RNG.  Without a seed the policy draws
+from the RNG the link passes in (the simulator's), matching the old
+``loss_rate`` behaviour.
 """
 
 from __future__ import annotations

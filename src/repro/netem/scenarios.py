@@ -22,8 +22,7 @@ A ``workload`` component additionally homes a competing client ``F1``
 *behind the same shaped link* (its counterparties ``F2`` / ``S2`` are clean
 and remote), so any profile/loss/jitter/aqm/cascade condition composes with
 any competitor.  Stochastic impairments get private RNG seeds derived from
-the run seed, so scenario runs are reproducible and the fast/legacy
-pipeline equivalence is preserved under impairments.
+the run seed, so scenario runs are reproducible.
 """
 
 from __future__ import annotations

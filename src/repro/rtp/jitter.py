@@ -22,7 +22,7 @@ from repro.media.quality import FreezeTracker
 from repro.net.packet import Packet, PacketKind
 from repro.net.simulator import Simulator
 
-__all__ = ["ReceiverConfig", "StreamReceiver", "LegacyStreamReceiver"]
+__all__ = ["ReceiverConfig", "StreamReceiver"]
 
 
 @dataclass
@@ -403,112 +403,3 @@ class StreamReceiver:
             "fps": meta.get("fps", 0.0),
             "qp": meta.get("qp", 0.0),
         }
-
-
-class LegacyStreamReceiver(StreamReceiver):
-    """The PR 1 receive pipeline, preserved verbatim as a baseline replica.
-
-    Identical output to :class:`StreamReceiver` (the optimisations there are
-    behaviour-preserving); what this subclass restores is the original *cost
-    profile*: per-packet ``meta`` property access, the per-packet stale-frame
-    list-comprehension scan, and a per-frame settings dict.  The polled
-    escape-hatch pipeline uses it so the scaling benchmark's "PR 1 engine"
-    baseline stays faithful, the same way ``test_bench_engine`` replicates
-    the seed engine.
-    """
-
-    def on_packet(self, packet: Packet) -> None:
-        now = self.sim.now
-        self.total_bytes += packet.size_bytes
-        self._interval_bytes += packet.size_bytes
-
-        if packet.kind is PacketKind.FEC:
-            self._fec_credits += 1
-            return
-        if packet.kind is PacketKind.RTP_AUDIO:
-            return
-        if packet.kind is not PacketKind.RTP_VIDEO:
-            return
-
-        self.total_video_packets += 1
-        self._interval_video_packets += 1
-
-        if self._highest_seq is None or packet.seq > self._highest_seq:
-            self._highest_seq = packet.seq
-        if self._prev_highest_seq is None:
-            self._prev_highest_seq = packet.seq - 1
-
-        owd = max(now - packet.created_at, 0.0)
-        if self._base_owd is None or owd < self._base_owd:
-            self._base_owd = owd
-        if self._smoothed_owd is None:
-            self._smoothed_owd = owd
-        else:
-            w = self.config.delay_smoothing
-            self._smoothed_owd = (1 - w) * self._smoothed_owd + w * owd
-
-        self._ingest_fragment_legacy(packet, now)
-        self._expire_stale_frames_legacy(now)
-
-    def on_packet_batch(self, packets) -> None:
-        for packet in packets:
-            self.on_packet(packet)
-
-    def _ingest_fragment_legacy(self, packet: Packet, now: float) -> None:
-        frame_id = packet.meta.get("frame_id")
-        if frame_id is None:
-            return
-        pending = self._pending.get(frame_id)
-        if pending is None:
-            pending = _PendingFrame(
-                frame_id=frame_id,
-                fragments_expected=int(packet.meta.get("frag_count", 1)),
-                keyframe=bool(packet.meta.get("keyframe", False)),
-                first_arrival=now,
-            )
-            self._pending[frame_id] = pending
-        pending.fragments_received += 1
-        if pending.fragments_received >= pending.fragments_expected and not pending.completed:
-            pending.completed = True
-            self._on_frame_complete(packet, now)
-            del self._pending[frame_id]
-
-    def _on_frame_complete(self, packet: Packet, now: float) -> None:
-        self.total_frames += 1
-        self._frames_this_second += 1
-        self._consecutive_lost_frames = 0
-        if packet.meta["frame_id"] > self._last_completed_frame:
-            self._last_completed_frame = packet.meta["frame_id"]
-        self._last_settings = {
-            "width": packet.meta.get("width", 0),
-            "fps": packet.meta.get("fps", 0.0),
-            "qp": packet.meta.get("qp", 0.0),
-        }
-        if self.freeze_tracker is not None:
-            self.freeze_tracker.on_frame(now)
-
-    def _expire_stale_frames_legacy(self, now: float) -> None:
-        timeout = self.config.frame_timeout_s
-        stale = [
-            frame
-            for frame in self._pending.values()
-            if now - frame.first_arrival > timeout and not frame.completed
-        ]
-        for frame in stale:
-            del self._pending[frame.frame_id]
-            missing = frame.fragments_expected - frame.fragments_received
-            if self._fec_credits >= missing > 0:
-                self._fec_credits -= missing
-                self._on_frame_complete_from_recovery(frame, now)
-                continue
-            self.lost_frames += 1
-            self._consecutive_lost_frames += 1
-            should_fir = frame.keyframe or (
-                self._consecutive_lost_frames >= self.config.fir_loss_threshold
-            )
-            if should_fir and now - self._last_fir_at >= self.config.fir_min_interval_s:
-                self._last_fir_at = now
-                self.fir_sent += 1
-                self._consecutive_lost_frames = 0
-                if self.on_fir is not None:
-                    self.on_fir(self.flow_id)

@@ -14,14 +14,13 @@ one transaction per hop instead of one per packet.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.net.packet import RTP_HEADER_BYTES, UDP_IP_HEADER_BYTES, Packet, PacketKind
 from repro.media.encoder import EncodedFrame
 
-__all__ = ["DEFAULT_MTU_BYTES", "Packetizer", "LegacyPacketizer", "make_audio_packet"]
+__all__ = ["DEFAULT_MTU_BYTES", "Packetizer", "make_audio_packet"]
 
 #: Maximum RTP payload per packet.  1200 bytes is the de-facto WebRTC value
 #: (it keeps the full packet under the common 1500-byte Ethernet MTU after
@@ -42,10 +41,6 @@ class Packetizer:
     dst: str
     mtu_bytes: int = DEFAULT_MTU_BYTES
     _seq: itertools.count = field(default_factory=lambda: itertools.count(1), repr=False)
-
-    def next_seq(self) -> int:
-        """Allocate the next RTP sequence number of this stream."""
-        return next(self._seq)
 
     def packetize(self, frame: EncodedFrame, now: float) -> list[Packet]:
         """Split ``frame`` into RTP packets ready to hand to the host.
@@ -106,52 +101,6 @@ class Packetizer:
         for frame in frames:
             train.extend(self.packetize(frame, now))
         return train
-
-
-class LegacyPacketizer(Packetizer):
-    """The PR 1 packetizer, preserved verbatim as a baseline replica.
-
-    Output-identical to :class:`Packetizer` for every consumer in the tree
-    (the two extra metadata keys it writes, ``frag_index`` and
-    ``capture_time``, have no readers); what it restores is the original
-    per-fragment cost: a float ceil, keyword-argument :class:`Packet`
-    construction and one metadata dict per fragment.  The polled
-    escape-hatch pipeline uses it so the benchmark baseline keeps the PR 1
-    emission cost profile.
-    """
-
-    def packetize(self, frame: EncodedFrame, now: float) -> list[Packet]:
-        payload = max(frame.size_bytes, 1)
-        fragments = max(math.ceil(payload / self.mtu_bytes), 1)
-        base_size = payload // fragments
-        remainder = payload - base_size * fragments
-        packets: list[Packet] = []
-        for index in range(fragments):
-            fragment_payload = base_size + (1 if index < remainder else 0)
-            size = fragment_payload + RTP_HEADER_BYTES + UDP_IP_HEADER_BYTES
-            packets.append(
-                Packet(
-                    size_bytes=size,
-                    flow_id=self.flow_id,
-                    src=self.src,
-                    dst=self.dst,
-                    kind=PacketKind.RTP_VIDEO,
-                    seq=self.next_seq(),
-                    created_at=now,
-                    meta={
-                        "frame_id": frame.frame_id,
-                        "frag_index": index,
-                        "frag_count": fragments,
-                        "keyframe": frame.keyframe,
-                        "layer": frame.layer,
-                        "width": frame.settings.width,
-                        "fps": frame.settings.fps,
-                        "qp": frame.settings.qp,
-                        "capture_time": frame.capture_time,
-                    },
-                )
-            )
-        return packets
 
 
 def make_audio_packet(flow_id: str, src: str, dst: str, seq: int, now: float) -> Packet:

@@ -1,9 +1,9 @@
 """Sender side of an RTP media session.
 
 :class:`RtpStreamSender` ties together an encoder (single-stream, simulcast
-or SVC -- anything exposing ``frames_due`` / ``set_target_bitrate`` /
-``request_keyframe``), a congestion controller, a packetizer, an optional
-FEC generator, and the host it sends from.  It is the per-participant
+or SVC -- anything exposing ``frames_due`` / ``next_due_time`` /
+``set_target_bitrate`` / ``request_keyframe``), a congestion controller, a
+packetizer, an optional FEC generator, and the host it sends from.  It is the per-participant
 "uplink" of a VCA call; the application model (``repro.vca``) wires its
 RTCP feedback path and decides where the stream terminates (media server or
 remote client).
@@ -11,10 +11,9 @@ remote client).
 Event-driven emission
 ---------------------
 
-The sender no longer polls the encoder at ``tick_hz``.  Emission instants
-still live on the same ``start + n / tick_hz`` grid the poller used (the
-grid is the model's capture-clock quantisation), but the sender computes the
-next grid point at which a frame is due *analytically* from the encoder's
+Emission instants live on the ``start + n / tick_hz`` grid (the grid is
+the model's capture-clock quantisation).  The sender computes the next grid
+point at which a frame is due *analytically* from the encoder's
 fps/GOP state and schedules exactly one simulator event there -- idle grid
 points cost nothing.  The scheduled event is re-derived only when the
 operating point changes (``set_target_bitrate`` via the encoder's
@@ -24,12 +23,6 @@ are packetized into a single packet train and handed to
 :meth:`repro.net.node.Host.send_batch` as one transaction.  Audio is a
 self-rescheduling event chain on the ``start + n * interval`` grid with no
 idle ticks.
-
-Because the grid and the due-time comparisons are bit-identical to the
-polled implementation, the two pipelines produce byte-identical traffic;
-``SenderConfig(polled=True)`` keeps the original :class:`PeriodicTask`
-pipeline alive for the equivalence suite and as the benchmark baseline,
-mirroring the link layer's ``legacy=True`` escape hatch.
 """
 
 from __future__ import annotations
@@ -42,14 +35,9 @@ from repro.cc.base import FeedbackReport, RateController
 from repro.media.encoder import EncodedFrame, EncoderSettings
 from repro.net.node import Host
 from repro.net.packet import Packet
-from repro.net.simulator import PeriodicTask, Simulator
+from repro.net.simulator import Simulator
 from repro.rtp.fec import FecGenerator
-from repro.rtp.packetizer import (
-    DEFAULT_MTU_BYTES,
-    LegacyPacketizer,
-    Packetizer,
-    make_audio_packet,
-)
+from repro.rtp.packetizer import DEFAULT_MTU_BYTES, Packetizer, make_audio_packet
 from repro.rtp.rtcp import extract_report, is_fir
 
 __all__ = ["SenderConfig", "RtpStreamSender", "MediaEncoder"]
@@ -70,6 +58,9 @@ class MediaEncoder(Protocol):
     def frames_due(self, now: float) -> list[EncodedFrame]:  # pragma: no cover
         ...
 
+    def next_due_time(self) -> float:  # pragma: no cover
+        ...
+
     def set_target_bitrate(self, target_bps: float) -> None:  # pragma: no cover
         ...
 
@@ -81,8 +72,7 @@ class MediaEncoder(Protocol):
 class SenderConfig:
     """Tunables of the sending pipeline."""
 
-    #: Emission grid rate.  The event-driven sender schedules frame events on
-    #: this grid; the polled escape hatch polls the encoder at this rate.
+    #: Emission grid rate: frame events are scheduled on this grid.
     tick_hz: float = 30.0
     #: Audio bitrate; ~40 kbps matches the Opus streams the VCAs send.
     audio_bitrate_bps: float = 40_000.0
@@ -92,9 +82,6 @@ class SenderConfig:
     mtu_bytes: int = DEFAULT_MTU_BYTES
     #: Whether audio is sent at all (servers forwarding video-only legs skip it).
     send_audio: bool = True
-    #: Use the original 30 Hz polling pipeline instead of analytically
-    #: scheduled emission events (equivalence tests and benchmarks only).
-    polled: bool = False
 
 
 class RtpStreamSender:
@@ -122,17 +109,12 @@ class RtpStreamSender:
         self.rtcp_flow_id = rtcp_flow_id or f"{flow_id}:rtcp"
         self.on_target_change = on_target_change
 
-        packetizer_cls = LegacyPacketizer if self.config.polled else Packetizer
-        self._packetizer = packetizer_cls(
+        self._packetizer = Packetizer(
             flow_id=flow_id, src=host.name, dst=dst, mtu_bytes=self.config.mtu_bytes
         )
         self._fec = FecGenerator(flow_id=flow_id, src=host.name, dst=dst)
         self._audio_seq = itertools.count(1)
-        self._tasks: list[PeriodicTask] = []
         self._running = False
-        #: Effective pipeline mode: config choice, or forced polled when the
-        #: encoder does not expose the analytic ``next_due_time`` API.
-        self._polled = self.config.polled or not hasattr(encoder, "next_due_time")
         #: While the simulation clock is before this time the encoder emits no
         #: frames (used to model spontaneous encoder stalls, e.g. the
         #: Teams-Chrome baseline freezes of Section 3.2).
@@ -146,7 +128,7 @@ class RtpStreamSender:
         #: Grid index the armed media event will fire at.
         self._media_event_index = 0
         #: Lowest grid index the next media event may use (one past the last
-        #: fired index -- the poller likewise offers each grid point once).
+        #: fired index: each grid point is offered to the encoder at most once).
         self._media_floor = 0
         # Audio event chain (anchored like PeriodicTask: anchor + n * interval).
         self._audio_event_seq: Optional[int] = None
@@ -170,33 +152,20 @@ class RtpStreamSender:
             return
         self._running = True
         self.encoder.set_target_bitrate(self.controller.target_bitrate_bps)
-        tick = self._tick
         now = self.sim.now
-        if self._polled:
-            self._tasks.append(self.sim.every(tick, self._media_tick, start=now + tick))
-        else:
-            self._grid_start = now + tick
-            self._media_floor = 0
-            self.encoder.on_timing_change = self._on_encoder_timing_change  # type: ignore[attr-defined]
-            self._schedule_next_media()
+        self._grid_start = now + self._tick
+        self._media_floor = 0
+        self.encoder.on_timing_change = self._on_encoder_timing_change  # type: ignore[attr-defined]
+        self._schedule_next_media()
         if self.config.send_audio:
-            interval = self.config.audio_packet_interval_s
-            if self._polled:
-                self._tasks.append(
-                    self.sim.every(interval, self._audio_tick, start=now + interval)
-                )
-            else:
-                self._audio_anchor = now + interval
-                self._audio_count = 0
-                self._audio_next_time = self._audio_anchor
-                self._audio_event_seq = self.sim.call_at(self._audio_anchor, self._audio_event)
+            self._audio_anchor = now + self.config.audio_packet_interval_s
+            self._audio_count = 0
+            self._audio_next_time = self._audio_anchor
+            self._audio_event_seq = self.sim.call_at(self._audio_anchor, self._audio_event)
 
     def stop(self) -> None:
         """Stop sending (the client left the call)."""
         self._running = False
-        for task in self._tasks:
-            task.stop()
-        self._tasks.clear()
         if self._media_event_seq is not None:
             self.sim.cancel_seq(self._media_event_seq)
             self._media_event_seq = None
@@ -217,7 +186,7 @@ class RtpStreamSender:
 
         ``frames_due`` emits at ``t`` iff ``t + 1e-9 >= due``; the initial
         estimate from float division is fixed up with exact comparisons so
-        the chosen index matches the poller's behaviour bit for bit.
+        the chosen index is exact, not subject to division rounding.
         """
         anchor = self._grid_start
         tick = self._tick
@@ -252,7 +221,7 @@ class RtpStreamSender:
         self._media_event_seq = self.sim.call_at(self._grid_time(index), self._media_event)
 
     def _schedule_next_media(self) -> None:
-        due = self.encoder.next_due_time()  # type: ignore[attr-defined]
+        due = self.encoder.next_due_time()
         if due == _INF:
             return
         index = self._index_for_due(due)
@@ -268,9 +237,9 @@ class RtpStreamSender:
         it (a reactivated copy/layer with a stale due time becomes due at the
         next grid point), so the armed event only ever moves earlier.
         """
-        if not self._running or self._polled:
+        if not self._running:
             return
-        due = self.encoder.next_due_time()  # type: ignore[attr-defined]
+        due = self.encoder.next_due_time()
         if due == _INF:
             return
         index = self._index_for_due(due)
@@ -288,16 +257,16 @@ class RtpStreamSender:
             return
         now = self.sim._now
         if self._audio_next_time == now and self._audio_event_seq is not None:
-            # Exact grid collision with the audio chain.  The poller's audio
-            # task is always armed before its media task (audio interval >
-            # tick), so at equal timestamps audio runs first; defer emission
-            # behind the pending audio event within this instant.
+            # Exact grid collision with the audio chain: at equal timestamps
+            # audio runs first (seeded results depend on this order), so
+            # defer emission behind the pending audio event within this
+            # instant.
             self._media_event_seq = self.sim.call_at(now, self._media_event)
             return
         self._media_floor = self._media_event_index + 1
         if now < self.paused_until:
-            # Stalled: the poller would skip every grid point before
-            # ``paused_until``; resume at the first one at or past it.
+            # Stalled: skip every grid point before ``paused_until``;
+            # resume at the first one at or past it.
             self._arm_media_at_index(self._index_at_or_after(self.paused_until))
             return
         frames = self.encoder.frames_due(now)
@@ -337,32 +306,6 @@ class RtpStreamSender:
             self._audio_anchor + count * self.config.audio_packet_interval_s
         )
         self._audio_event_seq = self.sim.call_at(when, self._audio_event)
-
-    # ----------------------------------------------------- polled data path
-    def _media_tick(self) -> None:
-        if not self._running:
-            return
-        now = self.sim.now
-        if now < self.paused_until:
-            return
-        frames = self.encoder.frames_due(now)
-        for frame in frames:
-            packets = self._packetizer.packetize(frame, now)
-            fec_ratio = self.controller.fec_overhead_ratio(now)
-            repair = self._fec.protect(packets, fec_ratio, now) if fec_ratio > 0 else []
-            for packet in packets + repair:
-                self.bytes_sent += packet.size_bytes
-                self.host.send(packet)
-            self.frames_sent += 1
-
-    def _audio_tick(self) -> None:
-        if not self._running:
-            return
-        packet = make_audio_packet(
-            self.flow_id, self.host.name, self.dst, next(self._audio_seq), self.sim.now
-        )
-        self.bytes_sent += packet.size_bytes
-        self.host.send(packet)
 
     # ------------------------------------------------------------- feedback
     def _on_rtcp(self, packet: Packet) -> None:

@@ -3,7 +3,7 @@
 Each of the paper's three VCAs is modelled as a *profile* -- a bundle of
 encoder architecture, congestion controller, media-server behaviour and
 client quirks -- plugged into a common client (:class:`~repro.vca.base.VCAClient`),
-media-server (:class:`~repro.vca.server.MediaServer`) and call
+media-server (:class:`~repro.vca.sfu.node.MediaServer`) and call
 (:class:`~repro.vca.call.Call`) machinery:
 
 ========  =====================  ==========================  =========================
@@ -23,7 +23,7 @@ from repro.vca.call import Call, CallConfig
 from repro.vca.chrome import teams_chrome_profile, zoom_chrome_profile
 from repro.vca.meet import meet_profile
 from repro.vca.registry import PROFILE_FACTORIES, get_profile, register_profile
-from repro.vca.server import MediaServer
+from repro.vca.sfu import MediaServer
 from repro.vca.teams import teams_profile
 from repro.vca.zoom import zoom_profile
 

@@ -28,7 +28,7 @@ from repro.media.source import TalkingHeadSource
 from repro.net.node import Host
 from repro.net.packet import Packet, PacketKind
 from repro.net.simulator import PeriodicTask, Simulator
-from repro.rtp.jitter import LegacyStreamReceiver, ReceiverConfig, StreamReceiver
+from repro.rtp.jitter import ReceiverConfig, StreamReceiver
 from repro.rtp.rtcp import make_fir_packet, make_report_packet
 from repro.rtp.session import MediaEncoder, RtpStreamSender, SenderConfig
 from repro.rtp.sip import SignalingMessage, SignalKind, send_signal
@@ -119,7 +119,6 @@ class VCAClient:
         codec: Optional[CodecModel] = None,
         seed: int = 0,
         collect_stats: bool = True,
-        polled: bool = False,
     ) -> None:
         self.sim = sim
         self.host = host
@@ -129,7 +128,6 @@ class VCAClient:
         self.name = host.name
         self.rng = np.random.default_rng(seed)
         self.codec = codec or CodecModel()
-        self.polled = polled
 
         source = TalkingHeadSource(seed=seed)
         self.encoder = profile.encoder_factory(self.codec, source)
@@ -148,7 +146,7 @@ class VCAClient:
             dst=server_name,
             encoder=self.encoder,
             controller=self.controller,
-            config=SenderConfig(audio_bitrate_bps=profile.audio_bps, polled=polled),
+            config=SenderConfig(audio_bitrate_bps=profile.audio_bps),
         )
 
         #: One receiver per remote participant whose stream we are sent.
@@ -209,8 +207,7 @@ class VCAClient:
         if remote in self.receivers:
             return self.receivers[remote]
         flow = downlink_flow(remote, self.name, self.call_id)
-        receiver_cls = LegacyStreamReceiver if self.polled else StreamReceiver
-        receiver = receiver_cls(
+        receiver = StreamReceiver(
             self.sim,
             flow,
             config=ReceiverConfig(),

@@ -2,7 +2,7 @@
 
 :class:`Call` assembles everything one experiment needs for a single video
 conference: it instantiates one :class:`~repro.vca.base.VCAClient` per
-participant host, the call's :class:`~repro.vca.server.MediaServer`, and
+participant host, the call's :class:`~repro.vca.sfu.node.MediaServer`, and
 registers every receiver for every remote participant's forwarded stream.
 The experiment drivers then only interact with ``call.start()`` /
 ``call.stop()`` (usually through the
@@ -21,8 +21,7 @@ from repro.net.node import Host
 from repro.net.simulator import Simulator
 from repro.vca.base import VCAClient
 from repro.vca.registry import get_profile
-from repro.vca.sfu import CascadeControl, CascadePlan, SfuNode
-from repro.vca.server import MediaServer
+from repro.vca.sfu import CascadeControl, CascadePlan, MediaServer, SfuNode
 
 __all__ = ["CallConfig", "Call"]
 
@@ -48,9 +47,6 @@ class CallConfig:
     #: Stagger participant joins by up to this many seconds (call setup takes
     #: a few seconds of GUI automation in the real testbed).
     join_jitter_s: float = 1.0
-    #: Run every client on the original 30 Hz polling media pipeline instead
-    #: of the event-driven one (equivalence tests and benchmarks only).
-    polled: bool = False
 
 
 class Call:
@@ -75,8 +71,6 @@ class Call:
         self.server_host = server_host
         self.cascade = cascade
         if cascade is not None:
-            if self.config.polled:
-                raise ValueError("cascaded calls require the event-driven pipeline")
             if set(cascade.clients) != set(self.participant_names):
                 raise ValueError("cascade plan clients must match call participants")
             if cascade_hosts is None or set(cascade_hosts) != set(cascade.nodes):
@@ -101,7 +95,6 @@ class Call:
                 codec=self.codec,
                 seed=self.config.seed + index,
                 collect_stats=self.config.collect_stats,
-                polled=self.config.polled,
             )
             self.clients[host.name] = client
 
@@ -111,13 +104,7 @@ class Call:
         self.control: Optional[CascadeControl] = None
         if cascade is None:
             server_profile = get_profile(self.config.vca, seed=self.config.seed + 1000)
-            self.server = MediaServer(
-                sim,
-                server_host,
-                server_profile,
-                call_id=self.config.call_id,
-                polled=self.config.polled,
-            )
+            self.server = MediaServer(sim, server_host, server_profile, call_id=self.config.call_id)
             self.nodes[server_host.name] = self.server
         else:
             self.control = CascadeControl(cascade)

@@ -1,6 +1,6 @@
 """Composable SFU nodes: state, forwarding plane, and cascade control.
 
-The package splits the former monolithic ``repro.vca.server`` into:
+The media server of a call is split into:
 
 * :mod:`repro.vca.sfu.state` -- per-participant subscription state and the
   pure layer-decision policies (the control half).
@@ -9,8 +9,8 @@ The package splits the former monolithic ``repro.vca.server`` into:
 * :mod:`repro.vca.sfu.cascade` -- :class:`CascadePlan` /
   :class:`CascadeControl`, the shared control plane of a cascaded call.
 
-A standalone ``SfuNode`` is byte-identical to the old ``MediaServer``; the
-old import path keeps working via :mod:`repro.vca.server`.
+``MediaServer`` is an alias of :class:`SfuNode`: a standalone node is the
+classic single media server of a call.
 """
 
 from repro.vca.sfu.cascade import (

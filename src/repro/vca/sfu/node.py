@@ -30,7 +30,7 @@ from repro.media.codec import Resolution
 from repro.net.node import Host
 from repro.net.packet import Packet, PacketKind
 from repro.net.simulator import PeriodicTask, Simulator
-from repro.rtp.jitter import LegacyStreamReceiver, StreamReceiver
+from repro.rtp.jitter import StreamReceiver
 from repro.rtp.rtcp import extract_report, is_fir, make_fir_packet, make_report_packet
 from repro.rtp.sip import SignalingMessage, SignalKind, extract_signal, send_signal
 from repro.vca.base import VCAProfile, downlink_flow, uplink_flow
@@ -68,17 +68,12 @@ class SfuNode:
         host: Host,
         profile: VCAProfile,
         call_id: str = "call",
-        polled: bool = False,
         control: Optional[CascadeControl] = None,
     ) -> None:
         self.sim = sim
         self.host = host
         self.profile = profile
         self.call_id = call_id
-        #: Mirror of the clients' pipeline mode: in polled (PR 1 replica)
-        #: mode the server's uplink receivers keep the original per-packet
-        #: stale-frame scan so the benchmark baseline stays faithful.
-        self.polled = polled
         #: Node identity within a cascade; the host name doubles as the id.
         self.node_id = host.name
         #: Shared cascade control plane, or ``None`` for a standalone node.
@@ -168,8 +163,7 @@ class SfuNode:
         if state is not None:
             return state
         state = ParticipantState(name=name)
-        receiver_cls = LegacyStreamReceiver if self.polled else StreamReceiver
-        state.uplink_receiver = receiver_cls(
+        state.uplink_receiver = StreamReceiver(
             self.sim,
             uplink_flow(name, self.call_id),
             track_quality=False,
@@ -219,13 +213,8 @@ class SfuNode:
             return
         if packet.kind in (PacketKind.RTP_VIDEO, PacketKind.RTP_AUDIO, PacketKind.FEC):
             # Media arriving one packet at a time (e.g. through the measured
-            # client's shaped link): the event-driven server still resolves
-            # the forwarding decision from the cached dispatch plans; the
-            # polled escape hatch keeps the original per-packet path.
-            if self.polled:
-                self._on_media(packet)
-            else:
-                self._on_media_batch((packet,))
+            # client's shaped link) is a one-packet train.
+            self._on_media_batch((packet,))
             return
 
     # ------------------------------------------------------------ signalling
@@ -391,68 +380,6 @@ class SfuNode:
         self.host.send(packet)
 
     # --------------------------------------------------------------- media
-    def _on_media(self, packet: Packet) -> None:
-        sender_name = packet.flow_id.split(":up:", 1)[-1]
-        state = self.participants.get(sender_name)
-        if state is None:
-            return
-        if state.uplink_receiver is not None:
-            state.uplink_receiver.on_packet(packet)
-        meta = packet._meta
-        layer = meta.get("layer", "main") if meta is not None else "main"
-        if packet.kind is PacketKind.RTP_VIDEO:
-            layer_bytes = state.layer_bytes
-            layer_bytes[layer] = layer_bytes.get(layer, 0) + packet.size_bytes
-
-        for receiver_name, receiver_state in self.participants.items():
-            if receiver_name == sender_name:
-                continue
-            if receiver_state.layout and sender_name not in receiver_state.layout:
-                # The receiver does not display this sender (e.g. beyond
-                # Teams' four visible tiles): nothing is forwarded.
-                continue
-            if not self._should_forward(state, receiver_name, packet):
-                continue
-            # PR 1 replica path: construct the copy the way the original
-            # per-packet pipeline did (constructor + per-copy metadata dict),
-            # so the polled baseline keeps its original cost profile.
-            forwarded = Packet(
-                size_bytes=packet.size_bytes,
-                flow_id=downlink_flow(sender_name, receiver_name, self.call_id),
-                src=self.host.name,
-                dst=receiver_name,
-                kind=packet.kind,
-                seq=packet.seq,
-                created_at=packet.created_at,
-                meta=dict(meta) if meta else None,
-            )
-            if packet.kind is PacketKind.RTP_VIDEO:
-                key = (sender_name, receiver_name)
-                cell = self._forward_seq.get(key)
-                if cell is None:
-                    cell = self._forward_seq[key] = [0]
-                cell[0] = seq = cell[0] + 1
-                forwarded.seq = seq
-            self.bytes_forwarded += forwarded.size_bytes
-            self.host.send(forwarded)
-            if (
-                self.profile.server_fec_ratio > 0
-                and packet.kind is PacketKind.RTP_VIDEO
-                and self._fec_rng.random() < self.profile.server_fec_ratio
-            ):
-                repair = Packet(
-                    size_bytes=forwarded.size_bytes,
-                    flow_id=forwarded.flow_id,
-                    src=self.host.name,
-                    dst=receiver_name,
-                    kind=PacketKind.FEC,
-                    seq=1_000_000 + packet.seq,
-                    created_at=self.sim.now,
-                    meta={"fec_group": packet.meta.get("frame_id", 0)},
-                )
-                self.fec_bytes_added += repair.size_bytes
-                self.host.send(repair)
-
     def on_packet_batch(self, packets) -> None:
         """Dispatch a packet train arriving at the server host in one call.
 
@@ -470,12 +397,11 @@ class SfuNode:
     def _on_media_batch(self, packets) -> None:
         """Forward a whole media packet train using the cached dispatch plans.
 
-        Per-packet semantics (metering, sequence rewrite, thinning, server
-        FEC draws in arrival x receiver order) are identical to calling
-        :meth:`_on_media` per packet; the difference is that the forwarding
-        decision comes from :meth:`_video_plan` / :meth:`_audio_plan` and the
-        per-receiver copies leave the host as one train each, all handed to
-        :meth:`Host.send_forwarded_trains` as one burst.  With egress
+        Each packet is metered, then copied to every receiver the cached
+        plans of :meth:`_video_plan` / :meth:`_audio_plan` name, with
+        sequence rewrite, frame thinning and server FEC draws in arrival x
+        receiver order.  The per-receiver copies leave the host as one train
+        each, all handed to :meth:`Host.send_forwarded_trains` as one burst.  With egress
         trunks configured, each train is additionally copied *once per
         demanding trunk* (never once per downstream receiver) from the
         per-hop trunk plans.
@@ -785,9 +711,11 @@ class SfuNode:
     def _video_plan(self, state: ParticipantState, layer: str) -> list:
         """Cached per-receiver dispatch decision for one sender layer.
 
-        Mirrors the layout check and :meth:`_should_forward` for video/FEC
-        packets; rebuilt lazily after any layout, membership or
-        forwarding-decision change.
+        This is the forwarding policy for video/FEC packets: a receiver gets
+        the layer if it displays the sender and, on adapting servers, the
+        layer is in its forwarded set; the top forwarded layer carries the
+        frame-thinning keep probability.  Rebuilt lazily after any layout,
+        membership or forwarding-decision change.
         """
         key = (state.name, layer)
         plan = self._forward_plans.get(key)
@@ -838,30 +766,6 @@ class SfuNode:
                 plan.append((receiver, downlink_flow(sender_name, receiver, self.call_id)))
             self._forward_plans[key] = plan
         return plan
-
-    def _should_forward(self, sender_state: ParticipantState, receiver: str, packet: Packet) -> bool:
-        """Apply the per-architecture forwarding policy to one packet."""
-        if packet.kind is PacketKind.RTP_AUDIO:
-            return True
-        if not self.profile.server_adapts:
-            return True
-        layers, keep_probability = sender_state.forwarding.get(
-            receiver, (None, 1.0)
-        )
-        if layers is None:
-            return True
-        layer = packet.meta.get("layer", "main")
-        if layer not in layers:
-            return False
-        if keep_probability >= 1.0:
-            return True
-        top_layer = self._top_of(layers)
-        if layer != top_layer:
-            return True
-        # Frame-consistent thinning: drop whole frames of the top forwarded
-        # layer, never individual fragments.
-        frame_id = packet.meta.get("frame_id", packet.seq)
-        return (frame_id * 2654435761 % 1000) / 1000.0 < keep_probability
 
     @staticmethod
     def _top_of(layers: set[str]) -> str:

@@ -12,7 +12,12 @@ from repro.net.packet import Packet
 from repro.net.router import Router
 from repro.net.shaper import UNCONSTRAINED_BPS, BandwidthProfile, LinkShaper
 from repro.net.simulator import Simulator
-from repro.net.topology import build_access_topology, build_competition_topology
+from repro.net.topology import (
+    DEFAULT_LAN_DELAY_S,
+    DEFAULT_WAN_DELAY_S,
+    build_access_topology,
+    build_competition_topology,
+)
 
 
 def make_packet(size=1000, flow="f", src="a", dst="b", **kw):
@@ -339,24 +344,24 @@ class TestBatchPath:
         assert [p.seq for p in fallback_sink] == [9]
 
     def test_fused_topology_delivery_times_match_hop_by_hop(self):
-        """Source routing must not change arrival times at the server."""
+        """Source routing delivers at the summed WAN + data-centre hop delay."""
+        sim = Simulator(seed=5)
+        topo = build_access_topology(sim, client_names=("C1", "C2"))
+        arrivals = []
+        topo.host("S").set_default_handler(lambda p: arrivals.append((sim.now, p.seq)))
 
-        def run(fused: bool):
-            sim = Simulator(seed=5)
-            topo = build_access_topology(sim, client_names=("C1", "C2"), fused=fused)
-            arrivals = []
-            topo.host("S").set_default_handler(lambda p: arrivals.append((sim.now, p.seq)))
-            def send_all():
-                for seq in range(5):
-                    topo.host("C2").send(make_packet(src="C2", dst="S", seq=seq))
-                topo.host("C2").send_batch(
-                    [make_packet(src="C2", dst="S", seq=10 + i) for i in range(3)]
-                )
-            sim.schedule_at(0.1, send_all)
-            sim.run(until=2.0)
-            return arrivals
+        def send_all():
+            for seq in range(5):
+                topo.host("C2").send(make_packet(src="C2", dst="S", seq=seq))
+            topo.host("C2").send_batch(
+                [make_packet(src="C2", dst="S", seq=10 + i) for i in range(3)]
+            )
 
-        assert run(True) == run(False)
+        sim.schedule_at(0.1, send_all)
+        sim.run(until=2.0)
+        hop_by_hop = 0.1 + DEFAULT_WAN_DELAY_S + DEFAULT_LAN_DELAY_S
+        assert [seq for _, seq in arrivals] == [0, 1, 2, 3, 4, 10, 11, 12]
+        assert all(when == pytest.approx(hop_by_hop, abs=1e-12) for when, _ in arrivals)
 
 
 class TestForwardedBursts:
@@ -657,3 +662,12 @@ class TestTopologies:
         sim.run(until=1.0)
         assert len(received) == 1
         assert topo.bottleneck_down.stats.packets_sent == 1
+
+    def test_negative_delays_rejected(self):
+        sim = Simulator()
+        with pytest.raises(ValueError):
+            build_access_topology(sim, wan_delay_s=-0.001)
+        with pytest.raises(ValueError):
+            build_access_topology(sim, access_delay_s=-0.001)
+        with pytest.raises(ValueError):
+            Link(sim, "l", 1e6, delay_s=-0.001)

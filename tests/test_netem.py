@@ -5,11 +5,9 @@ The load-bearing guarantees:
 
 * an ``IidLoss`` policy is byte-identical to the old ``loss_rate`` float at
   the same seed (the degenerate-case contract),
-* seeded impairments keep the fast and legacy link pipelines byte-identical
-  (private RNG streams do not interleave with the simulator RNG),
 * a dense (trace-length) schedule applied via chained scheduling delivers
   exactly what eager scheduling delivers, including ``set_rate`` cascades
-  with packets mid-queue on the fast path,
+  with packets mid-queue,
 * the scenario registry carries the paper-baseline and beyond-paper packs.
 """
 
@@ -18,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.net.shaper
 from repro.net.link import Link
 from repro.net.packet import Packet
 from repro.net.shaper import BandwidthProfile, LinkShaper
@@ -51,24 +50,21 @@ def _stats_tuple(link: Link):
 def _drive_link(
     *,
     seed: int = 7,
-    legacy: bool = False,
     rate_bps: float = 400_000.0,
     queue_bytes: int = 12_000,
     n_packets: int = 300,
     profile: BandwidthProfile | None = None,
-    shaper_mode: str = "auto",
     **link_kwargs,
 ):
     """Push a bursty workload through one link; return (arrivals, stats)."""
     sim = Simulator(seed=seed)
     link = Link(
-        sim, "l", rate_bps=rate_bps, delay_s=0.004, queue_bytes=queue_bytes,
-        legacy=legacy, **link_kwargs,
+        sim, "l", rate_bps=rate_bps, delay_s=0.004, queue_bytes=queue_bytes, **link_kwargs,
     )
     arrivals: list[tuple[float, int]] = []
     link.connect(lambda p: arrivals.append((sim.now, p.seq)))
     if profile is not None:
-        LinkShaper(sim, link, profile, mode=shaper_mode).apply()
+        LinkShaper(sim, link, profile).apply()
     rng = np.random.default_rng(seed)
     sizes = rng.integers(200, 1400, size=n_packets)
     t = 0.0
@@ -162,19 +158,6 @@ class TestLinkImpairments:
         with pytest.raises(ValueError):
             Link(sim, "l", 1e6, loss_rate=0.1,
                  loss_model=GilbertElliottLoss.from_mean_loss(0.1, seed=0))
-
-    def test_fast_legacy_equivalence_under_seeded_impairments(self):
-        """Seeded GE loss + jitter must not break pipeline equivalence."""
-        def build():
-            return dict(
-                loss_model=GilbertElliottLoss.from_mean_loss(0.08, mean_burst_packets=6, seed=21),
-                jitter_model=DelayJitter(mean_s=0.003, std_s=0.002, rho=0.8, seed=22),
-            )
-
-        fast_arrivals, fast_stats = _drive_link(legacy=False, **build())
-        legacy_arrivals, legacy_stats = _drive_link(legacy=True, **build())
-        assert fast_arrivals == legacy_arrivals
-        assert fast_stats == legacy_stats
 
     def test_gilbert_elliott_on_link_drops_packets(self):
         arrivals, stats = _drive_link(
@@ -318,35 +301,22 @@ class TestDenseProfiles:
                     break
             assert profile.rate_at(float(when)) == expected
 
-    def test_shaper_rejects_unknown_mode(self):
-        sim = Simulator()
-        link = Link(sim, "l", 1e6)
-        with pytest.raises(ValueError):
-            LinkShaper(sim, link, BandwidthProfile.unconstrained(), mode="lazy")
-
-    def test_dense_chained_equals_eager_with_packets_mid_queue(self):
-        """Chained scheduling + set_rate cascades on a loaded fast-path link."""
+    def test_dense_chained_equals_eager_with_packets_mid_queue(self, monkeypatch):
+        """Chained scheduling + set_rate cascades on a loaded link."""
         rng = np.random.default_rng(11)
         rates = rng.uniform(1.5e5, 6e5, size=500)
         profile = BandwidthProfile.from_samples(0.05, [float(r) for r in rates])
-        eager = _drive_link(profile=profile, shaper_mode="eager")
-        chained = _drive_link(profile=profile, shaper_mode="chained")
+        assert len(profile.steps) > repro.net.shaper.DENSE_STEP_THRESHOLD
+        chained = _drive_link(profile=profile)
+        monkeypatch.setattr(repro.net.shaper, "DENSE_STEP_THRESHOLD", 10**9)
+        eager = _drive_link(profile=profile)
         assert chained == eager
-
-    def test_dense_cascades_match_legacy_pipeline(self):
-        """Satellite: dense set_rate cascades with packets mid-queue, fast vs legacy."""
-        rng = np.random.default_rng(13)
-        rates = rng.uniform(1.5e5, 6e5, size=300)
-        profile = BandwidthProfile.from_samples(0.05, [float(r) for r in rates])
-        fast = _drive_link(profile=profile, legacy=False)
-        legacy = _drive_link(profile=profile, legacy=True)
-        assert fast == legacy
 
     def test_chained_mode_keeps_heap_small(self):
         sim = Simulator()
         link = Link(sim, "l", 1e6)
         profile = BandwidthProfile.from_samples(0.1, [float(1e6 + i) for i in range(5_000)])
-        LinkShaper(sim, link, profile).apply()  # auto -> chained above threshold
+        LinkShaper(sim, link, profile).apply()  # chained above the threshold
         assert sim.pending_events < 10
 
     def test_auto_mode_stays_eager_for_sparse_profiles(self):

@@ -211,8 +211,8 @@ class TestStreamReceiver:
 
     def test_one_fragment_frames_match_the_reference_receiver(self):
         """One-fragment frames complete on arrival, even while other frames
-        are pending, exactly as the per-packet reference receiver counts them."""
-        from repro.rtp.jitter import LegacyStreamReceiver
+        are pending, exactly as the per-packet reference receiver counted
+        them (trajectory recorded from that receiver)."""
 
         def schedule():
             # (time, train): a 3-fragment keyframe missing a fragment, one-
@@ -233,10 +233,10 @@ class TestStreamReceiver:
                 (2.00, self._packets_for_frame(9, 1, start_seq=14)),
             ]
 
-        def observe(receiver_cls, batched):
+        def observe(batched):
             sim = Simulator()
             fired = []
-            receiver = receiver_cls(sim, "f", on_fir=fired.append)
+            receiver = StreamReceiver(sim, "f", on_fir=fired.append)
             trajectory = []
             for when, train in schedule():
                 sim._now = when
@@ -251,10 +251,21 @@ class TestStreamReceiver:
                 )
             return trajectory, receiver.sample_received_fps(), receiver.make_report(now=2.5)
 
-        reference = observe(LegacyStreamReceiver, batched=False)
-        assert reference[0][-1][:3] == (8, 1, 1)
-        assert observe(StreamReceiver, batched=False) == reference
-        assert observe(StreamReceiver, batched=True) == reference
+        reference = (
+            [
+                (0, 0, 0, 0, [1]), (1, 0, 0, 0, [1]), (1, 0, 0, 1, [1]), (2, 0, 0, 1, [1]),
+                (4, 0, 0, 0, []), (5, 0, 0, 0, []), (6, 0, 0, 0, [7]), (7, 0, 0, 0, [7]),
+                (8, 1, 1, 0, []),
+            ],
+            8,
+            FeedbackReport(
+                timestamp=2.5, interval_s=2.5, receive_rate_bps=47769.6,
+                loss_fraction=0.2142857142857143, queueing_delay_s=0.685461695609,
+                delay_gradient_s=0.0, rtt_s=0.05, packets_expected=14, packets_received=11,
+            ),
+        )
+        assert observe(batched=False) == reference
+        assert observe(batched=True) == reference
 
     def test_received_fps_sampler_resets(self):
         sim = Simulator()

@@ -25,7 +25,7 @@ from repro.netem.scenarios import (
     run_scenario,
     run_scenario_by_name,
 )
-from repro.vca.call import Call, CallConfig
+from repro.vca.call import Call
 from repro.vca.sfu import CascadeControl, CascadePlan, CascadeRegion
 
 
@@ -191,21 +191,6 @@ class TestCallCascadeValidation:
         sim = Simulator(seed=0)
         topo = build_cascade_topology(sim, plan)
         return sim, topo
-
-    def test_polled_pipeline_rejected(self):
-        plan = CascadePlan(
-            regions=(CascadeRegion(node="R0", clients=("C1", "C2")),), trunks=()
-        )
-        sim, topo = self._topology(plan)
-        with pytest.raises(ValueError, match="event-driven"):
-            Call(
-                sim,
-                [topo.host("C1"), topo.host("C2")],
-                topo.host("R0"),
-                CallConfig(polled=True),
-                cascade=plan,
-                cascade_hosts={"R0": topo.host("R0")},
-            )
 
     def test_plan_clients_must_match_participants(self):
         plan = CascadePlan(

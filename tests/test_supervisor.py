@@ -323,10 +323,33 @@ class TestJournal:
         assert encode(second) == encode(first)
 
 
+def _child_pids(pid: int) -> set[int]:
+    """PIDs whose parent is ``pid`` (Linux ``/proc``)."""
+    children = set()
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except (OSError, IndexError):
+            continue
+        if int(fields[1]) == pid:
+            children.add(int(stat.parent.name))
+    return children
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` exists and is not a zombie."""
+    try:
+        state = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0]
+    except (OSError, IndexError):
+        return False
+    return state != "Z"
+
+
 class TestSigkillResume:
+    @pytest.mark.skipif(not Path("/proc/self/stat").is_file(), reason="needs Linux /proc")
     def test_sigkilled_sweep_resumes_without_resimulating(self, tmp_path):
-        """SIGKILL the supervisor mid-sweep; resume must re-run only the
-        units the journal does not record as completed."""
+        """SIGKILL the supervisor mid-sweep: its workers must exit, and resume
+        must re-run only the units the journal does not record as completed."""
         journal_dir = tmp_path / "journal"
         count_file = str(tmp_path / "count")
         code = (
@@ -343,6 +366,7 @@ class TestSigkillResume:
         proc = subprocess.Popen(
             [sys.executable, "-c", code], env=env, cwd=str(repo),
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            start_new_session=True,
         )
         journal = CampaignJournal(journal_dir)
         deadline = time.monotonic() + 30.0
@@ -355,16 +379,28 @@ class TestSigkillResume:
                 time.sleep(0.05)
             else:
                 pytest.fail("journal never recorded two completions")
-        finally:
+            worker_pids = _child_pids(proc.pid)
             proc.send_signal(signal.SIGKILL)
+            proc.wait(timeout=10.0)
+            assert len(worker_pids) == 2, worker_pids
+            # Orphaned workers finish their in-flight unit, then see EOF on
+            # their pipe and exit.
+            exit_deadline = time.monotonic() + 5.0
+            while any(_running(pid) for pid in worker_pids) and time.monotonic() < exit_deadline:
+                time.sleep(0.05)
+            assert not [pid for pid in worker_pids if _running(pid)], "workers outlived the supervisor"
+        finally:
+            # Backstop: never leave the campaign's process group behind.
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
             proc.wait(timeout=10.0)
 
         completed = journal.replay_completed()
         assert 2 <= len(completed) < 6, "the kill must land mid-sweep"
-        # The supervisor is dead but its orphaned workers may still be
-        # finishing their in-flight units (they exit on pipe EOF right
-        # after); wait for the execution counter to quiesce before
-        # snapshotting it.
+        # Workers may have completed their in-flight units before exiting;
+        # wait for the execution counter to quiesce before snapshotting it.
         executed_before = workers_mod.execution_count(count_file)
         stable_since = time.monotonic()
         while time.monotonic() - stable_since < 0.75:

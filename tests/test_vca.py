@@ -296,7 +296,7 @@ class TestServerDownlinkEstimator:
 
     def make_server(self, vca="meet"):
         from repro.net.node import Host
-        from repro.vca.server import MediaServer
+        from repro.vca.sfu import MediaServer
 
         sim = Simulator(seed=7)
         host = Host(sim, "S")
@@ -305,7 +305,7 @@ class TestServerDownlinkEstimator:
         return sim, server
 
     def test_aggregate_reports_mixed_loss_across_receivers(self):
-        from repro.vca.server import MediaServer
+        from repro.vca.sfu import MediaServer
 
         _, server = self.make_server()
         state = server.add_participant("C1")
@@ -324,7 +324,7 @@ class TestServerDownlinkEstimator:
         assert aggregate.packets_received == 92 + 100
 
     def test_aggregate_reports_empty_returns_none(self):
-        from repro.vca.server import MediaServer
+        from repro.vca.sfu import MediaServer
 
         _, server = self.make_server()
         state = server.add_participant("C1")
@@ -423,7 +423,7 @@ class TestServerDownlinkEstimator:
         while the forwarded rate (and therefore the receive rate feeding the
         estimate) is application-limited by the cheap copy.
         """
-        from repro.vca.server import _LayerMeter
+        from repro.vca.sfu.state import _LayerMeter
 
         sim, server = self.make_server("meet")
         sender = server.add_participant("C1")
@@ -437,7 +437,7 @@ class TestServerDownlinkEstimator:
         assert server.probe_bytes_sent > 0
 
     def test_no_probes_when_top_copy_already_forwarded(self):
-        from repro.vca.server import _LayerMeter
+        from repro.vca.sfu.state import _LayerMeter
 
         sim, server = self.make_server("meet")
         sender = server.add_participant("C1")
