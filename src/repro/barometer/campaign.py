@@ -188,7 +188,7 @@ def run_barometer_sweep(
                 if result is None or not result.runs:  # quarantined cell
                     continue
                 keys = sorted({key for run in result.runs for key in run})
-                means = {key: result.summary(key).mean for key in keys}
+                means = {key: result.mean(key) for key in keys}
                 table.add_row(
                     household.uid,
                     household.tier,

@@ -134,7 +134,7 @@ def verify_scenarios(
             continue
         keys = sorted({key for run in result.runs for key in run})
         metrics_by_scenario[result.condition.name] = {
-            key: result.summary(key).mean for key in keys
+            key: result.mean(key) for key in keys
         }
 
     margins = score_scenario_metrics(metrics_by_scenario, targets)

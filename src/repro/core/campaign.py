@@ -70,6 +70,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional, Sequence, Union
 
+import numpy as np
+
 from repro.core.analysis import RunSummary, aggregate_runs
 from repro.core.journal import CampaignJournal, resolve_journal
 from repro.core.supervisor import (
@@ -150,6 +152,18 @@ class ConditionResult:
     def metric_values(self, name: str) -> list[float]:
         """Raw per-repetition values of one metric."""
         return [float(run[name]) for run in self.runs if name in run]
+
+    def mean(self, name: str) -> float:
+        """Mean of one metric over repetitions (``0.0`` when absent).
+
+        Bit-identical to the ``mean`` of :meth:`summary`, without the median
+        and CI quantiles that table merges never read.  It stays ``np.mean``
+        (not a Python sum) so tables keep numpy's pairwise summation.
+        """
+        values = self.metric_values(name)
+        if not values:
+            return 0.0
+        return float(np.mean(np.asarray(values, dtype=float)))
 
     def summary(self, name: str, confidence: float = 0.90) -> RunSummary:
         """Aggregated summary (mean/median/CI) of one metric."""

@@ -105,7 +105,7 @@ def run_cascade_sweep(
         row = [result.condition.name]
         for metric in metrics:
             values = result.metric_values(metric)
-            row.append(result.summary(metric).mean if values else math.nan)
+            row.append(result.mean(metric) if values else math.nan)
         table.add_row(*row)
     table.campaign_stats = results.stats.as_dict()
     table.failure_report = results.failures

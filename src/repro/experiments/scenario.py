@@ -250,7 +250,7 @@ def run_scenario_sweep(
         row = [
             result.condition.name,
             *(
-                result.summary(metric).mean
+                result.mean(metric)
                 if any(metric in run for run in result.runs)
                 else float("nan")
                 for metric in sweep_metrics
@@ -258,7 +258,7 @@ def run_scenario_sweep(
         ]
         if formula is not None:
             keys = sorted({key for run in result.runs for key in run})
-            means = {key: result.summary(key).mean for key in keys}
+            means = {key: result.mean(key) for key in keys}
             row.append(formula.quality_index(means))
         table.add_row(*row)
     table.campaign_stats = results.stats.as_dict()

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import math
+import random
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from repro.core.analysis import aggregate_runs, confidence_interval, summarize_series
+from repro.core.campaign import Condition, ConditionResult
 from repro.core.capture import FlowSeries, PacketCapture
 from repro.core.experiment import ExperimentConfig, ExperimentRunner, RunOutput
 from repro.core.metrics import (
@@ -101,6 +106,31 @@ class TestAnalysis:
 
     def test_aggregate_runs_empty(self):
         assert aggregate_runs([]).n == 0
+
+    @pytest.mark.parametrize("n", range(21))
+    def test_condition_mean_is_bit_identical_to_aggregate_runs(self, n):
+        """``ConditionResult.mean`` is ``aggregate_runs(...).mean`` to the bit."""
+        rng = random.Random(f"condition-mean:{n}")
+        condition = Condition(name="c", fn=len)
+        for _ in range(40):
+            runs = []
+            for _ in range(n):
+                draw = rng.random()
+                if draw < 0.05:
+                    value = math.nan
+                elif draw < 0.15:
+                    value = -0.0
+                elif draw < 0.25:
+                    value = rng.randint(0, 50)
+                else:
+                    value = rng.choice((-1.0, 1.0)) * rng.random() * 10.0 ** rng.randint(-12, 12)
+                runs.append({"m": value} if rng.random() < 0.9 else {"other": 1.0})
+            result = ConditionResult(condition=condition, runs=runs)
+            got = result.mean("m")
+            want = aggregate_runs(result.metric_values("m")).mean
+            assert (math.isnan(got) and math.isnan(want)) or (
+                struct.pack("<d", got) == struct.pack("<d", want)
+            ), (runs, got, want)
 
     def test_summarize_series_averages_on_grid(self):
         a = (np.array([0.0, 1.0, 2.0]), np.array([1.0, 1.0, 1.0]))
