@@ -168,6 +168,9 @@ class ScenarioSpec:
             raise ValueError(f"scenario direction must be up/down/both, got {self.direction!r}")
         if self.participants < 2:
             raise ValueError("a scenario call needs at least two participants")
+        # ``120`` and ``120.0`` hash differently in a cache payload; store
+        # the float so two spellings of one duration cannot fork the key.
+        object.__setattr__(self, "duration_s", float(self.duration_s))
         if self.duration_s <= 0.0:
             raise ValueError("scenario duration must be positive")
         # Detach the param payloads from whatever dict the caller passed in,

@@ -11,6 +11,7 @@ Covers the invalidation semantics the store's correctness rests on:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -93,6 +94,24 @@ class TestKeys:
         assert payload_hash(scenario_cache_payload(spec, 30.0)) != payload_hash(
             scenario_cache_payload(spec, 45.0)
         )
+
+    def test_integer_duration_does_not_fork_the_key(self):
+        spec = dataclasses.replace(get_scenario("paper/unconstrained-zoom"), duration_s=120)
+        as_float = dataclasses.replace(spec, duration_s=120.0)
+        assert (
+            payload_hash(scenario_cache_payload(spec))
+            == payload_hash(scenario_cache_payload(spec, spec.duration_s))
+            == payload_hash(scenario_cache_payload(as_float))
+        )
+
+    def test_duration_coercion_leaves_registry_manifest_unchanged(self):
+        """Registered specs already spell durations as floats: no key moves."""
+        for name, digest in registry_manifest()["scenarios"].items():
+            spec = get_scenario(name)
+            assert digest == payload_hash(scenario_cache_payload(spec, spec.duration_s))
+            if spec.duration_s.is_integer():
+                respelled = dataclasses.replace(spec, duration_s=int(spec.duration_s))
+                assert payload_hash(scenario_cache_payload(respelled)) == digest
 
     def test_fingerprint_tracks_constants_and_schema(self, monkeypatch):
         base = code_fingerprint()
