@@ -1,7 +1,9 @@
 """Golden fan-out cells: SFU galleries and cascades replayed against committed results.
 
 Each cell is a short multi-party call whose cost is dominated by the SFU
-forwarding each sender to every other receiver.  For each one the test pins
+forwarding each sender to every other receiver.  The constrained galleries
+put C1 behind a 0.5 Mbps downlink, so the SFU thins frames for it without
+any cascade in the path.  For each one the test pins
 the sha256 of the canonical JSON of ``ScenarioRun.metrics()``, the number of
 heap events the simulator processed, and the LinkStats counters summed over
 the topology's real links (access pair plus cascade trunks).  Any change to
@@ -27,6 +29,8 @@ GOLDEN_PATH = Path(__file__).resolve().parent / "data" / "fanout_golden.json"
 SEED = 2
 DURATION_S = 6.0
 GALLERY_PARTIES = 9
+CONSTRAINED_PARTIES = 5
+CONSTRAINED_DOWN_MBPS = 0.5
 CASCADES = ("cascade/3region-chain-meet", "cascade/trunk-codel-zoom")
 LINK_FIELDS = (
     "packets_sent",
@@ -49,6 +53,23 @@ def fanout_specs() -> dict[str, ScenarioSpec]:
         )
         for vca in ("meet", "zoom", "teams")
     }
+    specs.update(
+        {
+            f"constrained-{CONSTRAINED_PARTIES}p-{vca}": ScenarioSpec(
+                name=f"golden/constrained-{CONSTRAINED_PARTIES}p-{vca}",
+                description=(
+                    f"{CONSTRAINED_PARTIES}-party {vca} gallery call, "
+                    f"C1 behind a {CONSTRAINED_DOWN_MBPS} Mbps downlink"
+                ),
+                vca=vca,
+                direction="down",
+                profile=("constant", {"mbps": CONSTRAINED_DOWN_MBPS}),
+                participants=CONSTRAINED_PARTIES,
+                view_mode="gallery",
+            )
+            for vca in ("meet", "zoom")
+        }
+    )
     specs.update({name: get_scenario(name) for name in CASCADES})
     return specs
 
