@@ -20,7 +20,7 @@ from dataclasses import dataclass
 __all__ = ["FeedbackReport", "RateControllerConfig", "RateController"]
 
 
-@dataclass
+@dataclass(slots=True)
 class FeedbackReport:
     """Receiver-side observations for one feedback interval.
 

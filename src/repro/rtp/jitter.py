@@ -294,7 +294,7 @@ class StreamReceiver:
         self.total_frames += 1
         self._frames_this_second += 1
         self._consecutive_lost_frames = 0
-        meta = packet.meta
+        meta = packet._meta
         frame_id = meta["frame_id"]
         if frame_id > self._last_completed_frame:
             self._last_completed_frame = frame_id

@@ -67,19 +67,23 @@ def make_fir_packet(flow_id: str, src: str, dst: str, now: float, layer: str = "
     )
 
 
+# These read ``Packet._meta`` directly: every RTCP packet is built with its
+# metadata, and the lazy ``meta`` property costs a call per report.
 def is_report(packet: Packet) -> bool:
     """True if the packet is an RTCP receiver report."""
-    return packet.kind is PacketKind.RTCP and packet.meta.get("rtcp") == "report"
+    meta = packet._meta
+    return packet.kind is PacketKind.RTCP and meta is not None and meta.get("rtcp") == "report"
 
 
 def is_fir(packet: Packet) -> bool:
     """True if the packet is an RTCP Full Intra Request."""
-    return packet.kind is PacketKind.RTCP and packet.meta.get("rtcp") == "fir"
+    meta = packet._meta
+    return packet.kind is PacketKind.RTCP and meta is not None and meta.get("rtcp") == "fir"
 
 
 def extract_report(packet: Packet) -> Optional[FeedbackReport]:
     """Return the embedded :class:`FeedbackReport`, if the packet carries one."""
     if not is_report(packet):
         return None
-    report = packet.meta.get("report")
+    report = packet._meta.get("report")
     return report if isinstance(report, FeedbackReport) else None

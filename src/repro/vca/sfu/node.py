@@ -90,7 +90,6 @@ class SfuNode:
         #: ``bytes_forwarded`` accounting: one trunk train serves a whole
         #: subtree).
         self.trunk_bytes_forwarded = 0
-        self._fec_rng = sim.rng
         self._task: Optional[PeriodicTask] = None
         self._last_probe_at: dict[str, float] = {}
         #: Per-(sender, receiver) RTP sequence counters for forwarded media.
@@ -397,14 +396,22 @@ class SfuNode:
     def _on_media_batch(self, packets) -> None:
         """Forward a whole media packet train using the cached dispatch plans.
 
-        Each packet is metered, then copied to every receiver the cached
-        plans of :meth:`_video_plan` / :meth:`_audio_plan` name, with
-        sequence rewrite, frame thinning and server FEC draws in arrival x
-        receiver order.  The per-receiver copies leave the host as one train
-        each, all handed to :meth:`Host.send_forwarded_trains` as one burst.  With egress
-        trunks configured, each train is additionally copied *once per
-        demanding trunk* (never once per downstream receiver) from the
-        per-hop trunk plans.
+        The train is cut into runs: maximal stretches of consecutive packets
+        of one kind that share one frame's metadata dict (the packetizer
+        gives all fragments of a frame the same dict), hence one layer and
+        one frame id.  A packet without a frame id is a run of its own.  Per
+        run the plan of :meth:`_video_plan` / :meth:`_audio_plan` is resolved
+        once and frame thinning is decided once per receiver; then each
+        receiver's copies, and after them each demanding trunk's, are built
+        in one inner loop with sequence rewrite and byte counting.  Zoom's
+        relay draws its FEC uniforms as one block per video run: copy ``i``
+        for the ``j``-th of ``R`` kept receivers takes draw ``i * R + j``,
+        its place in packet-major order.  So every train, its packet order,
+        every sequence number and the RNG stream are those of a packet-major
+        loop over the train.  The per-receiver trains leave the host as one
+        burst through :meth:`Host.send_forwarded_trains`.  With egress trunks
+        configured, each run is copied *once per demanding trunk* (never
+        once per downstream receiver) from the per-hop trunk plans.
         """
         flow = packets[0].flow_id
         state = self._state_by_flow.get(flow)
@@ -450,91 +457,119 @@ class SfuNode:
         trunk_bytes = 0
         fec_bytes = 0
         outbound: dict[str, list] = {}
-        plan_layer: Optional[str] = None
-        plan: list = []
-        trunk_plan: list = []
-        for packet in packets:
-            kind = packet.kind
-            copy = packet.copy_for_forwarding
+        n = len(packets)
+        end = 0
+        while end < n:
+            first = packets[end]
+            kind = first.kind
+            meta = first._meta
+            start = end
+            end += 1
+            if meta is not None and "frame_id" in meta:
+                while end < n and packets[end]._meta is meta and packets[end].kind is kind:
+                    end += 1
+            if end - start == 1:
+                run = (first,)
+                run_bytes = first.size_bytes
+            else:
+                run = packets[start:end]
+                run_bytes = 0
+                for packet in run:
+                    run_bytes += packet.size_bytes
             if kind is rtp_audio:
-                size = packet.size_bytes
-                for receiver, flow_id in self._audio_plan(state):
-                    forwarded = copy(host_name, receiver, flow_id)
-                    bytes_forwarded += size
+                targets = self._audio_plan(state)
+                trunk_targets = self._trunk_audio_plan(state) if has_trunks else ()
+                for receiver, flow_id in targets:
                     out = outbound.get(receiver)
                     if out is None:
                         out = outbound[receiver] = [0, []]
-                    out[0] += size
-                    out[1].append(forwarded)
-                if has_trunks:
-                    for peer, flow_id in self._trunk_audio_plan(state):
-                        forwarded = copy(host_name, peer, flow_id)
-                        trunk_bytes += size
-                        out = outbound.get(peer)
-                        if out is None:
-                            out = outbound[peer] = [0, []]
-                        out[0] += size
-                        out[1].append(forwarded)
+                    out[0] += run_bytes
+                    out[1] += [packet.copy_for_forwarding(host_name, receiver, flow_id) for packet in run]
+                for peer, flow_id in trunk_targets:
+                    out = outbound.get(peer)
+                    if out is None:
+                        out = outbound[peer] = [0, []]
+                    out[0] += run_bytes
+                    out[1] += [packet.copy_for_forwarding(host_name, peer, flow_id) for packet in run]
+                bytes_forwarded += run_bytes * len(targets)
+                trunk_bytes += run_bytes * len(trunk_targets)
                 continue
-            meta = packet._meta
             layer = meta.get("layer", "main") if meta is not None else "main"
             is_video = kind is rtp_video
-            size = packet.size_bytes
             if is_video:
-                layer_bytes[layer] = layer_bytes.get(layer, 0) + size
-            repairs = fec_rng is not None and is_video
-            if layer != plan_layer:
-                plan_layer = layer
-                plan = self._video_plan(state, layer)
-                if has_trunks:
-                    trunk_plan = self._trunk_video_plan(state, layer)
+                layer_bytes[layer] = layer_bytes.get(layer, 0) + run_bytes
+            plan = self._video_plan(state, layer)
+            frame_id = meta.get("frame_id", first.seq) if meta is not None else first.seq
+            # Frame-consistent thinning: drop whole frames of the top
+            # forwarded layer, never individual fragments.
+            thin = (frame_id * 2654435761 % 1000) / 1000.0
+            draws = None
+            if fec_rng is not None and is_video:
+                kept = 0
+                for entry in plan:
+                    if not entry[1] < 1.0 or thin < entry[1]:
+                        kept += 1
+                if kept:
+                    draws = fec_rng.random(kept * len(run)).tolist()
+                    fec_group = meta.get("frame_id", 0) if meta is not None else 0
+            column = 0
             for receiver, keep, flow_id, seq_cell in plan:
-                if keep < 1.0:
-                    # Frame-consistent thinning: drop whole frames of the top
-                    # forwarded layer, never individual fragments.
-                    frame_id = meta.get("frame_id", packet.seq) if meta is not None else packet.seq
-                    if not (frame_id * 2654435761 % 1000) / 1000.0 < keep:
-                        continue
-                forwarded = copy(host_name, receiver, flow_id)
-                if is_video:
-                    seq_cell[0] = seq = seq_cell[0] + 1
-                    forwarded.seq = seq
-                bytes_forwarded += size
+                if keep < 1.0 and not thin < keep:
+                    continue
                 out = outbound.get(receiver)
                 if out is None:
                     out = outbound[receiver] = [0, []]
-                out[0] += size
-                out[1].append(forwarded)
-                if repairs and fec_rng.random() < server_fec:
-                    repair = Packet(
-                        size_bytes=size,
-                        flow_id=forwarded.flow_id,
-                        src=host_name,
-                        dst=receiver,
-                        kind=PacketKind.FEC,
-                        seq=1_000_000 + packet.seq,
-                        created_at=now,
-                        meta={"fec_group": meta.get("frame_id", 0) if meta is not None else 0},
-                    )
-                    fec_bytes += size
-                    out[0] += size
-                    out[1].append(repair)
-            if trunk_plan:
+                train = out[1]
+                seq = seq_cell[0]
+                draw = column
+                for packet in run:
+                    forwarded = packet.copy_for_forwarding(host_name, receiver, flow_id)
+                    if is_video:
+                        seq += 1
+                        forwarded.seq = seq
+                    train.append(forwarded)
+                    if draws is not None:
+                        if draws[draw] < server_fec:
+                            size = packet.size_bytes
+                            train.append(
+                                Packet(
+                                    size_bytes=size,
+                                    flow_id=flow_id,
+                                    src=host_name,
+                                    dst=receiver,
+                                    kind=PacketKind.FEC,
+                                    seq=1_000_000 + packet.seq,
+                                    created_at=now,
+                                    meta={"fec_group": fec_group},
+                                )
+                            )
+                            fec_bytes += size
+                            out[0] += size
+                        draw += kept
+                seq_cell[0] = seq
+                out[0] += run_bytes
+                bytes_forwarded += run_bytes
+                column += 1
+            if has_trunks:
                 # One copy per demanding trunk: the subtree behind the trunk
                 # fans out at its own node.  No thinning and no fresh FEC on
                 # the trunk leg -- the egress node regenerates FEC for its
                 # local receivers, so a trunk carries the clean layer stream.
-                for peer, flow_id, seq_cell in trunk_plan:
-                    forwarded = copy(host_name, peer, flow_id)
-                    if is_video:
-                        seq_cell[0] = seq = seq_cell[0] + 1
-                        forwarded.seq = seq
-                    trunk_bytes += size
+                for peer, flow_id, seq_cell in self._trunk_video_plan(state, layer):
                     out = outbound.get(peer)
                     if out is None:
                         out = outbound[peer] = [0, []]
-                    out[0] += size
-                    out[1].append(forwarded)
+                    train = out[1]
+                    seq = seq_cell[0]
+                    for packet in run:
+                        forwarded = packet.copy_for_forwarding(host_name, peer, flow_id)
+                        if is_video:
+                            seq += 1
+                            forwarded.seq = seq
+                        train.append(forwarded)
+                    seq_cell[0] = seq
+                    out[0] += run_bytes
+                    trunk_bytes += run_bytes
         self.bytes_forwarded += bytes_forwarded
         self.trunk_bytes_forwarded += trunk_bytes
         self.fec_bytes_added += fec_bytes
