@@ -74,6 +74,10 @@ class SVCEncoder:
         self._allocations: dict[str, float] = {}
         self._next_frame_at: dict[str, float] = {layer.name: 0.0 for layer in self.layers}
         self._last_emit_at: dict[str, float] = {}
+        #: Per-layer ``(allocated rate, EncoderSettings)`` of the last frame:
+        #: the QP only moves when the layer's allocation does, so the
+        #: settings are rebuilt on a retarget rather than on every frame.
+        self._layer_settings: dict[str, tuple[float, EncoderSettings]] = {}
         self._keyframe_pending = True
         self._last_keyframe_at = -1e9
         #: Per-instance frame-id allocator (see AdaptiveEncoder.frame_ids).
@@ -172,13 +176,19 @@ class SVCEncoder:
             frame_bits = rate * max(elapsed, interval * 0.5) * complexity
             if keyframe:
                 frame_bits *= self.codec.keyframe_multiplier
-            qp = self.codec.qp_for_bitrate(layer.resolution, layer.fps, max(rate, 1.0))
+            cached = self._layer_settings.get(layer.name)
+            if cached is None or cached[0] != rate:
+                qp = self.codec.qp_for_bitrate(layer.resolution, layer.fps, max(rate, 1.0))
+                cached = self._layer_settings[layer.name] = (
+                    rate,
+                    EncoderSettings(resolution=layer.resolution, fps=layer.fps, qp=qp),
+                )
             frames.append(
                 EncodedFrame(
                     frame_id=next(self._frame_ids),
                     capture_time=now,
                     size_bytes=max(int(frame_bits / 8), 150),
-                    settings=EncoderSettings(resolution=layer.resolution, fps=layer.fps, qp=qp),
+                    settings=cached[1],
                     keyframe=keyframe,
                     layer=layer.name,
                 )

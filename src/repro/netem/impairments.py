@@ -28,6 +28,7 @@ from the RNG the link passes in (the simulator's), matching the old
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
@@ -200,7 +201,7 @@ class DelayJitter:
     ``reorder``).
     """
 
-    __slots__ = ("mean_s", "std_s", "rho", "_value", "_rng", "_seed")
+    __slots__ = ("mean_s", "std_s", "rho", "_innovation_std", "_value", "_rng", "_seed")
 
     def __init__(
         self,
@@ -216,6 +217,9 @@ class DelayJitter:
         self.mean_s = float(mean_s)
         self.std_s = float(std_s)
         self.rho = float(rho)
+        #: ``std * sqrt(1 - rho^2)``, the AR(1) innovation scale, computed
+        #: once rather than per sampled packet.
+        self._innovation_std = self.std_s * math.sqrt(1.0 - self.rho**2)
         self._value = self.mean_s
         self._seed = seed
         self._rng = None if seed is None else np.random.default_rng(seed)
@@ -232,7 +236,7 @@ class DelayJitter:
             self._value = (
                 self.mean_s
                 + self.rho * (self._value - self.mean_s)
-                + self.std_s * float(np.sqrt(1.0 - self.rho**2)) * noise
+                + self._innovation_std * noise
             )
             return max(self._value, 0.0)
         return max(self.mean_s + self.std_s * noise, 0.0)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from repro.media.codec import RESOLUTION_LADDER, CodecModel, Resolution
 from repro.media.encoder import (
     AdaptiveEncoder,
+    EncoderSettings,
     MeetEncoderPolicy,
     TeamsChromeEncoderPolicy,
     TeamsNativeEncoderPolicy,
@@ -276,6 +277,25 @@ class TestSVCEncoder:
         assert enc.settings.width == 1280
         enc.set_target_bitrate(200_000)
         assert enc.settings.width <= 640
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.floats(min_value=0, max_value=1_500_000), min_size=1, max_size=8))
+    def test_cached_layer_settings_match_fresh_ones(self, targets):
+        """Frames carry the settings a fresh QP computation gives, across retargets."""
+        codec = CodecModel()
+        enc = SVCEncoder(codec)
+        now = 0.0
+        for target in [*targets, targets[0]]:
+            enc.set_target_bitrate(target)
+            for _ in range(6):
+                now += 1.0 / 30.0
+                for frame in enc.frames_due(now):
+                    layer = next(l for l in enc.layers if l.name == frame.layer)
+                    rate = enc.active_layers()[frame.layer]
+                    qp = codec.qp_for_bitrate(layer.resolution, layer.fps, max(rate, 1.0))
+                    assert frame.settings == EncoderSettings(
+                        resolution=layer.resolution, fps=layer.fps, qp=qp
+                    )
 
     @settings(max_examples=50, deadline=None)
     @given(st.floats(min_value=0, max_value=1_500_000))

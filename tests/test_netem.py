@@ -131,6 +131,21 @@ class TestImpairmentModels:
         jitter.reset()
         assert [jitter.sample(None) for _ in range(500)] == first_j
 
+    @pytest.mark.parametrize("rho", [0.1, 0.5, 0.9, 0.999])
+    def test_jitter_ar1_matches_per_sample_formula(self, rho):
+        """The precomputed innovation scale gives the old per-sample formula bit for bit."""
+        jitter = DelayJitter(mean_s=0.004, std_s=0.0031, rho=rho, seed=13)
+        rng = np.random.default_rng(13)
+        value = jitter.mean_s
+        for _ in range(2_000):
+            noise = rng.standard_normal()
+            value = (
+                jitter.mean_s
+                + jitter.rho * (value - jitter.mean_s)
+                + jitter.std_s * float(np.sqrt(1.0 - jitter.rho**2)) * noise
+            )
+            assert jitter.sample(None) == max(value, 0.0)
+
     def test_jitter_is_nonnegative_and_validates(self):
         jitter = DelayJitter(mean_s=0.001, std_s=0.01, rho=0.5, seed=4)
         assert all(jitter.sample(None) >= 0.0 for _ in range(2_000))
