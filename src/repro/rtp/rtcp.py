@@ -67,8 +67,8 @@ def make_fir_packet(flow_id: str, src: str, dst: str, now: float, layer: str = "
     )
 
 
-# These read ``Packet._meta`` directly: every RTCP packet is built with its
-# metadata, and the lazy ``meta`` property costs a call per report.
+# These read ``Packet._meta`` directly: the lazy ``meta`` property costs a
+# call per packet and would allocate a dict on a packet that carries none.
 def is_report(packet: Packet) -> bool:
     """True if the packet is an RTCP receiver report."""
     meta = packet._meta

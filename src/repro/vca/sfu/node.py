@@ -141,6 +141,9 @@ class SfuNode:
             self._shed_after_s = 0.0
             self._shed_headroom = 0.0
             self._shed_smoothing = 0.0
+        #: Whether this node has egress trunks at all (the cascade's trunk
+        #: graph is fixed when the control plane is built).
+        self._has_trunks = control is not None and len(control.neighbors.get(self.node_id, ())) > 0
         if control is not None:
             control.register_node(self)
         host.set_default_handler(self.on_packet, batch_handler=self.on_packet_batch)
@@ -426,19 +429,38 @@ class SfuNode:
         if state.uplink_receiver is not None:
             state.uplink_receiver.on_packet_batch(packets)
         host_name = self.host.name
-        has_trunks = self._control is not None and len(self._control.neighbors.get(self.node_id, ())) > 0
+        has_trunks = self._has_trunks
+        new_packet = object.__new__
         if len(packets) == 1 and packets[0].kind is PacketKind.RTP_AUDIO:
             # One audio packet (the common case: one every 20 ms per sender)
             # fans out as one single-packet train per receiver and trunk.
             packet = packets[0]
             size = packet.size_bytes
-            copy = packet.copy_for_forwarding
-            outbound = [
-                [size, [copy(host_name, receiver, flow_id)]]
-                for receiver, flow_id in self._audio_plan(state)
-            ]
+            kind = packet.kind
+            seq = packet.seq
+            created_at = packet.created_at
+            meta = packet._meta
+            outbound = []
+            for receiver, flow_id in self._audio_plan(state):
+                # Packet.copy_for_forwarding, inlined here and in the video
+                # loop below: these two loops make nearly every copy of a
+                # call, the most frequent allocation it has.
+                forwarded = new_packet(Packet)
+                forwarded.size_bytes = size
+                forwarded.flow_id = flow_id
+                forwarded.src = host_name
+                forwarded.dst = receiver
+                forwarded.kind = kind
+                forwarded.seq = seq
+                forwarded.created_at = created_at
+                forwarded._meta = meta
+                forwarded._packet_id = None
+                forwarded.enqueued_at = None
+                forwarded.queueing_delay = 0.0
+                outbound.append([size, [forwarded]])
             self.bytes_forwarded += size * len(outbound)
             if has_trunks:
+                copy = packet.copy_for_forwarding
                 trunk = [
                     [size, [copy(host_name, peer, flow_id)]]
                     for peer, flow_id in self._trunk_audio_plan(state)
@@ -523,24 +545,37 @@ class SfuNode:
                 seq = seq_cell[0]
                 draw = column
                 for packet in run:
-                    forwarded = packet.copy_for_forwarding(host_name, receiver, flow_id)
+                    forwarded = new_packet(Packet)
+                    forwarded.size_bytes = packet.size_bytes
+                    forwarded.flow_id = flow_id
+                    forwarded.src = host_name
+                    forwarded.dst = receiver
+                    forwarded.kind = kind
                     if is_video:
                         seq += 1
                         forwarded.seq = seq
+                    else:
+                        forwarded.seq = packet.seq
+                    forwarded.created_at = packet.created_at
+                    forwarded._meta = meta
+                    forwarded._packet_id = None
+                    forwarded.enqueued_at = None
+                    forwarded.queueing_delay = 0.0
                     train.append(forwarded)
                     if draws is not None:
                         if draws[draw] < server_fec:
                             size = packet.size_bytes
+                            # Positional: keyword binding costs twice as much.
                             train.append(
                                 Packet(
-                                    size_bytes=size,
-                                    flow_id=flow_id,
-                                    src=host_name,
-                                    dst=receiver,
-                                    kind=PacketKind.FEC,
-                                    seq=1_000_000 + packet.seq,
-                                    created_at=now,
-                                    meta={"fec_group": fec_group},
+                                    size,
+                                    flow_id,
+                                    host_name,
+                                    receiver,
+                                    PacketKind.FEC,
+                                    1_000_000 + packet.seq,
+                                    now,
+                                    {"fec_group": fec_group},
                                 )
                             )
                             fec_bytes += size
