@@ -43,14 +43,18 @@ def make_report_packet(
     flow_id: str, src: str, dst: str, report: FeedbackReport, now: float
 ) -> Packet:
     """Wrap a :class:`FeedbackReport` into an RTCP packet."""
+    # Positional: every receiver reports every stream it gets, so a gallery
+    # builds reports in proportion to the square of its size, and keyword
+    # binding costs twice as much.
     return Packet(
-        size_bytes=RTCP_REPORT_BYTES,
-        flow_id=flow_id,
-        src=src,
-        dst=dst,
-        kind=PacketKind.RTCP,
-        created_at=now,
-        meta={"rtcp": "report", "report": report},
+        RTCP_REPORT_BYTES,
+        flow_id,
+        src,
+        dst,
+        PacketKind.RTCP,
+        0,
+        now,
+        {"rtcp": "report", "report": report},
     )
 
 
