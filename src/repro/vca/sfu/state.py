@@ -26,6 +26,7 @@ from repro.vca.base import VCAProfile
 
 __all__ = [
     "ParticipantState",
+    "ReportColumns",
     "aggregate_reports",
     "decide_simulcast",
     "decide_svc",
@@ -53,6 +54,93 @@ class _LayerMeter:
         self.bytes_in_window = 0
 
 
+class ReportColumns:
+    """The last RTCP report of each forwarded stream, one column per field.
+
+    A receiver reports every stream it gets, and the SFU re-aggregates on
+    every report, so the aggregate is taken over columns: one list per
+    :class:`FeedbackReport` field with one slot per sender in first-report
+    order.  :meth:`update` overwrites a sender's slot; a departed sender's
+    last report stays in the aggregate.
+
+    :meth:`aggregate` is bit-identical to :func:`aggregate_reports` over the
+    same reports in slot order: builtin ``max()`` keeps the first of tied
+    values, and the float rate is summed left to right from the integer
+    ``0``.  Not with ``sum()``, which compensates float sums from CPython
+    3.12 on; the integer packet counts are exact either way.
+    """
+
+    __slots__ = (
+        "_slots",
+        "timestamp",
+        "interval_s",
+        "receive_rate_bps",
+        "loss_fraction",
+        "queueing_delay_s",
+        "delay_gradient_s",
+        "rtt_s",
+        "packets_expected",
+        "packets_received",
+    )
+
+    def __init__(self) -> None:
+        #: Sender -> slot index in every column.
+        self._slots: dict[str, int] = {}
+        self.timestamp: list[float] = []
+        self.interval_s: list[float] = []
+        self.receive_rate_bps: list[float] = []
+        self.loss_fraction: list[float] = []
+        self.queueing_delay_s: list[float] = []
+        self.delay_gradient_s: list[float] = []
+        self.rtt_s: list[float] = []
+        self.packets_expected: list[int] = []
+        self.packets_received: list[int] = []
+
+    def update(self, sender: str, report: FeedbackReport) -> None:
+        """Store ``report`` as the last report of ``sender``'s stream."""
+        slot = self._slots.get(sender)
+        if slot is None:
+            self._slots[sender] = len(self._slots)
+            self.timestamp.append(report.timestamp)
+            self.interval_s.append(report.interval_s)
+            self.receive_rate_bps.append(report.receive_rate_bps)
+            self.loss_fraction.append(report.loss_fraction)
+            self.queueing_delay_s.append(report.queueing_delay_s)
+            self.delay_gradient_s.append(report.delay_gradient_s)
+            self.rtt_s.append(report.rtt_s)
+            self.packets_expected.append(report.packets_expected)
+            self.packets_received.append(report.packets_received)
+        else:
+            self.timestamp[slot] = report.timestamp
+            self.interval_s[slot] = report.interval_s
+            self.receive_rate_bps[slot] = report.receive_rate_bps
+            self.loss_fraction[slot] = report.loss_fraction
+            self.queueing_delay_s[slot] = report.queueing_delay_s
+            self.delay_gradient_s[slot] = report.delay_gradient_s
+            self.rtt_s[slot] = report.rtt_s
+            self.packets_expected[slot] = report.packets_expected
+            self.packets_received[slot] = report.packets_received
+
+    def aggregate(self) -> Optional[FeedbackReport]:
+        """The conservative aggregate of every stored report, or ``None``."""
+        if not self._slots:
+            return None
+        rate = 0
+        for value in self.receive_rate_bps:
+            rate += value
+        return FeedbackReport(
+            max(self.timestamp),
+            max(self.interval_s),
+            rate,
+            max(self.loss_fraction),
+            max(self.queueing_delay_s),
+            max(self.delay_gradient_s),
+            max(self.rtt_s),
+            sum(self.packets_expected),
+            sum(self.packets_received),
+        )
+
+
 @dataclass
 class ParticipantState:
     """Everything an SFU node tracks about one media source.
@@ -71,6 +159,9 @@ class ParticipantState:
     #: driven by the RTCP reports the participant sends about the streams it
     #: receives.  Used to select simulcast copies / SVC layers.
     downlink_estimator: Optional[GCCController] = None
+    #: Last RTCP report per forwarded stream (by original sender), the
+    #: input of the downlink estimator's aggregate.
+    reports: ReportColumns = field(default_factory=ReportColumns)
     #: Last RTCP report per forwarded stream (keyed by original sender).
     last_reports: dict[str, FeedbackReport] = field(default_factory=dict)
     #: Tiles this participant currently displays: sender -> requested resolution.
@@ -123,10 +214,12 @@ def aggregate_reports(reports: Iterable[FeedbackReport]) -> Optional[FeedbackRep
     Used both for a receiver's downlink estimator and for the per-trunk
     relay estimators of a cascade.
 
-    One pass over the reports.  The result is bit-identical to ``max()`` and
-    ``sum()`` of each field: a maximum keeps the first of tied values (so
-    ``-0.0`` before ``0.0`` stays ``-0.0``), and sums add left to right from
-    the integer ``0`` (so a lone ``-0.0`` rate sums to ``0.0``).
+    One pass over the reports.  Each maximum is bit-identical to builtin
+    ``max()`` of the field: it keeps the first of tied values (so ``-0.0``
+    before ``0.0`` stays ``-0.0``).  Sums add left to right from the integer
+    ``0`` (so a lone ``-0.0`` rate sums to ``0.0``).  That equals builtin
+    ``sum()`` only before CPython 3.12, which compensates float sums.
+    :class:`ReportColumns` computes the same aggregate column-wise.
     """
     it = iter(reports)
     first = next(it, None)

@@ -7,7 +7,7 @@ import sys
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from repro.core.capture import PacketCapture
 from repro.core.profiles import static_profile
@@ -291,6 +291,55 @@ _report_fields = st.tuples(
 )
 
 
+def _assert_same_report(got, want):
+    """Field by field: the same types, floats compared by their bit pattern."""
+    from repro.cc.base import FeedbackReport
+
+    for name in FeedbackReport.__dataclass_fields__:
+        a, b = getattr(got, name), getattr(want, name)
+        assert type(a) is type(b), name
+        if isinstance(b, float):
+            assert struct.pack("<d", a) == struct.pack("<d", b), (name, a, b)
+        else:
+            assert a == b, name
+
+
+def _fields_with_rate(rate):
+    return (1.0, 0.25, rate, 0.0, 0.0, 0.0, 0.05, 10, 10)
+
+
+class TestReportColumns:
+    """The column-wise aggregate equals ``aggregate_reports`` over a dict."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 4), _report_fields), max_size=24))
+    # Rates whose compensated sum differs from the left-to-right one.
+    @example([(s, _fields_with_rate(r)) for s, r in ((0, 1e16), (1, 1.0), (2, 1.0), (1, 1.0))])
+    def test_matches_aggregate_reports_after_every_update(self, updates):
+        from repro.cc.base import FeedbackReport
+        from repro.vca.sfu.state import ReportColumns, aggregate_reports
+
+        columns = ReportColumns()
+        last: dict[str, FeedbackReport] = {}
+        assert columns.aggregate() is None
+        for sender, values in updates:
+            report = FeedbackReport(*values)
+            columns.update(f"C{sender}", report)
+            last[f"C{sender}"] = report
+            _assert_same_report(columns.aggregate(), aggregate_reports(last.values()))
+
+    def test_slots_keep_first_report_order(self):
+        from repro.cc.base import FeedbackReport
+        from repro.vca.sfu.state import ReportColumns
+
+        columns = ReportColumns()
+        for sender, loss in (("C2", -0.0), ("C3", 0.0), ("C2", 0.0), ("C3", -0.0)):
+            columns.update(sender, FeedbackReport(1.0, 0.25, 0.0, loss, 0.0))
+        # C2 keeps slot 0, so its 0.0 is the first of the tied maxima.
+        assert columns.loss_fraction == [0.0, -0.0]
+        assert str(columns.aggregate().loss_fraction) == "0.0"
+
+
 class TestServerDownlinkEstimator:
     """Unit coverage of the per-receiver estimator and its feed-in paths."""
 
@@ -360,13 +409,7 @@ class TestServerDownlinkEstimator:
         if want is None:
             assert got is None
             return
-        for name in FeedbackReport.__dataclass_fields__:
-            a, b = getattr(got, name), getattr(want, name)
-            assert type(a) is type(b), name
-            if isinstance(b, float):
-                assert struct.pack("<d", a) == struct.pack("<d", b), (name, a, b)
-            else:
-                assert a == b, name
+        _assert_same_report(got, want)
 
     def test_dispatch_plans_rebuilt_only_when_a_decision_changes(self):
         _, server = self.make_server("zoom")
