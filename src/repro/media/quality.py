@@ -49,7 +49,12 @@ class FreezeTracker:
         if self._last_frame_at is not None:
             gap = now - self._last_frame_at
             delta = self._mean_interval if self._mean_interval is not None else gap
-            threshold = max(self.threshold_multiplier * delta, delta + self.threshold_extra_s)
+            # max(scaled, padded), inline: like max(), the second wins only
+            # when strictly greater.
+            threshold = self.threshold_multiplier * delta
+            padded = delta + self.threshold_extra_s
+            if padded > threshold:
+                threshold = padded
             if gap > threshold:
                 froze = True
                 # The frozen time is the portion of the gap beyond one normal

@@ -139,10 +139,29 @@ def parse_mahimahi(
     return RateTrace(bin_s=bin_s, rates_bps=tuple(max(float(r), MIN_TRACE_RATE_BPS) for r in rates))
 
 
+#: ``(resolved path, bin_s) -> (st_size, st_mtime_ns, trace)`` of every
+#: Mahimahi file loaded in this process.
+_MAHIMAHI_CACHE: dict[tuple[str, float], tuple[int, int, RateTrace]] = {}
+
+
 def load_mahimahi(path: Union[str, Path], bin_s: float = 0.2) -> RateTrace:
-    """Load a Mahimahi trace file from disk."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_mahimahi(handle, bin_s=bin_s)
+    """Load a Mahimahi trace file from disk.
+
+    Each file is parsed once per process: a campaign loads the same trace
+    for every cell.  The frozen :class:`RateTrace` is cached under the
+    resolved path and ``bin_s``, and parsed again when the file's size or
+    modification time changes.
+    """
+    resolved = Path(path).resolve()
+    stat = resolved.stat()
+    key = (str(resolved), bin_s)
+    cached = _MAHIMAHI_CACHE.get(key)
+    if cached is not None and cached[:2] == (stat.st_size, stat.st_mtime_ns):
+        return cached[2]
+    with open(resolved, "r", encoding="utf-8") as handle:
+        trace = parse_mahimahi(handle, bin_s=bin_s)
+    _MAHIMAHI_CACHE[key] = (stat.st_size, stat.st_mtime_ns, trace)
+    return trace
 
 
 # ------------------------------------------------------------- synthesizers

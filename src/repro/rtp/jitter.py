@@ -58,6 +58,9 @@ class StreamReceiver:
         "config",
         "on_fir",
         "freeze_tracker",
+        "_delay_weight",
+        "_delay_keep",
+        "_frame_timeout_s",
         "_interval_bytes",
         "_interval_video_packets",
         "_interval_started_at",
@@ -95,6 +98,11 @@ class StreamReceiver:
         self.config = config or ReceiverConfig()
         self.on_fir = on_fir
         self.freeze_tracker = FreezeTracker() if track_quality else None
+        # The per-packet tunables, read once here: nothing mutates ``config``
+        # after construction, and the packet paths read these every packet.
+        self._delay_weight = self.config.delay_smoothing
+        self._delay_keep = 1 - self._delay_weight
+        self._frame_timeout_s = self.config.frame_timeout_s
 
         # Interval (per-report) accounting.
         self._interval_bytes = 0
@@ -170,8 +178,7 @@ class StreamReceiver:
         if self._smoothed_owd is None:
             self._smoothed_owd = owd
         else:
-            w = self.config.delay_smoothing
-            self._smoothed_owd = (1 - w) * self._smoothed_owd + w * owd
+            self._smoothed_owd = self._delay_keep * self._smoothed_owd + self._delay_weight * owd
 
         # Frame reassembly (the same steps as the batch loop below).
         meta = packet._meta
@@ -203,7 +210,7 @@ class StreamReceiver:
                     )
                     if now < self._oldest_pending_arrival:
                         self._oldest_pending_arrival = now
-        if pending and now - self._oldest_pending_arrival > self.config.frame_timeout_s:
+        if pending and now - self._oldest_pending_arrival > self._frame_timeout_s:
             self._expire_stale_frames(now)
 
     def on_packet_batch(self, packets) -> None:
@@ -220,10 +227,9 @@ class StreamReceiver:
             self.on_packet(packets[0])
             return
         now = self.sim._now
-        config = self.config
-        timeout = config.frame_timeout_s
-        w = config.delay_smoothing
-        one_minus_w = 1 - w
+        timeout = self._frame_timeout_s
+        w = self._delay_weight
+        one_minus_w = self._delay_keep
         pending = self._pending
         video_kind = PacketKind.RTP_VIDEO
         fec_kind = PacketKind.FEC
@@ -306,7 +312,7 @@ class StreamReceiver:
             self.freeze_tracker.on_frame(now)
 
     def _expire_stale_frames(self, now: float) -> None:
-        timeout = self.config.frame_timeout_s
+        timeout = self._frame_timeout_s
         stale: list[_PendingFrame] = []
         oldest = float("inf")
         for frame in self._pending.values():

@@ -43,19 +43,23 @@ def make_report_packet(
     flow_id: str, src: str, dst: str, report: FeedbackReport, now: float
 ) -> Packet:
     """Wrap a :class:`FeedbackReport` into an RTCP packet."""
-    # Positional: every receiver reports every stream it gets, so a gallery
-    # builds reports in proportion to the square of its size, and keyword
-    # binding costs twice as much.
-    return Packet(
-        RTCP_REPORT_BYTES,
-        flow_id,
-        src,
-        dst,
-        PacketKind.RTCP,
-        0,
-        now,
-        {"rtcp": "report", "report": report},
-    )
+    # Built the way Packet.copy_for_forwarding clones, skipping __init__:
+    # every receiver reports every stream it gets, so a gallery builds
+    # reports in proportion to the square of its size.  The wire size is a
+    # positive constant, so __init__'s size check could never fire.
+    packet: Packet = object.__new__(Packet)
+    packet.size_bytes = RTCP_REPORT_BYTES
+    packet.flow_id = flow_id
+    packet.src = src
+    packet.dst = dst
+    packet.kind = PacketKind.RTCP
+    packet.seq = 0
+    packet.created_at = now
+    packet._meta = {"rtcp": "report", "report": report}
+    packet._packet_id = None
+    packet.enqueued_at = None
+    packet.queueing_delay = 0.0
+    return packet
 
 
 def make_fir_packet(flow_id: str, src: str, dst: str, now: float, layer: str = "main") -> Packet:

@@ -207,34 +207,32 @@ class VCAClient:
         if remote in self.receivers:
             return self.receivers[remote]
         flow = downlink_flow(remote, self.name, self.call_id)
+        # The stream's RTCP flow id is formatted once, not on every report.
+        rtcp_flow = f"{flow}:rtcp"
         receiver = StreamReceiver(
             self.sim,
             flow,
             config=ReceiverConfig(),
-            on_fir=lambda _flow, r=remote: self._send_fir(r),
+            on_fir=lambda _flow: self._send_fir(rtcp_flow),
         )
         self.receivers[remote] = receiver
         self.host.register_flow(flow, receiver.on_packet, batch_handler=receiver.on_packet_batch)
         task = self.sim.every(
             self.profile.feedback_interval_s,
-            lambda r=remote: self._send_feedback(r),
+            lambda: self._send_feedback(receiver, rtcp_flow),
         )
         self._receiver_tasks[remote] = task
         return receiver
 
-    def _send_feedback(self, remote: str) -> None:
+    def _send_feedback(self, receiver: StreamReceiver, rtcp_flow: str) -> None:
         if not self.in_call:
             return
-        receiver = self.receivers[remote]
-        report = receiver.make_report(self.sim.now)
-        flow = downlink_flow(remote, self.name, self.call_id)
-        packet = make_report_packet(f"{flow}:rtcp", self.name, self.server_name, report, self.sim.now)
-        self.host.send(packet)
+        now = self.sim._now
+        report = receiver.make_report(now)
+        self.host.send(make_report_packet(rtcp_flow, self.name, self.server_name, report, now))
 
-    def _send_fir(self, remote: str) -> None:
-        flow = downlink_flow(remote, self.name, self.call_id)
-        packet = make_fir_packet(f"{flow}:rtcp", self.name, self.server_name, self.sim.now)
-        self.host.send(packet)
+    def _send_fir(self, rtcp_flow: str) -> None:
+        self.host.send(make_fir_packet(rtcp_flow, self.name, self.server_name, self.sim._now))
 
     # --------------------------------------------------------------- layout
     def set_view(self, mode: ViewMode, pinned: Optional[str] = None) -> None:

@@ -25,13 +25,14 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.calibrate.constants import active_constants
+from repro.cc.base import FeedbackReport
 from repro.cc.gcc import GCCController
 from repro.media.codec import Resolution
 from repro.net.node import Host
 from repro.net.packet import Packet, PacketKind
 from repro.net.simulator import PeriodicTask, Simulator
 from repro.rtp.jitter import StreamReceiver
-from repro.rtp.rtcp import extract_report, is_fir, make_fir_packet, make_report_packet
+from repro.rtp.rtcp import make_fir_packet, make_report_packet
 from repro.rtp.sip import SignalingMessage, SignalKind, extract_signal, send_signal
 from repro.vca.base import VCAProfile, downlink_flow, uplink_flow
 from repro.vca.sfu.cascade import CascadeControl, TrunkIngress
@@ -52,6 +53,9 @@ __all__ = ["SfuNode", "MediaServer"]
 
 _SVC_LAYER_ORDER = SVC_LAYER_ORDER
 _SIMULCAST_ORDER = SIMULCAST_ORDER
+#: The kinds forwarded as media.  A tuple, not a set: ``in`` matches the
+#: enum members by identity, where hashing one is a Python-level call.
+_MEDIA_KINDS = (PacketKind.RTP_VIDEO, PacketKind.RTP_AUDIO, PacketKind.FEC)
 
 
 def trunk_flow(call_id: str, src_node: str, dst_node: str, sender: str) -> str:
@@ -119,9 +123,10 @@ class SfuNode:
         #: Uplink flow id -> participant state, so the per-train dispatch
         #: skips the flow-id string parse (invalidated with the plans).
         self._state_by_flow: dict[str, ParticipantState] = {}
-        #: Downlink RTCP flow id -> ``(sender, receiver)``, so each report
-        #: skips the flow-id string parse.
-        self._rtcp_streams: dict[str, tuple[str, str]] = {}
+        #: Downlink RTCP flow id -> ``(sender, receiver, sender's uplink
+        #: RTCP flow id)``, so each report or FIR skips the flow-id string
+        #: parse and the relayed copy's flow-id formatting.
+        self._rtcp_streams: dict[str, tuple[str, str, str]] = {}
         #: Interval between downlink bandwidth probes toward an
         #: application-limited receiver (the emulated ALR probing).
         self.probe_interval_s = 3.0
@@ -206,18 +211,19 @@ class SfuNode:
 
     # ------------------------------------------------------------ data path
     def on_packet(self, packet: Packet) -> None:
-        """Dispatch every packet arriving at the server host."""
-        if packet.kind is PacketKind.SIGNALING:
-            self._on_signal(packet)
-            return
-        if packet.kind is PacketKind.RTCP:
+        """Dispatch every packet arriving at the server host.
+
+        Media comes first: it is most of the traffic.  Media arriving one
+        packet at a time (e.g. through the measured client's shaped link)
+        is a one-packet train.
+        """
+        kind = packet.kind
+        if kind in _MEDIA_KINDS:
+            self._on_media_packet(packet)
+        elif kind is PacketKind.RTCP:
             self._on_rtcp(packet)
-            return
-        if packet.kind in (PacketKind.RTP_VIDEO, PacketKind.RTP_AUDIO, PacketKind.FEC):
-            # Media arriving one packet at a time (e.g. through the measured
-            # client's shaped link) is a one-packet train.
-            self._on_media_batch((packet,))
-            return
+        elif kind is PacketKind.SIGNALING:
+            self._on_signal(packet)
 
     # ------------------------------------------------------------ signalling
     def _on_signal(self, packet: Packet) -> None:
@@ -296,56 +302,59 @@ class SfuNode:
                 return
             stream_part = flow.split(":down:", 1)[1].rsplit(":rtcp", 1)[0]
             sender_name, _, receiver_name = stream_part.partition(">")
-            stream = self._rtcp_streams[flow] = (sender_name, receiver_name)
-        sender_name, receiver_name = stream
-        if is_fir(packet):
-            # Ask the original sender for a keyframe regardless of architecture.
-            fir = make_fir_packet(
-                f"{uplink_flow(sender_name, self.call_id)}:rtcp",
-                self.host.name,
+            stream = self._rtcp_streams[flow] = (
                 sender_name,
-                self.sim.now,
+                receiver_name,
+                f"{uplink_flow(sender_name, self.call_id)}:rtcp",
             )
+        sender_name, receiver_name, sender_rtcp_flow = stream
+        # One read of the metadata tells a FIR from a report.
+        meta = packet._meta
+        if meta is None:
+            return
+        message = meta.get("rtcp")
+        if message == "fir":
+            # Ask the original sender for a keyframe regardless of architecture.
+            fir = make_fir_packet(sender_rtcp_flow, self.host.name, sender_name, self.sim.now)
             if self._control is not None and sender_name not in self.participants:
                 self._forward_toward(sender_name, fir)
             else:
                 self.host.send(fir)
             return
-        report = extract_report(packet)
-        if report is None:
+        if message != "report":
+            return
+        report = meta.get("report")
+        if not isinstance(report, FeedbackReport):
             return
         receiver_state = self.participants.get(receiver_name)
         if receiver_state is None:
             return
-        receiver_state.last_reports[sender_name] = report
         if self.profile.server_adapts:
-            aggregate = self._aggregate_reports(receiver_state)
-            if aggregate is not None:
-                receiver_state.downlink_estimator.on_feedback(aggregate, self.sim.now)
-                if self._shed_after_s > 0.0:
-                    receiver_state.delivered_rate_bps = aggregate.receive_rate_bps
-                    # Smooth the bursty per-window loss before thresholding,
-                    # and release with hysteresis: shedding itself pulls the
-                    # loss below the engage threshold, so disengaging there
-                    # (or on one good window) would re-flood immediately --
-                    # a flood/shed limit cycle.  Only a genuinely recovered
-                    # link, loss under half the engage threshold, re-arms.
-                    ewma = receiver_state.shed_loss_ewma
-                    ewma += self._shed_smoothing * (aggregate.loss_fraction - ewma)
-                    receiver_state.shed_loss_ewma = ewma
-                    if ewma >= self._shed_loss_threshold:
-                        if receiver_state.loss_high_since < 0.0:
-                            receiver_state.loss_high_since = self.sim.now
-                    elif ewma < 0.5 * self._shed_loss_threshold:
-                        receiver_state.loss_high_since = -1.0
+            reports = receiver_state.reports
+            reports.update(sender_name, report)
+            aggregate = reports.aggregate()
+            now = self.sim._now
+            receiver_state.downlink_estimator.on_feedback(aggregate, now)
+            if self._shed_after_s > 0.0:
+                receiver_state.delivered_rate_bps = aggregate.receive_rate_bps
+                # Smooth the bursty per-window loss before thresholding, and
+                # release with hysteresis: shedding itself pulls the loss
+                # below the engage threshold, so disengaging there (or on one
+                # good window) would re-flood immediately -- a flood/shed
+                # limit cycle.  Only a genuinely recovered link, loss under
+                # half the engage threshold, re-arms.
+                ewma = receiver_state.shed_loss_ewma
+                ewma += self._shed_smoothing * (aggregate.loss_fraction - ewma)
+                receiver_state.shed_loss_ewma = ewma
+                if ewma >= self._shed_loss_threshold:
+                    if receiver_state.loss_high_since < 0.0:
+                        receiver_state.loss_high_since = now
+                elif ewma < 0.5 * self._shed_loss_threshold:
+                    receiver_state.loss_high_since = -1.0
         else:
             # Plain relay: hand the end-to-end report to the original sender.
             relayed = make_report_packet(
-                f"{uplink_flow(sender_name, self.call_id)}:rtcp",
-                self.host.name,
-                sender_name,
-                report,
-                self.sim.now,
+                sender_rtcp_flow, self.host.name, sender_name, report, self.sim._now
             )
             if self._control is not None and sender_name not in self.participants:
                 self._forward_toward(sender_name, relayed)
@@ -368,10 +377,6 @@ class SfuNode:
         elif self._control.home_of(target) is not None:
             self._forward_toward(target, packet)
 
-    @staticmethod
-    def _aggregate_reports(state: ParticipantState):
-        return aggregate_reports(state.last_reports.values())
-
     def _forward_toward(self, participant: str, packet: Packet) -> None:
         """Send a control packet one trunk hop closer to a remote participant."""
         control = self._control
@@ -389,17 +394,145 @@ class SfuNode:
         of a single uplink (or ingress-trunk) flow; anything else falls back
         to per-packet dispatch.
         """
-        kind = packets[0].kind
-        if kind in (PacketKind.RTP_VIDEO, PacketKind.RTP_AUDIO, PacketKind.FEC):
+        if packets[0].kind in _MEDIA_KINDS:
             self._on_media_batch(packets)
             return
         for packet in packets:
             self.on_packet(packet)
 
+    def _sender_state(self, flow: str) -> Optional[ParticipantState]:
+        """Resolve and cache the sender state of an uplink or ingress-trunk flow."""
+        sender_name = flow.split(":up:", 1)[-1]
+        state = self.participants.get(sender_name)
+        if state is None:
+            state = self._trunk_sender_state(flow)
+            if state is None:
+                return None
+        self._state_by_flow[flow] = state
+        return state
+
+    def _on_media_packet(self, packet: Packet) -> None:
+        """Forward a one-packet media train: audio, video or FEC.
+
+        This is the run loop of :meth:`_on_media_batch` for a run of one
+        packet, without cutting the train into runs: each kept receiver and
+        each demanding trunk gets a one-packet train, in plan order, with the
+        same sequence rewrite, byte counting and thinning.  Zoom's relay
+        draws its FEC uniform with one scalar ``random()`` when one receiver
+        is kept and with ``random(R)`` when ``R`` are, the same doubles and
+        RNG state as the run loop's block draw.
+        """
+        state = self._state_by_flow.get(packet.flow_id)
+        if state is None:
+            state = self._sender_state(packet.flow_id)
+            if state is None:
+                return
+        uplink = state.uplink_receiver
+        if uplink is not None:
+            uplink.on_packet(packet)
+        host_name = self.host.name
+        new_packet = object.__new__
+        size = packet.size_bytes
+        kind = packet.kind
+        seq = packet.seq
+        created_at = packet.created_at
+        meta = packet._meta
+        outbound = []
+        if kind is PacketKind.RTP_AUDIO:
+            for receiver, flow_id in self._audio_plan(state):
+                # Packet.copy_for_forwarding, inlined here and in the run
+                # loop: these loops make nearly every copy of a call, the
+                # most frequent allocation it has.
+                forwarded = new_packet(Packet)
+                forwarded.size_bytes = size
+                forwarded.flow_id = flow_id
+                forwarded.src = host_name
+                forwarded.dst = receiver
+                forwarded.kind = kind
+                forwarded.seq = seq
+                forwarded.created_at = created_at
+                forwarded._meta = meta
+                forwarded._packet_id = None
+                forwarded.enqueued_at = None
+                forwarded.queueing_delay = 0.0
+                outbound.append([size, [forwarded]])
+            self.bytes_forwarded += size * len(outbound)
+            if self._has_trunks:
+                for peer, flow_id in self._trunk_audio_plan(state):
+                    outbound.append([size, [packet.copy_for_forwarding(host_name, peer, flow_id)]])
+                    self.trunk_bytes_forwarded += size
+            self.host.send_forwarded_trains(outbound)
+            return
+        layer = meta.get("layer", "main") if meta is not None else "main"
+        is_video = kind is PacketKind.RTP_VIDEO
+        if is_video:
+            layer_bytes = state.layer_bytes
+            layer_bytes[layer] = layer_bytes.get(layer, 0) + size
+        plan = self._video_plan(state, layer)
+        frame_id = meta.get("frame_id", seq) if meta is not None else seq
+        thin = (frame_id * 2654435761 % 1000) / 1000.0
+        server_fec = self.profile.server_fec_ratio
+        draws = None
+        if is_video and server_fec > 0:
+            kept = 0
+            for entry in plan:
+                if not entry[1] < 1.0 or thin < entry[1]:
+                    kept += 1
+            if kept == 1:
+                draws = (self.sim.rng.random(),)
+            elif kept:
+                draws = self.sim.rng.random(kept).tolist()
+            fec_group = meta.get("frame_id", 0) if meta is not None else 0
+        column = 0
+        for receiver, keep, flow_id, seq_cell in plan:
+            if keep < 1.0 and not thin < keep:
+                continue
+            forwarded = new_packet(Packet)
+            forwarded.size_bytes = size
+            forwarded.flow_id = flow_id
+            forwarded.src = host_name
+            forwarded.dst = receiver
+            forwarded.kind = kind
+            if is_video:
+                seq_cell[0] = forwarded.seq = seq_cell[0] + 1
+            else:
+                forwarded.seq = seq
+            forwarded.created_at = created_at
+            forwarded._meta = meta
+            forwarded._packet_id = None
+            forwarded.enqueued_at = None
+            forwarded.queueing_delay = 0.0
+            if draws is not None and draws[column] < server_fec:
+                repair = Packet(
+                    size,
+                    flow_id,
+                    host_name,
+                    receiver,
+                    PacketKind.FEC,
+                    1_000_000 + seq,
+                    self.sim._now,
+                    {"fec_group": fec_group},
+                )
+                outbound.append([size + size, [forwarded, repair]])
+                self.fec_bytes_added += size
+            else:
+                outbound.append([size, [forwarded]])
+            column += 1
+        self.bytes_forwarded += size * column
+        if self._has_trunks:
+            for peer, flow_id, seq_cell in self._trunk_video_plan(state, layer):
+                forwarded = packet.copy_for_forwarding(host_name, peer, flow_id)
+                if is_video:
+                    seq_cell[0] = forwarded.seq = seq_cell[0] + 1
+                outbound.append([size, [forwarded]])
+                self.trunk_bytes_forwarded += size
+        self.host.send_forwarded_trains(outbound)
+
     def _on_media_batch(self, packets) -> None:
         """Forward a whole media packet train using the cached dispatch plans.
 
-        The train is cut into runs: maximal stretches of consecutive packets
+        A one-packet train takes :meth:`_on_media_packet`.  A longer one is
+        cut into runs: maximal stretches of consecutive packets
         of one kind that share one frame's metadata dict (the packetizer
         gives all fragments of a frame the same dict), hence one layer and
         one frame id.  A packet without a frame id is a run of its own.  Per
@@ -416,59 +549,20 @@ class SfuNode:
         configured, each run is copied *once per demanding trunk* (never
         once per downstream receiver) from the per-hop trunk plans.
         """
+        if len(packets) == 1:
+            self._on_media_packet(packets[0])
+            return
         flow = packets[0].flow_id
         state = self._state_by_flow.get(flow)
         if state is None:
-            sender_name = flow.split(":up:", 1)[-1]
-            state = self.participants.get(sender_name)
+            state = self._sender_state(flow)
             if state is None:
-                state = self._trunk_sender_state(flow)
-                if state is None:
-                    return
-            self._state_by_flow[flow] = state
+                return
         if state.uplink_receiver is not None:
             state.uplink_receiver.on_packet_batch(packets)
         host_name = self.host.name
         has_trunks = self._has_trunks
         new_packet = object.__new__
-        if len(packets) == 1 and packets[0].kind is PacketKind.RTP_AUDIO:
-            # One audio packet (the common case: one every 20 ms per sender)
-            # fans out as one single-packet train per receiver and trunk.
-            packet = packets[0]
-            size = packet.size_bytes
-            kind = packet.kind
-            seq = packet.seq
-            created_at = packet.created_at
-            meta = packet._meta
-            outbound = []
-            for receiver, flow_id in self._audio_plan(state):
-                # Packet.copy_for_forwarding, inlined here and in the video
-                # loop below: these two loops make nearly every copy of a
-                # call, the most frequent allocation it has.
-                forwarded = new_packet(Packet)
-                forwarded.size_bytes = size
-                forwarded.flow_id = flow_id
-                forwarded.src = host_name
-                forwarded.dst = receiver
-                forwarded.kind = kind
-                forwarded.seq = seq
-                forwarded.created_at = created_at
-                forwarded._meta = meta
-                forwarded._packet_id = None
-                forwarded.enqueued_at = None
-                forwarded.queueing_delay = 0.0
-                outbound.append([size, [forwarded]])
-            self.bytes_forwarded += size * len(outbound)
-            if has_trunks:
-                copy = packet.copy_for_forwarding
-                trunk = [
-                    [size, [copy(host_name, peer, flow_id)]]
-                    for peer, flow_id in self._trunk_audio_plan(state)
-                ]
-                self.trunk_bytes_forwarded += size * len(trunk)
-                outbound += trunk
-            self.host.send_forwarded_trains(outbound)
-            return
         layer_bytes = state.layer_bytes
         server_fec = self.profile.server_fec_ratio
         fec_rng = self.sim.rng if server_fec > 0 else None

@@ -159,11 +159,9 @@ class ParticipantState:
     #: driven by the RTCP reports the participant sends about the streams it
     #: receives.  Used to select simulcast copies / SVC layers.
     downlink_estimator: Optional[GCCController] = None
-    #: Last RTCP report per forwarded stream (by original sender), the
-    #: input of the downlink estimator's aggregate.
+    #: Last RTCP report per forwarded stream (by original sender), which
+    #: adapting servers aggregate into the downlink estimator's input.
     reports: ReportColumns = field(default_factory=ReportColumns)
-    #: Last RTCP report per forwarded stream (keyed by original sender).
-    last_reports: dict[str, FeedbackReport] = field(default_factory=dict)
     #: Tiles this participant currently displays: sender -> requested resolution.
     layout: dict[str, Resolution] = field(default_factory=dict)
     #: Viewing mode ("gallery" / "speaker").

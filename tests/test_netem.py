@@ -255,6 +255,37 @@ class TestTraces:
         with pytest.raises(ValueError):
             parse_mahimahi(["-5"])
 
+    def test_load_mahimahi_parses_each_file_once(self, tmp_path, monkeypatch):
+        import os
+
+        import repro.netem.traces as traces
+
+        parsed = []
+
+        def counting_parse(lines, bin_s=0.2):
+            parsed.append(bin_s)
+            return parse_mahimahi(lines, bin_s=bin_s)
+
+        monkeypatch.setattr(traces, "parse_mahimahi", counting_parse)
+        path = tmp_path / "link.pps"
+        path.write_text("0\n10\n300\n")
+        first = traces.load_mahimahi(path)
+        assert traces.load_mahimahi(str(path)) is first
+        assert len(parsed) == 1
+        assert traces.load_mahimahi(path, bin_s=0.1) is not first
+        assert len(parsed) == 2
+        # A rewrite with a different size is parsed again.
+        path.write_text("0\n10\n300\n450\n")
+        rewritten = traces.load_mahimahi(path)
+        assert len(parsed) == 3
+        assert rewritten.rates_bps != first.rates_bps
+        # So is a same-size rewrite that only moves the modification time.
+        stat = path.stat()
+        path.write_text("0\n10\n300\n460\n")
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 1_000_000))
+        assert traces.load_mahimahi(path) is not rewritten
+        assert len(parsed) == 4
+
     def test_empty_bins_become_near_outages(self):
         trace = parse_mahimahi(["0", "900"], bin_s=0.2)
         assert trace.rates_bps[1] == MIN_TRACE_RATE_BPS  # silent middle bin

@@ -4,13 +4,16 @@
 :meth:`SfuNode._on_media_batch`: for each packet of a train, for each
 receiver, one copy (and, on Zoom's relay, one scalar FEC draw).  The node
 now fans a train out receiver-major, one run of same-frame packets at a
-time, with the relay's FEC uniforms drawn as one block per run.  The two
-must agree exactly: the same trains in the same order, every copy's
+time, with the relay's FEC uniforms drawn as one block per run; a
+one-packet train of any kind takes its own path, with one scalar draw for
+one kept receiver and one block for several.  Both must agree exactly with
+the reference: the same trains in the same order, every copy's
 destination, flow, sequence number, kind, size and shared metadata dict,
 the same byte counters, sequence cells and RNG state afterwards.
 
 Two identically built and seeded nodes replay the same trains, one through
-each implementation.
+the reference and one through a handler of the node: ``on_packet_batch``
+for any train, ``on_packet`` for a one-packet train.
 """
 
 from __future__ import annotations
@@ -305,10 +308,15 @@ def node_state(sim: Simulator, node: SfuNode) -> dict:
     }
 
 
-def replay(setup: Setup, trains_spec) -> tuple[list, dict, list, dict]:
+def _on_packet(node: SfuNode, train: list[Packet]) -> None:
+    assert len(train) == 1
+    node.on_packet(train[0])
+
+
+def replay(setup: Setup, trains_spec, handler=SfuNode.on_packet_batch) -> tuple[list, dict, list, dict]:
     """Run the trains through the reference node and the node under test."""
     results = []
-    for forward in (_packet_major_reference, SfuNode._on_media_batch):
+    for forward in (_packet_major_reference, handler):
         sim, node, bursts = build_node(setup)
         seqs: dict[int, int] = {}
         trains = []
@@ -324,11 +332,12 @@ def replay(setup: Setup, trains_spec) -> tuple[list, dict, list, dict]:
     return ref_bursts, ref_state, new_bursts, new_state
 
 
-def assert_equivalent(setup: Setup, trains_spec) -> None:
-    ref_bursts, ref_state, new_bursts, new_state = replay(setup, trains_spec)
+def assert_equivalent(setup: Setup, trains_spec, handler=SfuNode.on_packet_batch) -> dict:
+    ref_bursts, ref_state, new_bursts, new_state = replay(setup, trains_spec, handler)
     for index, (ref, new) in enumerate(zip(ref_bursts, new_bursts)):
         assert new == ref, f"train {index} differs"
     assert new_state == ref_state
+    return new_state
 
 
 # ---------------------------------------------------------- fixed coverage
@@ -368,6 +377,60 @@ def test_fixed_trains_match_reference(vca, fec_ratio, trunks):
         seed=5,
     )
     assert_equivalent(setup, _mixed_trains(vca))
+
+
+def _one_packet_trains(vca: str, n_participants: int) -> list:
+    """One-packet trains of every kind, from every sender, over many frames."""
+    low, *_, high = LAYERS[vca]
+    trains = []
+    for step in range(16):
+        sender = step % n_participants
+        trains += [
+            (sender, [("video", high, 300 + step, 1, 700)]),
+            (sender, [("video", low, 300 + step, 1, 500)]),
+            (sender, [("audio", 120)]),
+            (sender, [("bare", high, 400 + step)]),
+            (sender, [("fec", 650)]),
+        ]
+    return trains
+
+
+@pytest.mark.parametrize("handler", [SfuNode.on_packet_batch, _on_packet], ids=["batch", "packet"])
+@pytest.mark.parametrize("kept", ["one", "several"])
+@pytest.mark.parametrize("trunks", [False, True], ids=["standalone", "trunked"])
+@pytest.mark.parametrize("fec_ratio", [0.0, 0.2])
+@pytest.mark.parametrize("vca", ["zoom", "meet"])
+def test_one_packet_trains_match_reference(vca, fec_ratio, trunks, kept, handler):
+    low, *_, high = LAYERS[vca]
+    if kept == "one":
+        # Two parties: each sender has one receiver, thinned at times.
+        n, forwarding, hidden = 2, (((0, 1), ((low, high), 0.6)),), ()
+    else:
+        n = 5
+        forwarding = (
+            ((0, 1), ((low, high), 0.6)),
+            ((0, 2), ((low,), 0.25)),
+            ((1, 0), ((high,), 0.9)),
+            ((2, 4), ((low,), 1.0)),
+            ((3, 0), (None, 1.0)),
+        )
+        hidden = ((4, 0), (3, 1))
+    setup = Setup(
+        vca=vca,
+        fec_ratio=fec_ratio,
+        n_participants=n,
+        forwarding=forwarding,
+        hidden=hidden,
+        trunks=trunks,
+        demands=(((0, 0), ((low,), True)), ((1, 1), (None, False))),
+        seed=11,
+    )
+    state = assert_equivalent(setup, _one_packet_trains(vca, n), handler)
+    untouched = Simulator(seed=setup.seed).rng.bit_generator.state
+    # Zoom's relay really drew FEC uniforms; nothing else draws.
+    assert (state["rng"] != untouched) == (fec_ratio > 0)
+    assert state["bytes_forwarded"] > 0
+    assert (state["trunk_bytes_forwarded"] > 0) == trunks
 
 
 def test_thinning_and_relay_fec_are_exercised():

@@ -354,16 +354,14 @@ class TestServerDownlinkEstimator:
         return sim, server
 
     def test_aggregate_reports_mixed_loss_across_receivers(self):
-        from repro.vca.sfu import MediaServer
-
         _, server = self.make_server()
         state = server.add_participant("C1")
         # C1 receives two forwarded streams with very different conditions:
         # the aggregate must reflect the total delivered rate but the *worst*
         # loss and delay (one congested tile is enough to require backoff).
-        state.last_reports["C2"] = make_report(10.0, rate=400_000, loss=0.08, queueing=0.02)
-        state.last_reports["C3"] = make_report(10.2, rate=150_000, loss=0.0, queueing=0.11)
-        aggregate = MediaServer._aggregate_reports(state)
+        state.reports.update("C2", make_report(10.0, rate=400_000, loss=0.08, queueing=0.02))
+        state.reports.update("C3", make_report(10.2, rate=150_000, loss=0.0, queueing=0.11))
+        aggregate = state.reports.aggregate()
         assert aggregate is not None
         assert aggregate.receive_rate_bps == pytest.approx(550_000)
         assert aggregate.loss_fraction == pytest.approx(0.08)
@@ -373,11 +371,9 @@ class TestServerDownlinkEstimator:
         assert aggregate.packets_received == 92 + 100
 
     def test_aggregate_reports_empty_returns_none(self):
-        from repro.vca.sfu import MediaServer
-
         _, server = self.make_server()
         state = server.add_participant("C1")
-        assert MediaServer._aggregate_reports(state) is None
+        assert state.reports.aggregate() is None
 
     def test_aggregate_reports_takes_first_of_tied_maxima(self):
         from repro.cc.base import FeedbackReport
