@@ -315,7 +315,7 @@ class SfuNode:
         message = meta.get("rtcp")
         if message == "fir":
             # Ask the original sender for a keyframe regardless of architecture.
-            fir = make_fir_packet(sender_rtcp_flow, self.host.name, sender_name, self.sim.now)
+            fir = make_fir_packet(sender_rtcp_flow, self.host.name, sender_name, self.sim._now)
             if self._control is not None and sender_name not in self.participants:
                 self._forward_toward(sender_name, fir)
             else:
@@ -438,11 +438,11 @@ class SfuNode:
         created_at = packet.created_at
         meta = packet._meta
         outbound = []
+        # Packet.copy_for_forwarding is inlined in both receiver loops below
+        # and in the run loop: they make nearly every copy of a call, the
+        # most frequent allocation it has.
         if kind is PacketKind.RTP_AUDIO:
             for receiver, flow_id in self._audio_plan(state):
-                # Packet.copy_for_forwarding, inlined here and in the run
-                # loop: these loops make nearly every copy of a call, the
-                # most frequent allocation it has.
                 forwarded = new_packet(Packet)
                 forwarded.size_bytes = size
                 forwarded.flow_id = flow_id
@@ -532,10 +532,10 @@ class SfuNode:
         """Forward a whole media packet train using the cached dispatch plans.
 
         A one-packet train takes :meth:`_on_media_packet`.  A longer one is
-        cut into runs: maximal stretches of consecutive packets
-        of one kind that share one frame's metadata dict (the packetizer
-        gives all fragments of a frame the same dict), hence one layer and
-        one frame id.  A packet without a frame id is a run of its own.  Per
+        cut into runs: maximal stretches of consecutive packets of one kind
+        that share one frame's metadata dict (the packetizer gives all
+        fragments of a frame the same dict), hence one layer and one frame
+        id.  A packet without a frame id is a run of its own.  Per
         run the plan of :meth:`_video_plan` / :meth:`_audio_plan` is resolved
         once and frame thinning is decided once per receiver; then each
         receiver's copies, and after them each demanding trunk's, are built
