@@ -429,7 +429,9 @@ class SfuNode:
                 return
         uplink = state.uplink_receiver
         if uplink is not None:
-            uplink.on_packet(packet)
+            # As a one-packet train, like every train the server receives,
+            # so a traced run counts the same receiver calls either way.
+            uplink.on_packet_batch((packet,))
         host_name = self.host.name
         new_packet = object.__new__
         size = packet.size_bytes
