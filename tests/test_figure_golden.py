@@ -1,0 +1,171 @@
+"""Golden figure values: the Section 3, 4 and 6 drivers vs committed results.
+
+Each cell runs one paper driver -- Table 2, Figures 1a/1b/1c, 2, 3, 4a/4b,
+5a/5b, 6 and 15a/b/c, plus the broadband-planning example's grid cell -- on
+a reduced grid (one or two repetitions and levels, 15-20 s calls, a
+disruption placed inside the call) and pins the sha256 of the canonical
+JSON of everything the driver returns: every x, y and CI value, series
+name, label and table row.  Any change that moves one figure value, however
+little, shows here; the y-values are kept in clear for a readable diff.
+
+Re-record (only when results are meant to change)::
+
+    PYTHONPATH=src python tests/test_figure_golden.py --record
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from repro.core.results import FigureSeries, TableResult
+from repro.experiments.disruption import (
+    run_disruption_timeseries,
+    run_remote_sender_response,
+    run_ttr_sweep,
+)
+from repro.experiments.modality import run_participant_sweep
+from repro.experiments.static import (
+    run_capacity_sweep,
+    run_encoding_parameters,
+    run_platform_comparison,
+    run_unconstrained_utilization,
+    run_video_freezes,
+)
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN_PATH = ROOT / "tests" / "data" / "figure_golden.json"
+SEED = 5
+SHORT_S = 15.0
+#: Disruption cells: a 5 s drop starting 8 s into a 20 s call.
+DISRUPTED_S = 20.0
+DROP = {"drop_at_s": 8.0, "drop_duration_s": 5.0}
+ONE = {"repetitions": 1, "seed": SEED}
+
+
+def _broadband_planning() -> list[dict[str, float]]:
+    spec = importlib.util.spec_from_file_location(
+        "broadband_planning", ROOT / "examples" / "broadband_planning.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return [
+        module.measure_uplink_requirement(vca, capacity, duration_s=SHORT_S, seed=SEED)
+        for vca, capacity in (("meet", 1.0), ("zoom", 0.5))
+    ]
+
+
+CELLS = {
+    "table2": lambda: run_unconstrained_utilization(
+        vcas=("meet", "teams", "zoom"), duration_s=SHORT_S, repetitions=2, seed=SEED
+    ),
+    "fig1a": lambda: run_capacity_sweep(
+        "up", vcas=("zoom", "meet", "teams"), levels_mbps=(0.5, 1.0), duration_s=SHORT_S, **ONE
+    ),
+    "fig1b": lambda: run_capacity_sweep(
+        "down", vcas=("teams", "meet"), levels_mbps=(0.8,), duration_s=SHORT_S, **ONE
+    ),
+    "fig1c": lambda: run_platform_comparison(
+        vcas=("teams-chrome", "zoom-chrome"), levels_mbps=(0.5,), duration_s=SHORT_S, **ONE
+    ),
+    "fig2-down": lambda: run_encoding_parameters(
+        "down", vcas=("meet", "teams-chrome"), levels_mbps=(0.5,), duration_s=SHORT_S, **ONE
+    ),
+    "fig2-up": lambda: run_encoding_parameters(
+        "up", vcas=("meet", "teams-chrome"), levels_mbps=(0.5,), duration_s=SHORT_S, **ONE
+    ),
+    "fig3": lambda: run_video_freezes(
+        vcas=("meet", "teams-chrome"), levels_mbps=(0.3, 1.0), duration_s=SHORT_S, **ONE
+    ),
+    "fig4a": lambda: run_disruption_timeseries(
+        "up", 0.25, vcas=("zoom", "teams", "meet"), duration_s=DISRUPTED_S, **ONE, **DROP
+    ),
+    "fig5a": lambda: run_disruption_timeseries(
+        "down", 0.25, vcas=("meet", "teams"), duration_s=DISRUPTED_S, **ONE, **DROP
+    ),
+    "fig4b": lambda: run_ttr_sweep(
+        "up", vcas=("meet", "zoom"), levels_mbps=(0.25,), duration_s=DISRUPTED_S, **ONE, **DROP
+    ),
+    "fig5b": lambda: run_ttr_sweep(
+        "down", vcas=("zoom", "teams"), levels_mbps=(0.25,),
+        duration_s=DISRUPTED_S, **ONE, **DROP
+    ),
+    "fig6": lambda: run_remote_sender_response(
+        vcas=("meet", "teams"), duration_s=DISRUPTED_S, **ONE, **DROP
+    ),
+    "fig15ab": lambda: run_participant_sweep(
+        "gallery", vcas=("zoom", "meet", "teams"), participant_counts=(2, 5),
+        duration_s=SHORT_S, **ONE
+    ),
+    "fig15c": lambda: run_participant_sweep(
+        "speaker", vcas=("zoom", "teams", "meet"), participant_counts=(3, 6),
+        duration_s=SHORT_S, **ONE
+    ),
+    "example/broadband-planning": _broadband_planning,
+}
+
+
+def _plain(value):
+    """A driver result as plain JSON data (series and tables flattened)."""
+    if isinstance(value, (FigureSeries, TableResult)):
+        return _plain(dataclasses.asdict(value))
+    if isinstance(value, dict):
+        return {str(key): _plain(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(item) for item in value]
+    return value
+
+
+def _y_values(value):
+    """The y-values (or table rows, or metric dicts) of a flattened result."""
+    if isinstance(value, dict):
+        if "y" in value:
+            return value["y"]
+        if "rows" in value:
+            return value["rows"]
+        return {key: _y_values(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_y_values(item) for item in value]
+    return value
+
+
+def observe(cell: str) -> dict:
+    """The digest of a cell's full driver output plus its y-values in clear."""
+    observation = _plain(CELLS[cell]())
+    text = json.dumps(observation, sort_keys=True, separators=(",", ":"))
+    return {
+        "digest": hashlib.sha256(text.encode("utf-8")).hexdigest(),
+        "y": _y_values(observation),
+    }
+
+
+def _golden() -> dict:
+    return json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("cell", sorted(CELLS))
+def test_figure_cell_matches_golden(cell):
+    expected = _golden()["cells"][cell]
+    observed = observe(cell)
+    assert observed["digest"] == expected["digest"], (observed["y"], expected["y"])
+
+
+def test_golden_covers_every_cell():
+    golden = _golden()
+    assert golden["seed"] == SEED
+    assert sorted(golden["cells"]) == sorted(CELLS)
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_figure_golden.py --record")
+    cells = {name: observe(name) for name in sorted(CELLS)}
+    payload = {"seed": SEED, "cells": cells}
+    GOLDEN_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {GOLDEN_PATH} ({len(cells)} cells)")
