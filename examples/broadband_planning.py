@@ -17,9 +17,8 @@ Run with:  python examples/broadband_planning.py [--workers N]
 import argparse
 
 from repro.core.campaign import Condition, run_campaign
-from repro.core.profiles import static_profile
 from repro.core.results import format_table
-from repro.experiments.common import run_two_party_call
+from repro.netem.scenarios import ScenarioSpec, run_scenario
 
 CAPACITIES_MBPS = (0.5, 1.0, 2.0, 3.0)
 VCAS = ("meet", "teams", "zoom")
@@ -29,17 +28,16 @@ def measure_uplink_requirement(
     vca: str, capacity_mbps: float, duration_s: float = 90.0, seed: int = 7
 ) -> dict[str, float]:
     """One grid cell: median uplink bitrate and freeze ratio at one capacity."""
-    run = run_two_party_call(
-        vca,
-        up_profile=static_profile(capacity_mbps),
+    spec = ScenarioSpec(
+        name=f"planning/{vca}-{capacity_mbps}up",
+        description="two-party call behind a shaped uplink",
+        vca=vca,
+        direction="up",
+        profile=("constant", {"mbps": capacity_mbps}),
         duration_s=duration_s,
-        seed=seed,
-        collect_stats=True,
     )
-    return {
-        "median_up_mbps": run.median_upstream_mbps(),
-        "freeze_ratio": run.freeze_ratio(),
-    }
+    metrics = run_scenario(spec, seed=seed).metrics()
+    return {"median_up_mbps": metrics["median_up_mbps"], "freeze_ratio": metrics["freeze_ratio"]}
 
 
 def main() -> None:

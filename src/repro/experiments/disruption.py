@@ -16,10 +16,10 @@ from typing import Iterable, Sequence
 
 from repro.core.analysis import aggregate_runs, summarize_series
 from repro.core.metrics import time_to_recovery
-from repro.core.profiles import DISRUPTION_LEVELS_MBPS, disruption_profile
+from repro.core.profiles import DISRUPTION_LEVELS_MBPS
 from repro.core.results import FigureSeries
-from repro.experiments.common import run_two_party_call
-from repro.experiments.static import DEFAULT_VCAS
+from repro.experiments.static import DEFAULT_VCAS, call_spec
+from repro.netem.scenarios import ScenarioSpec, run_scenario
 
 __all__ = [
     "run_disruption_timeseries",
@@ -35,23 +35,17 @@ DISRUPTION_START_S = 60.0
 DISRUPTION_DURATION_S = 30.0
 
 
-def _disruption_run(
+def _disrupted(
     vca: str,
     direction: str,
     drop_to_mbps: float,
     duration_s: float,
-    seed: int,
     drop_at_s: float,
     drop_duration_s: float,
-):
-    profile = disruption_profile(drop_to_mbps, drop_at_s=drop_at_s, duration_s=drop_duration_s)
-    if direction == "up":
-        return run_two_party_call(
-            vca, up_profile=profile, duration_s=duration_s, seed=seed, collect_stats=False
-        )
-    return run_two_party_call(
-        vca, down_profile=profile, duration_s=duration_s, seed=seed, collect_stats=False
-    )
+) -> ScenarioSpec:
+    """A call whose ``direction`` of C1's access link drops to ``drop_to_mbps``."""
+    drop = {"drop_to_mbps": drop_to_mbps, "drop_at_s": drop_at_s, "duration_s": drop_duration_s}
+    return call_spec(vca, duration_s, direction=direction, profile=("disruption", drop))
 
 
 def run_disruption_timeseries(
@@ -66,15 +60,14 @@ def run_disruption_timeseries(
 ) -> dict[str, FigureSeries]:
     """Figure 4a / 5a: the average bitrate trace around a disruption."""
     figure_id = "fig4a" if direction == "up" else "fig5a"
+    tx_rx = "tx" if direction == "up" else "rx"
     out: dict[str, FigureSeries] = {}
     for vca in vcas:
-        runs = []
-        for repetition in range(repetitions):
-            run = _disruption_run(
-                vca, direction, drop_to_mbps, duration_s, seed + repetition, drop_at_s, drop_duration_s
-            )
-            series = run.upstream_series() if direction == "up" else run.downstream_series()
-            runs.append(series)
+        spec = _disrupted(vca, direction, drop_to_mbps, duration_s, drop_at_s, drop_duration_s)
+        runs = [
+            run_scenario(spec, seed=seed + repetition, collect_stats=False).bitrate_series(tx_rx)
+            for repetition in range(repetitions)
+        ]
         times, mean_trace = summarize_series(runs)
         figure = FigureSeries(figure_id, vca, "time (s)", f"{direction}stream bitrate (Mbps)")
         for t, value in zip(times, mean_trace):
@@ -99,17 +92,15 @@ def run_ttr_sweep(
         vca: FigureSeries(figure_id, vca, f"{direction}link capacity during drop (Mbps)", "time to recovery (s)")
         for vca in vcas
     }
+    tx_rx = "tx" if direction == "up" else "rx"
     disruption_end = drop_at_s + drop_duration_s
     for level in levels_mbps:
         for vca in vcas:
+            spec = _disrupted(vca, direction, level, duration_s, drop_at_s, drop_duration_s)
             ttrs = []
             for repetition in range(repetitions):
-                run = _disruption_run(
-                    vca, direction, level, duration_s, seed + repetition, drop_at_s, drop_duration_s
-                )
-                times, mbps = (
-                    run.upstream_series() if direction == "up" else run.downstream_series()
-                )
+                run = run_scenario(spec, seed=seed + repetition, collect_stats=False)
+                times, mbps = run.bitrate_series(tx_rx)
                 ttrs.append(
                     time_to_recovery(
                         times,
@@ -141,13 +132,13 @@ def run_remote_sender_response(
     """
     out: dict[str, FigureSeries] = {}
     for vca in vcas:
-        runs = []
-        for repetition in range(repetitions):
-            run = _disruption_run(
-                vca, "down", drop_to_mbps, duration_s, seed + repetition, drop_at_s, drop_duration_s
-            )
-            series = run.capture.aggregate("C2", "tx").timeseries(0.0, run.end_s)
-            runs.append(series)
+        spec = _disrupted(vca, "down", drop_to_mbps, duration_s, drop_at_s, drop_duration_s)
+        runs = [
+            run_scenario(
+                spec, seed=seed + repetition, collect_stats=False, capture_hosts=("C2",)
+            ).bitrate_series("tx", "C2")
+            for repetition in range(repetitions)
+        ]
         times, mean_trace = summarize_series(runs)
         figure = FigureSeries("fig6", vca, "time (s)", "C2 upstream bitrate (Mbps)")
         for t, value in zip(times, mean_trace):

@@ -18,9 +18,8 @@ from typing import Iterable, Optional, Sequence, Union
 from repro.core.campaign import CampaignPolicy, Condition, run_campaign
 from repro.core.profiles import PARTICIPANT_COUNTS
 from repro.core.results import FigureSeries
-from repro.media.layout import ViewMode
-from repro.experiments.common import run_multiparty_call
-from repro.experiments.static import DEFAULT_VCAS
+from repro.experiments.static import DEFAULT_VCAS, call_spec
+from repro.netem.scenarios import run_scenario
 
 __all__ = ["measure_participant_point", "run_participant_sweep"]
 
@@ -32,21 +31,19 @@ def measure_participant_point(
     duration_s: float = 120.0,
     seed: int = 0,
 ) -> dict[str, float]:
-    """One repetition of one Figure 15 grid cell (campaign work unit)."""
-    view_mode = ViewMode.GALLERY if mode == "gallery" else ViewMode.SPEAKER
-    pinned = "C1" if mode == "speaker" else None
-    run = run_multiparty_call(
+    """One repetition of one Figure 15 grid cell (campaign work unit).
+
+    In ``speaker`` mode every other participant pins C1.
+    """
+    spec = call_spec(
         vca,
-        n_participants=n_participants,
-        mode=view_mode,
-        pinned=pinned,
-        duration_s=duration_s,
-        seed=seed,
+        duration_s,
+        participants=n_participants,
+        view_mode=mode,
+        pinned="C1" if mode == "speaker" else None,
     )
-    return {
-        "up_mbps": run.mean_upstream_mbps(),
-        "down_mbps": run.mean_downstream_mbps(),
-    }
+    metrics = run_scenario(spec, seed=seed, collect_stats=False).metrics()
+    return {"up_mbps": metrics["mean_up_mbps"], "down_mbps": metrics["mean_down_mbps"]}
 
 
 def run_participant_sweep(

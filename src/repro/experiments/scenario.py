@@ -75,16 +75,17 @@ def scenario_cache_payload(
     the hash; the registry name alone never would.  ``duration_s`` records
     the effective call duration (``None`` resolves to the spec's own).
 
-    A ``workload=None`` spec omits the workload key entirely: adding the
-    workload axis must not re-key the store for the (vast) workload-free
-    majority, so a warm store stays warm across the API change.  Specs that
-    *do* carry a workload hash it like any other component, so editing a
-    workload re-keys exactly those cells.
+    A ``workload=None`` or ``pinned=None`` spec omits that key entirely:
+    adding an axis must not re-key the store for the (vast) majority that
+    does not use it, so a warm store stays warm across the API change.
+    Specs that *do* set one hash it like any other field, so editing it
+    re-keys exactly those cells.
     """
     duration = float(duration_s) if duration_s is not None else spec.duration_s
     spec_payload = dataclasses.asdict(spec)
-    if spec_payload.get("workload") is None:
-        del spec_payload["workload"]
+    for optional_axis in ("workload", "pinned"):
+        if spec_payload[optional_axis] is None:
+            del spec_payload[optional_axis]
     payload: dict[str, Any] = {
         "kind": "scenario",
         "spec": spec_payload,

@@ -14,16 +14,17 @@ Reproduces:
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Union
+from typing import Any, Iterable, Optional, Sequence, Union
 
 from repro.core.analysis import aggregate_runs
 from repro.core.campaign import CampaignPolicy, Condition, run_campaign
-from repro.core.profiles import STATIC_SHAPING_LEVELS_MBPS, static_profile
+from repro.core.profiles import STATIC_SHAPING_LEVELS_MBPS
 from repro.core.results import FigureSeries, TableResult
-from repro.experiments.common import run_two_party_call
+from repro.netem.scenarios import ScenarioSpec, run_scenario
 
 __all__ = [
     "DEFAULT_VCAS",
+    "call_spec",
     "measure_capacity_point",
     "run_unconstrained_utilization",
     "run_capacity_sweep",
@@ -39,15 +40,26 @@ DEFAULT_VCAS: tuple[str, ...] = ("meet", "teams", "zoom")
 STATS_VCAS: tuple[str, ...] = ("meet", "teams-chrome")
 
 
-def _profile_for(direction: str, capacity_mbps: Optional[float]):
-    if capacity_mbps is None:
-        return None, None
-    profile = static_profile(capacity_mbps)
-    if direction == "up":
-        return profile, None
-    if direction == "down":
-        return None, profile
-    raise ValueError("direction must be 'up' or 'down'")
+def call_spec(vca: str, duration_s: float, **fields: Any) -> ScenarioSpec:
+    """The scenario of one paper call, C1 measured behind its access link.
+
+    ``fields`` are further :class:`ScenarioSpec` fields (``direction``,
+    ``profile``, ``participants``, ``view_mode``, ``pinned``).  Driver specs
+    are never registered, so the name is descriptive only.
+    """
+    return ScenarioSpec(
+        name=f"paper/{vca}", description="paper figure call", vca=vca, duration_s=duration_s,
+        **fields,
+    )
+
+
+def _shaped(vca: str, direction: str, capacity_mbps: float, duration_s: float) -> ScenarioSpec:
+    """A call whose ``direction`` of C1's access link is held at ``capacity_mbps``."""
+    if direction not in ("up", "down"):
+        raise ValueError("direction must be 'up' or 'down'")
+    return call_spec(
+        vca, duration_s, direction=direction, profile=("constant", {"mbps": capacity_mbps})
+    )
 
 
 def run_unconstrained_utilization(
@@ -65,11 +77,11 @@ def run_unconstrained_utilization(
     for vca in vcas:
         ups, downs = [], []
         for repetition in range(repetitions):
-            run = run_two_party_call(
-                vca, duration_s=duration_s, seed=seed + repetition, collect_stats=False
-            )
-            ups.append(run.mean_upstream_mbps())
-            downs.append(run.mean_downstream_mbps())
+            metrics = run_scenario(
+                call_spec(vca, duration_s), seed=seed + repetition, collect_stats=False
+            ).metrics()
+            ups.append(metrics["mean_up_mbps"])
+            downs.append(metrics["mean_down_mbps"])
         up_summary = aggregate_runs(ups)
         down_summary = aggregate_runs(downs)
         table.add_row(vca, up_summary.mean, down_summary.mean, up_summary.ci_low, up_summary.ci_high)
@@ -88,18 +100,9 @@ def measure_capacity_point(
     Module-level (hence picklable) so :func:`repro.core.campaign.run_campaign`
     can execute it in a worker process.
     """
-    up_profile, down_profile = _profile_for(direction, capacity_mbps)
-    run = run_two_party_call(
-        vca,
-        up_profile=up_profile,
-        down_profile=down_profile,
-        duration_s=duration_s,
-        seed=seed,
-        collect_stats=False,
-    )
-    if direction == "up":
-        return {"median_mbps": run.median_upstream_mbps()}
-    return {"median_mbps": run.median_downstream_mbps()}
+    spec = _shaped(vca, direction, capacity_mbps, duration_s)
+    metrics = run_scenario(spec, seed=seed, collect_stats=False).metrics()
+    return {"median_mbps": metrics[f"median_{direction}_mbps"]}
 
 
 def run_capacity_sweep(
@@ -229,17 +232,11 @@ def run_encoding_parameters(
         for metric in metrics
     }
     for level in levels_mbps:
-        up_profile, down_profile = _profile_for(direction, level)
         for vca in vcas:
             collected: dict[str, list[float]] = {metric: [] for metric in metrics}
             for repetition in range(repetitions):
-                run = run_two_party_call(
-                    vca,
-                    up_profile=up_profile,
-                    down_profile=down_profile,
-                    duration_s=duration_s,
-                    seed=seed + repetition,
-                    collect_stats=True,
+                run = run_scenario(
+                    _shaped(vca, direction, level, duration_s), seed=seed + repetition
                 )
                 for metric in metrics:
                     collected[metric].append(run.mean_stat(stat_keys[metric]))
@@ -270,21 +267,11 @@ def run_video_freezes(
         for vca in vcas:
             freezes, firs = [], []
             for repetition in range(repetitions):
-                down_run = run_two_party_call(
-                    vca,
-                    down_profile=static_profile(level),
-                    duration_s=duration_s,
-                    seed=seed + repetition,
-                    collect_stats=True,
+                down_run = run_scenario(
+                    _shaped(vca, "down", level, duration_s), seed=seed + repetition
                 )
                 freezes.append(down_run.freeze_ratio())
-                up_run = run_two_party_call(
-                    vca,
-                    up_profile=static_profile(level),
-                    duration_s=duration_s,
-                    seed=seed + repetition,
-                    collect_stats=True,
-                )
+                up_run = run_scenario(_shaped(vca, "up", level, duration_s), seed=seed + repetition)
                 firs.append(float(up_run.fir_count()))
             f_summary = aggregate_runs(freezes)
             r_summary = aggregate_runs(firs)

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Mapping, Optional, Union
+from typing import Any, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -73,7 +73,7 @@ __all__ = [
 #: Call join time and post-call slack used by every scenario run.
 CALL_START_S = 2.0
 
-#: Seconds excluded from steady-state metrics (mirrors experiments.common).
+#: Seconds of call setup and ramp-up excluded from steady-state metrics.
 WARMUP_S = 12.0
 
 #: Seed offsets separating the stochastic roles of one run seed.
@@ -132,6 +132,10 @@ class ScenarioSpec:
       direction of each trunk as listed, ``"both"`` -- the default -- both).
       The measured client C1 is homed in region 0; trunk impairments get
       their own RNG seed streams per directed trunk.
+    * ``view_mode``: ``"gallery"`` (default) or ``"speaker"``; anything else
+      is rejected.  ``pinned`` names the participant (``C1..Cn``) everyone
+      else pins and is valid only in speaker mode; ``"speaker"`` without
+      ``pinned`` lays out like gallery, since no tile is enlarged.
     * ``workload``: cross-traffic sharing the measured client's access link.
       ``("vca", {"app": "teams", "participants": 2, "view_mode":
       "gallery"})`` runs a second, independent call (client ``F1`` next to
@@ -154,6 +158,7 @@ class ScenarioSpec:
     direction: str = "up"
     participants: int = 2
     view_mode: str = "gallery"
+    pinned: Optional[str] = None
     profile: tuple[str, Mapping[str, Any]] = ("unconstrained", {})
     loss: Optional[tuple[str, Mapping[str, Any]]] = None
     jitter: Optional[tuple[str, Mapping[str, Any]]] = None
@@ -173,6 +178,7 @@ class ScenarioSpec:
         object.__setattr__(self, "duration_s", float(self.duration_s))
         if self.duration_s <= 0.0:
             raise ValueError("scenario duration must be positive")
+        object.__setattr__(self, "view_mode", _view_mode(self.view_mode).value)
         # Detach the param payloads from whatever dict the caller passed in,
         # so later caller-side mutation cannot rewrite a (frozen, registered)
         # spec.  Plain dicts keep the spec picklable for campaign workers.
@@ -191,6 +197,14 @@ class ScenarioSpec:
             object.__setattr__(self, "cascade", (kind, params))
             # The cascade axis is the source of truth for the call size.
             object.__setattr__(self, "participants", sum(_cascade_region_sizes(self)))
+        if self.pinned is not None:
+            if self.view_mode != "speaker":
+                raise ValueError("pinned is valid only with view_mode='speaker'")
+            if self.pinned not in {f"C{i}" for i in range(1, self.participants + 1)}:
+                raise ValueError(
+                    f"pinned must name a participant C1..C{self.participants}, "
+                    f"got {self.pinned!r}"
+                )
         if self.workload is not None:
             kind, params = self.workload
             if kind == "none":
@@ -215,6 +229,8 @@ class ScenarioSpec:
                     raise ValueError(
                         f"streaming workload app must be one of {_STREAMING_APPS}"
                     )
+                if kind == "vca":
+                    _view_mode(params.get("view_mode", "gallery"))
                 if float(params.get("start_offset_s", 0.0)) < 0.0:
                     raise ValueError("workload start_offset_s must be >= 0")
                 object.__setattr__(self, "workload", (kind, params))
@@ -222,6 +238,14 @@ class ScenarioSpec:
     @property
     def directions(self) -> tuple[str, ...]:
         return ("up", "down") if self.direction == "both" else (self.direction,)
+
+
+def _view_mode(value: Any) -> ViewMode:
+    """Parse a spec's view mode, rejecting anything but gallery/speaker."""
+    try:
+        return ViewMode(value)
+    except ValueError:
+        raise ValueError(f"view_mode must be gallery/speaker, got {value!r}") from None
 
 
 def _cascade_region_sizes(spec: ScenarioSpec) -> list[int]:
@@ -419,10 +443,54 @@ class ScenarioRun:
     workload_call: Optional[Call] = None
 
     def steady_window(self) -> tuple[float, float]:
+        """The steady-state measurement window ``(start, end)``.
+
+        Normally ``[start + WARMUP_S, end]``; when the warmup would swallow
+        a short call, the final two thirds of the call instead, so every
+        metric still covers a non-empty interval.
+        """
         start = self.start_s + WARMUP_S
         if start >= self.end_s - 1.0:
             start = self.start_s + (self.end_s - self.start_s) / 3.0
         return start, self.end_s
+
+    def bitrate_series(self, tx_rx: str, name: str = "C1") -> tuple[np.ndarray, np.ndarray]:
+        """Per-second ``"tx"`` or ``"rx"`` bitrate (Mbps) of a captured host.
+
+        Covers the whole run from t=0 to the call end.  Hosts other than C1
+        (and a workload's taps) must be passed to :func:`run_scenario` as
+        ``capture_hosts``.
+        """
+        return self.capture.aggregate(name, tx_rx).timeseries(0.0, self.end_s)
+
+    def mean_stat(self, key: str, name: str = "C1") -> float:
+        """Steady-window mean of one WebRTC stat of a client (NaN without stats)."""
+        stats = self.call.client(name).stats
+        if stats is None:
+            return float("nan")
+        return stats.mean(key, *self.steady_window())
+
+    def freeze_ratio(self, name: str = "C1") -> float:
+        """Share of the call a client's received video spent frozen."""
+        client = self.call.client(name)
+        freeze = sum(
+            receiver.freeze_tracker.total_freeze_s
+            for receiver in client.receivers.values()
+            if receiver.freeze_tracker is not None
+        )
+        duration = self.end_s - self.start_s
+        return min(freeze / duration, 1.0) if duration > 0 else 0.0
+
+    def fir_count(self, name: str = "C1") -> int:
+        """Full Intra Requests the *other* participants sent for ``name``'s video."""
+        total = 0
+        for participant, client in self.call.clients.items():
+            if participant == name:
+                continue
+            receiver = client.receivers.get(name)
+            if receiver is not None:
+                total += receiver.fir_sent
+        return total
 
     def _shaped_links(self):
         return [
@@ -516,15 +584,6 @@ class ScenarioRun:
         window = self.steady_window()
         up = self.capture.aggregate("C1", "tx")
         down = self.capture.aggregate("C1", "rx")
-        client = self.call.client("C1")
-        freeze_total = sum(
-            receiver.freeze_tracker.total_freeze_s
-            for receiver in client.receivers.values()
-            if receiver.freeze_tracker is not None
-        )
-        duration = self.end_s - self.start_s
-        stats = client.stats
-        mean_fps = stats.mean("received_fps", *window) if stats is not None else float("nan")
         delays = [
             delay
             for samples in self.queue_delay_samples.values()
@@ -541,8 +600,8 @@ class ScenarioRun:
             "median_down_mbps": down.median_mbps(*window),
             "mean_up_mbps": up.mean_mbps(*window),
             "mean_down_mbps": down.mean_mbps(*window),
-            "freeze_ratio": min(freeze_total / duration, 1.0) if duration > 0 else 0.0,
-            "mean_received_fps": mean_fps,
+            "freeze_ratio": self.freeze_ratio(),
+            "mean_received_fps": self.mean_stat("received_fps"),
             "rate_switches": float(self.rate_switches()),
             "tx_loss_rate": undelivered / offered if offered else 0.0,
             "queue_drops": float(sum(
@@ -554,7 +613,7 @@ class ScenarioRun:
             "p95_queue_delay_s": float(np.percentile(delays, 95)) if delays else 0.0,
         }
         if self.plan is not None:
-            payload.update(self._cascade_metrics(duration))
+            payload.update(self._cascade_metrics())
         if self.workload_start_s is not None:
             payload.update(self._workload_metrics())
         return payload
@@ -581,16 +640,7 @@ class ScenarioRun:
             )
         return payload
 
-    def _freeze_ratio_of(self, client_name: str, duration: float) -> float:
-        client = self.call.client(client_name)
-        freeze = sum(
-            receiver.freeze_tracker.total_freeze_s
-            for receiver in client.receivers.values()
-            if receiver.freeze_tracker is not None
-        )
-        return min(freeze / duration, 1.0) if duration > 0 else 0.0
-
-    def _cascade_metrics(self, duration: float) -> dict[str, float]:
+    def _cascade_metrics(self) -> dict[str, float]:
         """Per-region freeze ratios and trunk-link aggregates.
 
         ``cascade_freeze_ratio_R{k}`` averages the freeze ratio of region
@@ -604,7 +654,7 @@ class ScenarioRun:
         payload: dict[str, float] = {}
         region_ratios: list[float] = []
         for index, region in enumerate(self.plan.regions):
-            ratios = [self._freeze_ratio_of(name, duration) for name in region.clients]
+            ratios = [self.freeze_ratio(name) for name in region.clients]
             ratio = float(np.mean(ratios)) if ratios else 0.0
             payload[f"cascade_freeze_ratio_R{index}"] = ratio
             region_ratios.append(ratio)
@@ -615,6 +665,7 @@ class ScenarioRun:
         undelivered = sum(s.packets_dropped + s.packets_lost_random for s in trunk_stats)
         payload["trunk_tx_loss_rate"] = undelivered / offered if offered else 0.0
         payload["trunk_bytes_sent"] = float(sum(s.bytes_sent for s in trunk_stats))
+        duration = self.end_s - self.start_s
         payload["trunk_mean_mbps"] = (
             sum(s.bytes_sent for s in trunk_stats) * 8.0 / duration / 1e6 / len(trunk_stats)
             if duration > 0 and trunk_stats
@@ -682,8 +733,13 @@ def run_scenario(
     duration_s: Optional[float] = None,
     collect_stats: bool = True,
     queue_sample_interval_s: float = 0.1,
+    capture_hosts: Sequence[str] = (),
 ) -> ScenarioRun:
     """Realise one scenario: build, impair, run, and return the handle.
+
+    The measured client C1 is always packet-captured; ``capture_hosts``
+    names further hosts to tap (Figure 6 reads C2's uplink).  Taps are
+    passive, so they never perturb the run.
 
     A ``workload`` component compiles onto the same topology: the competing
     client ``F1`` is homed behind the measured client's shaped access link,
@@ -741,22 +797,25 @@ def run_scenario(
     if plan is not None:
         _apply_trunk_conditions(topo, plan, spec, seed, horizon)
 
-    capture = PacketCapture(sim)
-    capture.attach(topo.host("C1"))
+    taps = ["C1", *capture_hosts]
     if workload is not None:
-        # The competing client and the relevant relays: taps are passive, so
-        # the extra captures never perturb the run.
-        capture.attach(topo.host(WORKLOAD_CLIENT))
-        capture.attach(topo.host(WORKLOAD_SERVER))
-        if plan is None:
-            capture.attach(topo.host("S"))
+        # The competing client and the relevant relays.
+        taps += [WORKLOAD_CLIENT, WORKLOAD_SERVER, *(("S",) if plan is None else ())]
+    capture = PacketCapture(sim)
+    for name in dict.fromkeys(taps):
+        capture.attach(topo.host(name))
 
-    view_mode = ViewMode.SPEAKER if spec.view_mode == "speaker" else ViewMode.GALLERY
     call = Call(
         sim,
         [topo.host(name) for name in names],
         topo.host("S") if plan is None else topo.host(plan.nodes[0]),
-        CallConfig(vca=spec.vca, seed=seed, view_mode=view_mode, collect_stats=collect_stats),
+        CallConfig(
+            vca=spec.vca,
+            seed=seed,
+            view_mode=ViewMode(spec.view_mode),
+            pinned=spec.pinned,
+            collect_stats=collect_stats,
+        ),
         cascade=plan,
         cascade_hosts=(
             {node: topo.host(node) for node in plan.nodes} if plan is not None else None
@@ -791,11 +850,7 @@ def run_scenario(
                     vca=str(params.get("app", "zoom")),
                     call_id="competitor",
                     seed=seed + _WORKLOAD_SEED,
-                    view_mode=(
-                        ViewMode.SPEAKER
-                        if str(params.get("view_mode", "gallery")) == "speaker"
-                        else ViewMode.GALLERY
-                    ),
+                    view_mode=ViewMode(params.get("view_mode", "gallery")),
                     collect_stats=False,
                 ),
             )

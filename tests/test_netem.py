@@ -17,6 +17,8 @@ import numpy as np
 import pytest
 
 import repro.net.shaper
+from repro.experiments.scenario import scenario_cache_payload
+from repro.media.layout import ViewMode
 from repro.net.link import Link
 from repro.net.packet import Packet
 from repro.net.shaper import BandwidthProfile, LinkShaper
@@ -396,6 +398,53 @@ class TestScenarioRegistry:
             ScenarioSpec(name="x", description="x", participants=1)
         with pytest.raises(ValueError):
             ScenarioSpec(name="x", description="x", duration_s=0.0)
+
+    def test_unknown_view_mode_rejected(self):
+        # A typo used to run a gallery call silently.
+        with pytest.raises(ValueError, match="view_mode"):
+            ScenarioSpec(name="x", description="x", view_mode="speakr")
+        with pytest.raises(ValueError, match="view_mode"):
+            ScenarioSpec(
+                name="x", description="x", workload=("vca", {"app": "zoom", "view_mode": "grid"})
+            )
+        spec = ScenarioSpec(name="x", description="x", view_mode=ViewMode.SPEAKER)
+        assert spec.view_mode == "speaker"
+
+    def test_pinned_needs_speaker_mode_and_a_participant(self):
+        with pytest.raises(ValueError, match="speaker"):
+            ScenarioSpec(name="x", description="x", pinned="C1")
+        with pytest.raises(ValueError, match="C1..C3"):
+            ScenarioSpec(
+                name="x", description="x", participants=3, view_mode="speaker", pinned="C4"
+            )
+        spec = ScenarioSpec(
+            name="x", description="x", participants=3, view_mode="speaker", pinned="C3"
+        )
+        assert scenario_cache_payload(spec)["spec"]["pinned"] == "C3"
+        unpinned = ScenarioSpec(name="x", description="x", participants=3, view_mode="speaker")
+        assert "pinned" not in scenario_cache_payload(unpinned)["spec"]
+
+    def test_pinned_speaker_call_raises_the_pinned_uplink(self):
+        """Zoom caps a 5-party gallery uplink; being pinned lifts the cap."""
+        base = dict(name="x", description="x", vca="zoom", participants=5, duration_s=15.0)
+        gallery = run_scenario(ScenarioSpec(**base), seed=1, collect_stats=False)
+        pinned = run_scenario(
+            ScenarioSpec(**base, view_mode="speaker", pinned="C1"), seed=1, collect_stats=False
+        )
+        assert pinned.metrics()["mean_up_mbps"] > 1.5 * gallery.metrics()["mean_up_mbps"]
+
+    def test_run_accessors_cover_extra_capture_hosts(self):
+        spec = ScenarioSpec(
+            name="x", description="x", vca="meet", direction="down",
+            profile=("constant", {"mbps": 0.3}), duration_s=12.0,
+        )
+        run = run_scenario(spec, seed=2, capture_hosts=("C2",))
+        times, c2_up = run.bitrate_series("tx", "C2")
+        assert len(times) == len(c2_up) and c2_up.max() > 0.0
+        assert run.bitrate_series("rx")[1].max() > 0.0
+        assert run.metrics()["freeze_ratio"] == run.freeze_ratio()
+        assert run.mean_stat("received_fps") == run.metrics()["mean_received_fps"]
+        assert run.fir_count("C1") >= 0
 
     def test_run_scenario_by_name_returns_metrics(self):
         metrics = run_scenario_by_name("paper/static-0.5up-zoom", seed=0, duration_s=8.0)
