@@ -134,7 +134,3 @@ class AbrPlayer(abc.ABC):
     def current_bitrate_bps(self) -> float:
         """Bitrate of the most recently requested chunk."""
         return self.config.ladder_bps[self._current_quality]
-
-    @property
-    def throughput_estimate_bps(self) -> float:
-        return self._throughput_estimate_bps

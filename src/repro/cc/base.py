@@ -104,9 +104,6 @@ class RateController(abc.ABC):
     def on_feedback(self, report: FeedbackReport, now: float) -> float:
         """Consume a feedback report and return the new target bitrate."""
 
-    def on_local_loss(self, now: float) -> None:  # pragma: no cover - optional hook
-        """Hook for locally observed drops (e.g. the sender's own uplink queue)."""
-
     def fec_overhead_ratio(self, now: float) -> float:
         """Fraction of *additional* FEC traffic to send on top of media.
 

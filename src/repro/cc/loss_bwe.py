@@ -103,11 +103,6 @@ class LossBasedBwe:
         """Current loss-based bandwidth estimate in bits per second."""
         return self._estimate_bps
 
-    @property
-    def smoothed_loss(self) -> Optional[float]:
-        """The EWMA-smoothed loss the thresholds compare against (if enabled)."""
-        return self._smoothed_loss
-
     def on_report(self, report: FeedbackReport, now: float) -> float:
         """Consume one feedback report and return the updated estimate."""
         return self.update(

@@ -26,10 +26,6 @@ class RunSummary:
     ci_high: float
     n: int
 
-    @property
-    def ci_half_width(self) -> float:
-        return (self.ci_high - self.ci_low) / 2.0
-
 
 def confidence_interval(values: Sequence[float], confidence: float = 0.90) -> tuple[float, float]:
     """Percentile-based confidence interval (the paper plots 90 % bands).

@@ -76,10 +76,6 @@ class LayoutSpec:
     def displayed(self) -> tuple[str, ...]:
         return tuple(self.tiles)
 
-    def requested_resolution(self, participant: str) -> Optional[Resolution]:
-        """Resolution this viewer wants for ``participant`` (None if hidden)."""
-        return self.tiles.get(participant)
-
 
 def grid_dimensions(vca: str, n_tiles: int) -> tuple[int, int]:
     """(columns, rows) of the gallery grid showing ``n_tiles`` videos.

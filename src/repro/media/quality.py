@@ -78,11 +78,6 @@ class FreezeTracker:
         """Number of distinct freezes detected so far."""
         return len(self.freezes)
 
-    @property
-    def mean_frame_interval_s(self) -> float | None:
-        """Current estimate of the normal frame interval (None until 2 frames)."""
-        return self._mean_interval
-
     def freeze_ratio(self, call_duration_s: float) -> float:
         """Total frozen time normalised by the call duration (Figure 3a)."""
         if call_duration_s <= 0:

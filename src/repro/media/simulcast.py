@@ -134,10 +134,6 @@ class SimulcastEncoder:
         """Mapping of active layer name to its allocated bitrate."""
         return {name: rate for name, rate in self._allocations.items() if rate > 0.0}
 
-    def layer_settings(self, name: str) -> EncoderSettings:
-        """Current settings of a specific copy."""
-        return self._encoders[name].settings
-
     def set_layer_cap(self, name: str, cap_bps: Optional[float]) -> None:
         """Apply (or clear) an SFU-requested bitrate cap on one copy."""
         if cap_bps is None:

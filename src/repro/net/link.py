@@ -49,7 +49,7 @@ delivered packet in delivery order.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heappush
 from typing import Callable, Optional
 
@@ -83,7 +83,6 @@ class LinkStats:
     packets_dropped_aqm: int = 0
     bytes_sent: int = 0
     bytes_dropped: int = 0
-    queue_samples: list[tuple[float, int]] = field(default_factory=list)
 
     @property
     def drop_rate(self) -> float:
@@ -303,12 +302,6 @@ class Link:
         self._advance(self.sim._now)
         return self._queued_bytes
 
-    @property
-    def queue_depth(self) -> int:
-        """Number of packets currently waiting in the queue."""
-        self._advance(self.sim._now)
-        return len(self._waiting)
-
     def queueing_delay_estimate(self) -> float:
         """Expected delay a newly arriving packet would see from the backlog."""
         return (self.queued_bytes * 8) / self._rate_bps
@@ -462,11 +455,6 @@ class Link:
             heappush(sim._queue, (pending[0][_DELIVER], seq, self._deliver_due))
         else:
             self._delivery_seq = None
-
-    # ---------------------------------------------------------- monitoring
-    def sample_queue(self) -> None:
-        """Record the current queue occupancy (used by the capture layer)."""
-        self.stats.queue_samples.append((self.sim.now, self.queued_bytes))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -105,11 +105,6 @@ class Host:
         if batch_handler is not None:
             self._flow_batch_handlers[flow_id] = batch_handler
 
-    def unregister_flow(self, flow_id: str) -> None:
-        """Remove a flow handler (used when an application leaves the call)."""
-        self._flow_handlers.pop(flow_id, None)
-        self._flow_batch_handlers.pop(flow_id, None)
-
     def set_default_handler(
         self,
         handler: Callable[[Packet], None],

@@ -144,10 +144,6 @@ class BandwidthProfile:
             return self.initial_bps
         return self.steps[index - 1][1]
 
-    def change_times(self) -> list[float]:
-        """Times at which the capacity changes."""
-        return [start for start, _ in self.steps]
-
 
 class LinkShaper:
     """Applies a :class:`BandwidthProfile` to a link.

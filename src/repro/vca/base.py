@@ -242,12 +242,6 @@ class VCAClient:
         if self.in_call:
             self._announce_layout()
 
-    def update_roster(self, participants: tuple[str, ...]) -> None:
-        """Update the set of participants (clients joining/leaving)."""
-        self._participants = tuple(participants)
-        if self.in_call:
-            self._announce_layout()
-
     def current_layout(self) -> LayoutSpec:
         """The tiles this client currently displays."""
         return layout_for(

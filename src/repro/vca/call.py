@@ -171,12 +171,6 @@ class Call:
                 continue
             client.set_view(ViewMode.SPEAKER, pinned)
 
-    def set_gallery(self) -> None:
-        """Every participant returns to gallery mode."""
-        self.config.pinned = None
-        for client in self.clients.values():
-            client.set_view(ViewMode.GALLERY, None)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Call(vca={self.config.vca!r}, id={self.config.call_id!r}, "

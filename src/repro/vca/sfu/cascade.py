@@ -296,20 +296,3 @@ class CascadeControl:
                 best = requested
         return best, pinned
 
-    def displayed_somewhere(self, node_id: str, sender: str) -> bool:
-        """True if any receiver on a node *other than* ``node_id`` shows ``sender``.
-
-        Conservative before layouts are published: an unpublished node is
-        assumed to display everyone (mirrors the single-node behaviour where
-        an empty layout forwards everything).
-        """
-        for other_id, other in self.nodes.items():
-            if other_id == node_id:
-                continue
-            published = self._requests.get(other_id)
-            if published is None:
-                if any(name != sender for name in other.participants):
-                    return True
-            elif sender in published:
-                return True
-        return False
