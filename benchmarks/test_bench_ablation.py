@@ -27,16 +27,16 @@ def _zoom_disruption_peak(probing_enabled: bool) -> float:
     return sum(window) / max(len(window), 1)
 
 
-def test_bench_ablation_zoom_fec_probing(benchmark):
+def test_bench_ablation_zoom_fec_probing():
     """Disabling FEC probing removes Zoom's post-disruption overshoot."""
-    with_probing = run_once(benchmark, _zoom_disruption_peak, True)
+    with_probing = run_once(_zoom_disruption_peak, True)
     without_probing = _zoom_disruption_peak(False)
     print(f"\nZoom post-disruption peak: probing={with_probing:.2f} Mbps, "
           f"no probing={without_probing:.2f} Mbps")
     assert with_probing > without_probing
 
 
-def test_bench_ablation_packet_event_cost(benchmark):
+def test_bench_ablation_packet_event_cost():
     """Cost of packet-level emulation: events processed for one short call."""
 
     def run_call():
@@ -51,6 +51,6 @@ def test_bench_ablation_packet_event_cost(benchmark):
         call.stop()
         return sim.events_processed
 
-    events = run_once(benchmark, run_call)
+    events = run_once(run_call)
     print(f"\nevents processed for a 30 s two-party Meet call: {events}")
     assert events > 10_000

@@ -76,9 +76,9 @@ def _mean_index(rows, **filters) -> float:
     return statistics.mean(values)
 
 
-def test_bench_barometer_population_sweep(benchmark):
+def test_bench_barometer_population_sweep():
     """The population grid completes and every index is a sane score."""
-    table = run_once(benchmark, barometer_table)
+    table = run_once(barometer_table)
     rows = _rows(table)
     assert len(rows) == N_HOUSEHOLDS * len(VCAS) * len(USE_CASES)
     for row in rows:
@@ -112,9 +112,9 @@ def test_bench_barometer_population_sweep(benchmark):
     )
 
 
-def test_bench_barometer_access_gradient(benchmark):
+def test_bench_barometer_access_gradient():
     """Constrained LTE in a gallery scores far below fiber on a 1:1 call."""
-    table = run_once(benchmark, barometer_table)
+    table = run_once(barometer_table)
     rows = _rows(table)
     fiber = _mean_index(rows, tier="fiber", use_case="two-party")
     constrained = _mean_index(
@@ -133,9 +133,9 @@ def test_bench_barometer_access_gradient(benchmark):
     )
 
 
-def test_bench_barometer_use_case_gradient(benchmark):
+def test_bench_barometer_use_case_gradient():
     """For every VCA the five-party population mean trails the two-party mean."""
-    table = run_once(benchmark, barometer_table)
+    table = run_once(barometer_table)
     rows = _rows(table)
     gaps = {}
     for vca in VCAS:
@@ -152,7 +152,7 @@ def test_bench_barometer_use_case_gradient(benchmark):
     )
 
 
-def test_bench_barometer_targets_satisfied(benchmark):
+def test_bench_barometer_targets_satisfied():
     """The committed barometer targets hold their recorded margins."""
     targets = [
         target for target in SCENARIO_TARGETS
@@ -160,7 +160,6 @@ def test_bench_barometer_targets_satisfied(benchmark):
     ]
     assert len(targets) >= 2
     report = run_once(
-        benchmark,
         verify_scenarios,
         duration_s=BENCH_DURATION_S,
         repetitions=3,
@@ -183,9 +182,9 @@ def test_bench_barometer_targets_satisfied(benchmark):
     )
 
 
-def test_bench_barometer_scorecard_verdicts(benchmark):
+def test_bench_barometer_scorecard_verdicts():
     """The scorecard's verdict column reflects the tier gradient."""
-    table = run_once(benchmark, barometer_table)
+    table = run_once(barometer_table)
     card = tier_scorecard(table, tier_order=tier_names())
     verdicts = {
         (row[0], row[2]): row[-1] for row in card.rows

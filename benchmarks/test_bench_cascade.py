@@ -28,10 +28,9 @@ from repro.vca import Call, CallConfig
 from repro.vca.sfu import CascadePlan, CascadeRegion
 
 
-def test_bench_cascade_pack_smoke(benchmark):
+def test_bench_cascade_pack_smoke():
     """The cascade pack runs end to end and reports per-region metrics."""
     table = run_once(
-        benchmark,
         run_cascade_sweep,
         duration_s=BENCH_DURATION_S,
         repetitions=1,
@@ -101,11 +100,11 @@ def _trunk_fanout_bytes(far_clients: int, duration_s: float):
     return trunk_bytes, per_receiver
 
 
-def test_bench_trunk_carries_each_train_once(benchmark):
+def test_bench_trunk_carries_each_train_once():
     """Trunk fan-out is once per trunk, not once per downstream receiver."""
     duration = min(BENCH_DURATION_S, 20.0)
     trunk_bytes, per_receiver = run_once(
-        benchmark, _trunk_fanout_bytes, far_clients=3, duration_s=duration
+        _trunk_fanout_bytes, far_clients=3, duration_s=duration
     )
     assert trunk_bytes > 0
     assert all(v > 0 for v in per_receiver.values())
@@ -133,12 +132,12 @@ def test_bench_trunk_carries_each_train_once(benchmark):
     )
 
 
-def test_bench_trunk_bytes_flat_in_subscriber_count(benchmark):
+def test_bench_trunk_bytes_flat_in_subscriber_count():
     """Adding far-region receivers must not inflate the trunk's carried bytes."""
     duration = min(BENCH_DURATION_S, 20.0)
     one, _ = _trunk_fanout_bytes(far_clients=1, duration_s=duration)
     three, _ = run_once(
-        benchmark, _trunk_fanout_bytes, far_clients=3, duration_s=duration
+        _trunk_fanout_bytes, far_clients=3, duration_s=duration
     )
     print(f"\ntrunk C1 bytes: 1 far receiver={one} 3 far receivers={three}")
     assert one > 0 and three > 0

@@ -51,9 +51,9 @@ def _rows(table) -> dict[str, dict[str, Any]]:
     return {row[0]: dict(zip(table.columns[1:], row[1:])) for row in table.rows}
 
 
-def test_bench_competition_pack_smoke(benchmark):
+def test_bench_competition_pack_smoke():
     """The pack runs end to end with sane competition columns everywhere."""
-    table = run_once(benchmark, competition_table)
+    table = run_once(competition_table)
     print("\n" + table.to_text())
     rows = _rows(table)
     assert len(rows) >= 4
@@ -72,9 +72,9 @@ def test_bench_competition_pack_smoke(benchmark):
     )
 
 
-def test_bench_teams_passive_but_not_starved_vs_zoom(benchmark):
+def test_bench_teams_passive_but_not_starved_vs_zoom():
     """The fig10 cell as a share band: Teams under 60% but above 15%."""
-    rows = _rows(run_once(benchmark, competition_table))
+    rows = _rows(run_once(competition_table))
     share = rows["competition/teams-vs-zoom-droptail"]["share_down"]
     print(f"\nteams-vs-zoom downlink share={share:.4f} (band 0.15..0.60)")
     assert share < 0.60, "Teams stopped yielding to the competing Zoom call"
@@ -87,9 +87,9 @@ def test_bench_teams_passive_but_not_starved_vs_zoom(benchmark):
     )
 
 
-def test_bench_codel_shifts_share_from_tcp_to_vca(benchmark):
+def test_bench_codel_shifts_share_from_tcp_to_vca():
     """CoDel's early drops cost CUBIC more than the VCA (vs drop-tail)."""
-    rows = _rows(run_once(benchmark, competition_table))
+    rows = _rows(run_once(competition_table))
     codel = rows["competition/zoom-vs-tcp-codel"]["share_down"]
     droptail = rows["competition/zoom-vs-tcp-droptail"]["share_down"]
     print(f"\nvca share under TCP bulk: codel={codel:.4f} droptail={droptail:.4f} "
@@ -105,9 +105,9 @@ def test_bench_codel_shifts_share_from_tcp_to_vca(benchmark):
     )
 
 
-def test_bench_downlink_competitors_spare_the_uplink(benchmark):
+def test_bench_downlink_competitors_spare_the_uplink():
     """TCP bulk and Netflix contend downstream only; the call keeps its uplink."""
-    rows = _rows(run_once(benchmark, competition_table))
+    rows = _rows(run_once(competition_table))
     tcp = rows["competition/zoom-vs-tcp-droptail"]["share_up"]
     netflix = rows["competition/netflix-vs-zoom-lte"]["share_up"]
     print(f"\nuplink share: vs tcp_bulk={tcp:.4f}, vs netflix-on-lte={netflix:.4f}")

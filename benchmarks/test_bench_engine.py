@@ -25,6 +25,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import os
+import statistics
 import time
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
@@ -382,17 +383,32 @@ def _fast_case(capture: bool) -> tuple[float, int, int]:
 # --------------------------------------------------------------------------
 # Benchmarks
 # --------------------------------------------------------------------------
-ROUNDS = 3
+#: Seed/fast run pairs behind each speedup gate.
+PAIRS = 5
 
 
-def _best_of(case: Callable[[], tuple], rounds: int = ROUNDS) -> tuple:
-    """Run ``case`` ``rounds`` times, return the round with the best wall time.
+def _paired(
+    seed_case: Callable[[], tuple], fast_case: Callable[[], tuple], pairs: int = PAIRS
+) -> tuple[tuple, tuple, float]:
+    """Alternate seed and fast runs; return both sides and the median pair ratio.
 
-    Each round builds a fresh simulator/topology, so the minimum discards
-    allocator and cache warm-up noise without ever mixing state across runs.
+    Each case returns ``(wall_s, *deterministic_fields)`` and builds a fresh
+    simulator/topology.  The two runs of a pair are back to back, so a load
+    burst from a neighbour on a shared host slows one pair's ratio rather
+    than one whole side of the comparison, and the median over pairs
+    discards that pair.  Each side comes back as ``(median_wall_s,
+    *deterministic_fields)``, its fields checked equal across runs.
     """
-    results = [case() for _ in range(rounds)]
-    return min(results, key=lambda r: r[0])
+    seed_runs, fast_runs = [], []
+    for _ in range(pairs):
+        seed_runs.append(seed_case())
+        fast_runs.append(fast_case())
+    ratio = statistics.median(seed[0] / fast[0] for seed, fast in zip(seed_runs, fast_runs))
+    sides = []
+    for runs in (seed_runs, fast_runs):
+        assert len({run[1:] for run in runs}) == 1, "a deterministic field varied between runs"
+        sides.append((statistics.median(run[0] for run in runs), *runs[0][1:]))
+    return sides[0], sides[1], ratio
 
 
 def test_bench_engine_pure_scheduling():
@@ -404,10 +420,8 @@ def test_bench_engine_pure_scheduling():
         sim = Simulator()
         return _run_scheduling(sim, sim.call_in)
 
-    seed_wall, seed_events = _best_of(seed_case)
-    fast_wall, fast_events = _best_of(fast_case)
+    (seed_wall, seed_events), (fast_wall, fast_events), speedup = _paired(seed_case, fast_case)
     assert fast_events == seed_events == N_EVENTS
-    speedup = seed_wall / fast_wall
     print(
         f"\npure scheduling: seed {seed_events / seed_wall:,.0f} ev/s, "
         f"fast {fast_events / fast_wall:,.0f} ev/s, speedup {speedup:.2f}x"
@@ -424,10 +438,10 @@ def test_bench_engine_pure_scheduling():
 
 
 def test_bench_engine_packet_forwarding():
-    seed_wall, seed_events, seed_rx = _best_of(lambda: _seed_case(capture=False))
-    fast_wall, fast_events, fast_rx = _best_of(lambda: _fast_case(capture=False))
+    (seed_wall, seed_events, seed_rx), (fast_wall, fast_events, fast_rx), speedup = _paired(
+        lambda: _seed_case(capture=False), lambda: _fast_case(capture=False)
+    )
     assert seed_rx == fast_rx == N_PACKETS
-    speedup = seed_wall / fast_wall
     print(
         f"\npacket forwarding (2-link path): seed {seed_events / seed_wall:,.0f} ev/s "
         f"({N_PACKETS / seed_wall:,.0f} pkt/s), fast {fast_events / fast_wall:,.0f} ev/s "
@@ -445,10 +459,10 @@ def test_bench_engine_packet_forwarding():
 
 
 def test_bench_engine_capture_forwarding():
-    seed_wall, seed_events, seed_rx = _best_of(lambda: _seed_case(capture=True))
-    fast_wall, fast_events, fast_rx = _best_of(lambda: _fast_case(capture=True))
+    (seed_wall, seed_events, seed_rx), (fast_wall, fast_events, fast_rx), speedup = _paired(
+        lambda: _seed_case(capture=True), lambda: _fast_case(capture=True)
+    )
     assert seed_rx == fast_rx == N_PACKETS
-    speedup = seed_wall / fast_wall
     print(
         f"\ncapture-attached forwarding: seed {seed_events / seed_wall:,.0f} ev/s, "
         f"fast {fast_events / fast_wall:,.0f} ev/s, speedup {speedup:.2f}x"
@@ -466,8 +480,9 @@ def test_bench_engine_capture_forwarding():
 
 def test_bench_engine_coalescing_reduces_heap_events():
     """Coalesced links/pipes schedule fewer heap events than the seed replica."""
-    seed_wall, seed_events, seed_rx = _best_of(lambda: _seed_case(capture=False))
-    fast_wall, fast_events, fast_rx = _best_of(lambda: _fast_case(capture=False))
+    (seed_wall, seed_events, seed_rx), (fast_wall, fast_events, fast_rx), _ = _paired(
+        lambda: _seed_case(capture=False), lambda: _fast_case(capture=False)
+    )
     assert seed_rx == fast_rx == N_PACKETS
     print(
         f"\ncoalescing: seed replica events {seed_events:,} ({seed_wall:.3f}s) "

@@ -6,9 +6,8 @@ from repro.core.results import format_figure
 from repro.experiments.static import run_capacity_sweep, run_platform_comparison
 
 
-def test_bench_fig1a_uplink_sweep(benchmark):
+def test_bench_fig1a_uplink_sweep():
     series = run_once(
-        benchmark,
         run_capacity_sweep,
         direction="up",
         levels_mbps=BENCH_LEVELS_MBPS,
@@ -21,9 +20,8 @@ def test_bench_fig1a_uplink_sweep(benchmark):
         assert figure.y[0] <= figure.y[-1] + 0.1
 
 
-def test_bench_fig1b_downlink_sweep(benchmark):
+def test_bench_fig1b_downlink_sweep():
     series = run_once(
-        benchmark,
         run_capacity_sweep,
         direction="down",
         levels_mbps=BENCH_LEVELS_MBPS,
@@ -35,9 +33,8 @@ def test_bench_fig1b_downlink_sweep(benchmark):
     assert series["meet"].y[1] < 0.45
 
 
-def test_bench_fig1c_platform_comparison(benchmark):
+def test_bench_fig1c_platform_comparison():
     series = run_once(
-        benchmark,
         run_platform_comparison,
         direction="up",
         levels_mbps=(0.5, 1.0, 2.0),

@@ -6,9 +6,8 @@ from repro.core.results import format_figure
 from repro.experiments.competition import run_pair_timeseries
 
 
-def test_bench_fig11_teams_vs_zoom(benchmark):
+def test_bench_fig11_teams_vs_zoom():
     result = run_once(
-        benchmark,
         run_pair_timeseries,
         incumbent="teams",
         competitor="zoom",

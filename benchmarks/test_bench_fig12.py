@@ -5,9 +5,8 @@ from conftest import BENCH_REPETITIONS, run_once
 from repro.experiments.competition import run_vca_vs_tcp
 
 
-def test_bench_fig12_iperf_shares(benchmark):
+def test_bench_fig12_iperf_shares():
     table = run_once(
-        benchmark,
         run_vca_vs_tcp,
         capacity_mbps=2.0,
         repetitions=BENCH_REPETITIONS,

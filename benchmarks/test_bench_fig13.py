@@ -6,9 +6,8 @@ from repro.core.results import format_figure
 from repro.experiments.competition import run_zoom_burst_trace
 
 
-def test_bench_fig13_zoom_vs_iperf_trace(benchmark):
+def test_bench_fig13_zoom_vs_iperf_trace():
     series = run_once(
-        benchmark,
         run_zoom_burst_trace,
         capacity_mbps=2.0,
         competitor_duration_s=60.0,

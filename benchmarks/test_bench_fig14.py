@@ -6,9 +6,8 @@ from repro.core.results import format_figure
 from repro.experiments.competition import run_vca_vs_streaming
 
 
-def test_bench_fig14_zoom_vs_netflix(benchmark):
+def test_bench_fig14_zoom_vs_netflix():
     series = run_once(
-        benchmark,
         run_vca_vs_streaming,
         vca="zoom",
         app="netflix",

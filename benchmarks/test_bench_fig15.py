@@ -8,9 +8,8 @@ from repro.experiments.modality import run_participant_sweep
 DURATION_S = 40.0
 
 
-def test_bench_fig15ab_gallery_sweep(benchmark):
+def test_bench_fig15ab_gallery_sweep():
     result = run_once(
-        benchmark,
         run_participant_sweep,
         mode="gallery",
         participant_counts=(2, 4, 5, 7),
@@ -28,9 +27,8 @@ def test_bench_fig15ab_gallery_sweep(benchmark):
     assert teams_up[7] > 0.6 * teams_up[2]
 
 
-def test_bench_fig15c_speaker_sweep(benchmark):
+def test_bench_fig15c_speaker_sweep():
     result = run_once(
-        benchmark,
         run_participant_sweep,
         mode="speaker",
         participant_counts=(3, 8),

@@ -8,9 +8,8 @@ from repro.experiments.static import run_encoding_parameters
 LEVELS = (0.3, 0.5, 1.0, 2.0)
 
 
-def test_bench_fig2_downlink_encoding(benchmark):
+def test_bench_fig2_downlink_encoding():
     result = run_once(
-        benchmark,
         run_encoding_parameters,
         direction="down",
         levels_mbps=LEVELS,
@@ -24,9 +23,8 @@ def test_bench_fig2_downlink_encoding(benchmark):
     assert meet_width.y[0] <= meet_width.y[-1]
 
 
-def test_bench_fig2_uplink_encoding(benchmark):
+def test_bench_fig2_uplink_encoding():
     result = run_once(
-        benchmark,
         run_encoding_parameters,
         direction="up",
         levels_mbps=LEVELS,

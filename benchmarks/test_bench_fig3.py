@@ -6,9 +6,8 @@ from repro.core.results import format_figure
 from repro.experiments.static import run_video_freezes
 
 
-def test_bench_fig3_freezes_and_firs(benchmark):
+def test_bench_fig3_freezes_and_firs():
     result = run_once(
-        benchmark,
         run_video_freezes,
         levels_mbps=(0.3, 0.5, 2.0),
         duration_s=BENCH_DURATION_S,

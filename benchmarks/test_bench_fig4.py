@@ -8,9 +8,8 @@ from repro.experiments.disruption import run_disruption_timeseries, run_ttr_swee
 DURATION_S = 180.0
 
 
-def test_bench_fig4a_uplink_disruption_trace(benchmark):
+def test_bench_fig4a_uplink_disruption_trace():
     series = run_once(
-        benchmark,
         run_disruption_timeseries,
         direction="up",
         drop_to_mbps=0.25,
@@ -24,9 +23,8 @@ def test_bench_fig4a_uplink_disruption_trace(benchmark):
         assert sum(during) / len(during) < sum(before) / len(before)
 
 
-def test_bench_fig4b_uplink_ttr(benchmark):
+def test_bench_fig4b_uplink_ttr():
     series = run_once(
-        benchmark,
         run_ttr_sweep,
         direction="up",
         levels_mbps=(0.25, 1.0),

@@ -8,9 +8,8 @@ from repro.experiments.disruption import run_disruption_timeseries, run_ttr_swee
 DURATION_S = 180.0
 
 
-def test_bench_fig5a_downlink_disruption_trace(benchmark):
+def test_bench_fig5a_downlink_disruption_trace():
     series = run_once(
-        benchmark,
         run_disruption_timeseries,
         direction="down",
         drop_to_mbps=0.25,
@@ -20,9 +19,8 @@ def test_bench_fig5a_downlink_disruption_trace(benchmark):
     print("\n" + format_figure("fig5a (downstream bitrate around a 0.25 Mbps downlink drop)", series))
 
 
-def test_bench_fig5b_downlink_ttr(benchmark):
+def test_bench_fig5b_downlink_ttr():
     series = run_once(
-        benchmark,
         run_ttr_sweep,
         direction="down",
         levels_mbps=(0.25, 1.0),

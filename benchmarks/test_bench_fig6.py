@@ -6,9 +6,8 @@ from repro.core.results import format_figure
 from repro.experiments.disruption import run_remote_sender_response
 
 
-def test_bench_fig6_remote_sender_response(benchmark):
+def test_bench_fig6_remote_sender_response():
     series = run_once(
-        benchmark,
         run_remote_sender_response,
         drop_to_mbps=0.25,
         duration_s=180.0,

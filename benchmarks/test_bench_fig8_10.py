@@ -7,9 +7,8 @@ from repro.experiments.competition import run_vca_vs_vca
 COMPETITOR_DURATION_S = 60.0
 
 
-def test_bench_fig8_uplink_shares(benchmark):
+def test_bench_fig8_uplink_shares():
     table = run_once(
-        benchmark,
         run_vca_vs_vca,
         direction="up",
         capacity_mbps=0.5,
@@ -24,9 +23,8 @@ def test_bench_fig8_uplink_shares(benchmark):
     assert shares[("meet", "zoom")] < 0.5
 
 
-def test_bench_fig10_downlink_shares(benchmark):
+def test_bench_fig10_downlink_shares():
     table = run_once(
-        benchmark,
         run_vca_vs_vca,
         direction="down",
         capacity_mbps=0.5,

@@ -6,9 +6,8 @@ from repro.core.results import format_figure
 from repro.experiments.competition import run_self_competition_timeseries
 
 
-def test_bench_fig9_self_competition(benchmark):
+def test_bench_fig9_self_competition():
     result = run_once(
-        benchmark,
         run_self_competition_timeseries,
         capacity_mbps=0.5,
         competitor_duration_s=60.0,

@@ -52,10 +52,9 @@ def _target_row(report: dict[str, Any], name: str) -> dict[str, Any]:
     return next(row for row in report["results"] if row["name"] == name)
 
 
-def test_bench_scenario_pack_smoke(benchmark):
+def test_bench_scenario_pack_smoke():
     """The paper-baseline pack runs end to end and produces sane metrics."""
     table = run_once(
-        benchmark,
         run_scenario_sweep,
         tag="paper-baseline",
         duration_s=BENCH_DURATION_S,
@@ -78,9 +77,9 @@ def test_bench_scenario_pack_smoke(benchmark):
     )
 
 
-def test_bench_bursty_loss_beats_iid_at_equal_mean(benchmark):
+def test_bench_bursty_loss_beats_iid_at_equal_mean():
     """Gilbert-Elliott bursts freeze the video; i.i.d. at the same mean does not."""
-    report = run_once(benchmark, scenario_target_report)
+    report = run_once(scenario_target_report)
     gap = _target_row(report, "bursty-vs-iid-freeze-gap")
     floor = _target_row(report, "bursty-freeze-floor")
     print(f"\nfreeze-gap margin={gap['margin']:+.4f} floor margin={floor['margin']:+.4f}")
@@ -99,9 +98,9 @@ def test_bench_bursty_loss_beats_iid_at_equal_mean(benchmark):
     )
 
 
-def test_bench_lte_trace_forces_more_rate_switches(benchmark):
+def test_bench_lte_trace_forces_more_rate_switches():
     """A trace-driven LTE uplink keeps the controller re-deciding; static shaping does not."""
-    report = run_once(benchmark, scenario_target_report)
+    report = run_once(scenario_target_report)
     row = _target_row(report, "lte-vs-static-rate-switches")
     print(f"\nrate-switch gap={row['value']:.2f} (threshold {row['threshold']}) "
           f"margin={row['margin']:+.4f}")
@@ -115,9 +114,9 @@ def test_bench_lte_trace_forces_more_rate_switches(benchmark):
     )
 
 
-def test_bench_codel_tames_the_standing_queue(benchmark):
+def test_bench_codel_tames_the_standing_queue():
     """CoDel cuts the shaped link's queueing delay without starving throughput."""
-    report = run_once(benchmark, scenario_target_report)
+    report = run_once(scenario_target_report)
     delay = _target_row(report, "codel-vs-droptail-queue-delay")
     ratio = _target_row(report, "codel-throughput-ratio")
     print(f"\nqueue-delay gap={delay['value']:.3f}s margin={delay['margin']:+.4f} | "
@@ -135,9 +134,9 @@ def test_bench_codel_tames_the_standing_queue(benchmark):
     )
 
 
-def test_bench_all_scenario_targets_satisfied(benchmark):
+def test_bench_all_scenario_targets_satisfied():
     """Every committed scenario target scores a positive margin."""
-    report = run_once(benchmark, scenario_target_report)
+    report = run_once(scenario_target_report)
     failing = [row for row in report["results"] if not row["satisfied"]]
     print("\n" + "\n".join(
         f"  [{'ok  ' if row['satisfied'] else 'FAIL'}] {row['name']:34s} "

@@ -5,9 +5,8 @@ from conftest import BENCH_DURATION_S, BENCH_REPETITIONS, run_once
 from repro.experiments.static import run_unconstrained_utilization
 
 
-def test_bench_table2(benchmark):
+def test_bench_table2():
     table = run_once(
-        benchmark,
         run_unconstrained_utilization,
         duration_s=BENCH_DURATION_S,
         repetitions=BENCH_REPETITIONS,
