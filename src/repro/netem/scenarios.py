@@ -132,10 +132,6 @@ class ScenarioSpec:
       direction of each trunk as listed, ``"both"`` -- the default -- both).
       The measured client C1 is homed in region 0; trunk impairments get
       their own RNG seed streams per directed trunk.
-    * ``view_mode``: ``"gallery"`` (default) or ``"speaker"``; anything else
-      is rejected.  ``pinned`` names the participant (``C1..Cn``) everyone
-      else pins and is valid only in speaker mode; ``"speaker"`` without
-      ``pinned`` lays out like gallery, since no tile is enlarged.
     * ``workload``: cross-traffic sharing the measured client's access link.
       ``("vca", {"app": "teams", "participants": 2, "view_mode":
       "gallery"})`` runs a second, independent call (client ``F1`` next to
@@ -149,6 +145,11 @@ class ScenarioSpec:
       to ``workload=None``: no extra hosts, wiring byte-identical to a
       workload-free run.  With a workload present, :meth:`ScenarioRun.metrics`
       grows share / competitor-throughput / tx-loss columns.
+
+    ``view_mode`` is ``"gallery"`` (default) or ``"speaker"``; anything else
+    is rejected.  ``pinned`` names the participant (``C1..Cn``) everyone
+    else pins and is valid only in speaker mode; ``"speaker"`` without
+    ``pinned`` lays out like gallery, since no tile is enlarged.
     """
 
     name: str
