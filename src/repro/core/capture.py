@@ -140,24 +140,35 @@ class PacketCapture:
         #: so the per-packet check is an int-hash membership test.
         self.kinds = frozenset(kinds) if kinds is not None else None
         self._series: dict[tuple[str, str, str], FlowSeries] = {}
+        #: The same series per host as ``{direction: {flow_id: series}}``,
+        #: which the per-packet tap reads without building a tuple key.
+        self._by_host: dict[str, dict[str, dict[str, FlowSeries]]] = {}
         self._hosts: list[str] = []
 
     # -------------------------------------------------------------- wiring
     def attach(self, host: Host) -> None:
         """Start capturing at a host (both directions)."""
         self._hosts.append(host.name)
+        by_direction = self._by_host.setdefault(host.name, {"tx": {}, "rx": {}})
         # functools.partial dispatches at C level; a lambda would add a
         # Python frame to every captured packet.
-        host.taps.append(partial(self._record, host.name))
+        host.taps.append(partial(self._record, host.name, by_direction))
 
-    def _record(self, host_name: str, direction: str, packet: Packet) -> None:
+    def _record(
+        self,
+        host_name: str,
+        by_direction: dict[str, dict[str, FlowSeries]],
+        direction: str,
+        packet: Packet,
+    ) -> None:
         if self.kinds is not None and packet.kind not in self.kinds:
             return
-        key = (host_name, direction, packet.flow_id)
-        series = self._series.get(key)
+        flows = by_direction[direction]
+        flow_id = packet.flow_id
+        series = flows.get(flow_id)
         if series is None:
-            series = FlowSeries(packet.flow_id, direction, self.bin_width_s)
-            self._series[key] = series
+            series = flows[flow_id] = FlowSeries(flow_id, direction, self.bin_width_s)
+            self._series[(host_name, direction, flow_id)] = series
         # Inlined FlowSeries.add: this is the per-packet hot path.
         index = int(self.sim._now / self.bin_width_s)
         bins = series._bins

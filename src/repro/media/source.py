@@ -58,14 +58,26 @@ class TalkingHeadSource:
         Values hover around 1.0; a gesture burst temporarily raises the
         multiplier by up to ``burst_magnitude``.
         """
-        dt = max(now - self._last_time, 0.0)
+        # The clamps are written out with min's and max's rule (keep the
+        # first argument unless the second is strictly beyond it): this runs
+        # once per encoded frame, and np.clip or the builtins cost more than
+        # the AR update itself.  ``normal`` returns a Python float, so the
+        # update is the same IEEE arithmetic on plain floats.
+        dt = now - self._last_time
+        if 0.0 > dt:
+            dt = 0.0
         self._last_time = now
 
-        # AR(1) drift toward 1.0 with small innovations.  The clamp is plain
-        # min/max: this runs once per encoded frame and np.clip costs more
-        # than the whole AR update (same IEEE result either way).
-        innovation = self._rng.normal(0.0, self._drift * min(dt * self.base_fps, 1.0))
-        self._state = float(min(max(1.0 + 0.95 * (self._state - 1.0) + innovation, 0.7), 1.4))
+        # AR(1) drift toward 1.0 with small innovations.
+        scale = dt * self.base_fps
+        if 1.0 < scale:
+            scale = 1.0
+        state = 1.0 + 0.95 * (self._state - 1.0) + self._rng.normal(0.0, self._drift * scale)
+        if 0.7 > state:
+            state = 0.7
+        if 1.4 < state:
+            state = 1.4
+        self._state = state
 
         # Poisson-arriving gesture bursts.
         if self._burst is None or now > self._burst.until:

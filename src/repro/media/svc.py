@@ -146,11 +146,12 @@ class SVCEncoder:
 
     def frames_due(self, now: float) -> list[EncodedFrame]:
         """Encode due frames for every active layer."""
+        allocations = self._allocations
+        next_frame_at = self._next_frame_at
         due_layers = [
             layer
             for layer in self.layers
-            if self._allocations.get(layer.name, 0.0) > 0.0
-            and now + 1e-9 >= self._next_frame_at[layer.name]
+            if allocations.get(layer.name, 0.0) > 0.0 and now + 1e-9 >= next_frame_at[layer.name]
         ]
         if not due_layers:
             return []
@@ -164,39 +165,48 @@ class SVCEncoder:
         # the pipelines' byte-identity whenever only a sub-30 fps layer is
         # active.
         complexity = self.source.complexity(now)
-        emitted_any = False
+        last_emit_at = self._last_emit_at
+        layer_settings = self._layer_settings
+        frame_ids = self._frame_ids
+        # The clamps below are written out with ``max``'s rule (keep the
+        # first argument unless the second is greater): this runs once per
+        # encoded frame.
         for layer in due_layers:
-            rate = self._allocations.get(layer.name, 0.0)
+            name = layer.name
+            rate = allocations[name]
             interval = 1.0 / layer.fps
-            last_emit = self._last_emit_at.get(layer.name)
+            last_emit = last_emit_at.get(name)
             elapsed = now - last_emit if last_emit is not None else interval
             # Scale the frame to the time it actually covers so the realised
             # layer bitrate matches its allocation despite the sender's
             # polling-grid quantisation of emission times.
-            frame_bits = rate * max(elapsed, interval * 0.5) * complexity
+            covered = interval * 0.5
+            if not covered > elapsed:
+                covered = elapsed
+            frame_bits = rate * covered * complexity
             if keyframe:
                 frame_bits *= self.codec.keyframe_multiplier
-            cached = self._layer_settings.get(layer.name)
+            cached = layer_settings.get(name)
             if cached is None or cached[0] != rate:
                 qp = self.codec.qp_for_bitrate(layer.resolution, layer.fps, max(rate, 1.0))
-                cached = self._layer_settings[layer.name] = (
+                cached = layer_settings[name] = (
                     rate,
                     EncoderSettings(resolution=layer.resolution, fps=layer.fps, qp=qp),
                 )
+            size_bytes = int(frame_bits / 8)
+            if 150 > size_bytes:
+                size_bytes = 150
+            # Positional, in field order.
             frames.append(
-                EncodedFrame(
-                    frame_id=next(self._frame_ids),
-                    capture_time=now,
-                    size_bytes=max(int(frame_bits / 8), 150),
-                    settings=cached[1],
-                    keyframe=keyframe,
-                    layer=layer.name,
-                )
+                EncodedFrame(next(frame_ids), now, size_bytes, cached[1], keyframe, name)
             )
-            self._last_emit_at[layer.name] = now
-            self._next_frame_at[layer.name] = max(self._next_frame_at[layer.name] + interval, now - interval)
-            emitted_any = True
-        if emitted_any and keyframe:
+            last_emit_at[name] = now
+            due = next_frame_at[name] + interval
+            floor = now - interval
+            if floor > due:
+                due = floor
+            next_frame_at[name] = due
+        if keyframe:
             self._keyframe_pending = False
             self._last_keyframe_at = now
         return frames

@@ -331,7 +331,6 @@ class Link:
             self._queued_bytes = queued
             self._drop(packet, size)
             return
-        packet.enqueued_at = now
         pending = self._pending
         if pending:
             prev_done = pending[-1][_DONE]
@@ -380,7 +379,6 @@ class Link:
             if queued + size > queue_limit:
                 self._drop(packet, size)
                 continue
-            packet.enqueued_at = now
             start = prev_done if prev_done is not None and prev_done > now else now
             done = start + size * 8 / rate
             deliver_at = done + delay
@@ -431,14 +429,17 @@ class Link:
         loss_rate = self.loss_rate
         loss_model = self.loss_model
         jitter = self.jitter_model
+        # Most links have no loss or jitter policy: test that once per event.
+        impaired = loss_model is not None or loss_rate > 0.0 or jitter is not None
         while pending and pending[0][_DELIVER] <= now:
-            record = pending.popleft()
-            packet = record[_PACKET]
+            arrival, start, _done, _deliver_at, packet = pending.popleft()
             stats.packets_sent += 1
             stats.bytes_sent += packet.size_bytes
-            queueing = record[_START] - record[_ARRIVAL]
-            if queueing > 0.0:
-                packet.queueing_delay += queueing
+            if start > arrival:
+                packet.queueing_delay += start - arrival
+            if not impaired:
+                sink(packet)  # type: ignore[misc]
+                continue
             if loss_model is not None:
                 lost = loss_model.sample(sim.rng)
             else:

@@ -101,7 +101,6 @@ class Packet:
         "created_at",
         "_meta",
         "_packet_id",
-        "enqueued_at",
         "queueing_delay",
     )
 
@@ -116,7 +115,6 @@ class Packet:
         created_at: float = 0.0,
         meta: Optional[dict[str, Any]] = None,
         packet_id: Optional[int] = None,
-        enqueued_at: Optional[float] = None,
         queueing_delay: float = 0.0,
     ) -> None:
         if size_bytes <= 0:
@@ -130,8 +128,6 @@ class Packet:
         self.created_at = created_at
         self._meta = meta
         self._packet_id = packet_id
-        #: Time the packet was enqueued on the most recent link (set by Link).
-        self.enqueued_at = enqueued_at
         #: Cumulative queueing delay experienced so far along the path.
         self.queueing_delay = queueing_delay
 
@@ -188,7 +184,6 @@ class Packet:
         clone.created_at = self.created_at
         clone._meta = self._meta
         clone._packet_id = None
-        clone.enqueued_at = None
         clone.queueing_delay = 0.0
         return clone
 

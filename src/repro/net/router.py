@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappush
-from typing import Callable, Iterable, Optional
+from typing import Callable, Collection, Optional
 
 from repro.net.link import Link
 from repro.net.packet import Packet
@@ -196,6 +196,8 @@ class SourceRoutedEgress:
 
     A media server's whole fan-out burst enters through :meth:`send_trains`
     and rides a single bus record, delivered train by train in send order.
+    A burst of one one-packet train (a two-party call forwards most packets
+    so) rides the bus as that packet, as :meth:`send` would send it.
     """
 
     __slots__ = ("bus", "_routes", "_routes_batch", "_fallback", "_fallback_batch")
@@ -258,7 +260,7 @@ class SourceRoutedEgress:
             packets = list(packets)
         self.bus.push(receiver_batch, packets)
 
-    def send_trains(self, outbound: Iterable[list]) -> None:
+    def send_trains(self, outbound: Collection[list]) -> None:
         """Send a fan-out burst: ``[size_total, train]`` entries, one destination each.
 
         Every bus-routed train joins one ``(receiver_batch, train)`` record,
@@ -266,7 +268,18 @@ class SourceRoutedEgress:
         per-train :meth:`send_batch` would have pushed (and armed the bus) --
         so heap sequence numbers and delivery order are unchanged.  Trains to
         unregistered destinations take :meth:`send_batch`'s fallback in place.
+        A bus-routed burst of one one-packet train is pushed as
+        ``(receiver, packet)``: the same one push at the same point, and every
+        destination handles a one-packet train exactly like the packet.
         """
+        if len(outbound) == 1:
+            for _size, packets in outbound:
+                if len(packets) == 1:
+                    packet = packets[0]
+                    receiver = self._routes.get(packet.dst)
+                    if receiver is not None:
+                        self.bus.push(receiver, packet)
+                        return
         routes = self._routes_batch
         record: Optional[list] = None
         for _size, packets in outbound:
@@ -342,7 +355,6 @@ class Router:
         "_default",
         "_default_dispatch",
         "_default_dispatch_batch",
-        "packets_forwarded",
     )
 
     def __init__(self, sim: Simulator, name: str) -> None:
@@ -354,7 +366,6 @@ class Router:
         self._default: Optional[ForwardingEntry] = None
         self._default_dispatch: Optional[Callable[[Packet], None]] = None
         self._default_dispatch_batch: Optional[Callable[[list], None]] = None
-        self.packets_forwarded = 0
 
     # ----------------------------------------------------------- config
     @staticmethod
@@ -427,7 +438,6 @@ class Router:
             raise RuntimeError(
                 f"router {self.name!r} has no route for destination {packet.dst!r}"
             )
-        self.packets_forwarded += 1
         handler(packet)
 
     def receive_batch(self, packets: list) -> None:
@@ -446,7 +456,6 @@ class Router:
                 for item in packets:
                     self.receive(item)
                 return
-        self.packets_forwarded += len(packets)
         handler = self._dispatch_batch.get(dst)
         if handler is not None:
             handler(packets)

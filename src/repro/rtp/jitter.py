@@ -8,8 +8,9 @@ feeds displayed-frame times into the freeze detector of
 :mod:`repro.media.quality`.
 
 A single :class:`StreamReceiver` handles one inbound media flow; VCA clients
-instantiate one per remote participant, and media servers instantiate one per
-uplink stream they terminate.
+instantiate one per remote participant.  Media servers need only the
+congestion-control signals of the uplink streams they terminate and meter
+each with its base class, :class:`StreamMeter`.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from repro.media.quality import FreezeTracker
 from repro.net.packet import Packet, PacketKind
 from repro.net.simulator import Simulator
 
-__all__ = ["ReceiverConfig", "StreamReceiver"]
+__all__ = ["ReceiverConfig", "StreamMeter", "StreamReceiver"]
 
 
 @dataclass
@@ -49,18 +50,22 @@ class _PendingFrame:
     completed: bool = False
 
 
-class StreamReceiver:
-    """Receive-side state for one inbound RTP media stream."""
+class StreamMeter:
+    """What a congestion controller needs of one inbound media stream.
+
+    This is exactly the state :meth:`make_report` reads: the interval's bytes
+    and video packets, the sequence high-water marks, the base and smoothed
+    one-way delay and the receive-rate EWMA.  A media server that only
+    reports on its uplinks meters them with this class; nothing there reads
+    frames, losses or FEC credits, so it skips :class:`StreamReceiver`'s
+    reassembly.  Both classes give the same reports for the same packets.
+    """
 
     __slots__ = (
         "sim",
         "flow_id",
-        "config",
-        "on_fir",
-        "freeze_tracker",
         "_delay_weight",
         "_delay_keep",
-        "_frame_timeout_s",
         "_interval_bytes",
         "_interval_video_packets",
         "_interval_started_at",
@@ -70,6 +75,156 @@ class StreamReceiver:
         "_base_owd",
         "_smoothed_owd",
         "_prev_report_owd",
+    )
+
+    def __init__(
+        self, sim: Simulator, flow_id: str, delay_smoothing: float = ReceiverConfig.delay_smoothing
+    ) -> None:
+        self.sim = sim
+        self.flow_id = flow_id
+        # The per-packet EWMA weights, read once here: the packet paths read
+        # them every packet.
+        self._delay_weight = delay_smoothing
+        self._delay_keep = 1 - delay_smoothing
+
+        # Interval (per-report) accounting.
+        self._interval_bytes = 0
+        self._interval_video_packets = 0
+        self._interval_started_at = 0.0
+        self._prev_highest_seq: Optional[int] = None
+        self._highest_seq: Optional[int] = None
+        #: EWMA of the per-interval receive rate; frame boundaries make the
+        #: raw per-interval rate noisy, and congestion controllers key their
+        #: backoff on it (real GCC smooths its incoming-bitrate estimate the
+        #: same way).
+        self._smoothed_rate_bps: Optional[float] = None
+
+        # Delay tracking.
+        self._base_owd: Optional[float] = None
+        self._smoothed_owd: Optional[float] = None
+        self._prev_report_owd: Optional[float] = None
+
+    def on_packet(self, packet: Packet) -> None:
+        """Meter one arriving packet of this stream."""
+        self._interval_bytes += packet.size_bytes
+        if packet.kind is not PacketKind.RTP_VIDEO:
+            return
+        self._interval_video_packets += 1
+        seq = packet.seq
+        highest = self._highest_seq
+        if highest is None or seq > highest:
+            self._highest_seq = seq
+        if self._prev_highest_seq is None:
+            self._prev_highest_seq = seq - 1
+        # One-way delay (the emulated clocks are synchronised).
+        owd = self.sim._now - packet.created_at
+        if owd < 0.0:
+            owd = 0.0
+        base = self._base_owd
+        if base is None or owd < base:
+            self._base_owd = owd
+        smoothed = self._smoothed_owd
+        if smoothed is None:
+            self._smoothed_owd = owd
+        else:
+            self._smoothed_owd = self._delay_keep * smoothed + self._delay_weight * owd
+
+    def on_packet_batch(self, packets) -> None:
+        """Meter a train of packets arriving together (same as one by one)."""
+        if len(packets) == 1:
+            self.on_packet(packets[0])
+            return
+        now = self.sim._now
+        w = self._delay_weight
+        one_minus_w = self._delay_keep
+        video_kind = PacketKind.RTP_VIDEO
+        total_bytes = 0
+        video_packets = 0
+        highest = self._highest_seq
+        prev_highest = self._prev_highest_seq
+        base_owd = self._base_owd
+        smoothed = self._smoothed_owd
+        for packet in packets:
+            total_bytes += packet.size_bytes
+            if packet.kind is not video_kind:
+                continue
+            video_packets += 1
+            seq = packet.seq
+            if highest is None or seq > highest:
+                highest = seq
+            if prev_highest is None:
+                prev_highest = seq - 1
+            owd = now - packet.created_at
+            if owd < 0.0:
+                owd = 0.0
+            if base_owd is None or owd < base_owd:
+                base_owd = owd
+            smoothed = owd if smoothed is None else one_minus_w * smoothed + w * owd
+        self._interval_bytes += total_bytes
+        self._interval_video_packets += video_packets
+        self._highest_seq = highest
+        self._prev_highest_seq = prev_highest
+        self._base_owd = base_owd
+        self._smoothed_owd = smoothed
+
+    def make_report(self, now: float, rtt_s: float = 0.05) -> FeedbackReport:
+        """Summarise the interval since the previous report and reset it."""
+        interval = max(now - self._interval_started_at, 1e-6)
+        expected = 0
+        if self._highest_seq is not None and self._prev_highest_seq is not None:
+            expected = max(self._highest_seq - self._prev_highest_seq, 0)
+        received = self._interval_video_packets
+        loss = 0.0
+        if expected > 0:
+            loss = min(max(1.0 - received / expected, 0.0), 1.0)
+        queueing = 0.0
+        gradient = 0.0
+        if self._smoothed_owd is not None and self._base_owd is not None:
+            queueing = max(self._smoothed_owd - self._base_owd, 0.0)
+            if self._prev_report_owd is not None:
+                gradient = self._smoothed_owd - self._prev_report_owd
+            self._prev_report_owd = self._smoothed_owd
+
+        instantaneous_rate = self._interval_bytes * 8 / interval
+        if self._smoothed_rate_bps is None:
+            self._smoothed_rate_bps = instantaneous_rate
+        else:
+            self._smoothed_rate_bps = 0.5 * self._smoothed_rate_bps + 0.5 * instantaneous_rate
+
+        # Positional, in field order: every receiver reports every stream
+        # it gets, and keyword binding triples the construction cost.
+        report = FeedbackReport(
+            now,
+            interval,
+            self._smoothed_rate_bps,
+            loss,
+            queueing,
+            gradient,
+            rtt_s,
+            expected,
+            received,
+        )
+
+        self._interval_started_at = now
+        self._interval_bytes = 0
+        self._interval_video_packets = 0
+        self._prev_highest_seq = self._highest_seq
+        return report
+
+
+class StreamReceiver(StreamMeter):
+    """Receive-side state for one inbound RTP media stream.
+
+    A :class:`StreamMeter` that also reassembles frames, counts losses and
+    freezes and issues FIRs.  Its packet paths update the meter's state in
+    the same fused loop as the reassembly.
+    """
+
+    __slots__ = (
+        "config",
+        "on_fir",
+        "freeze_tracker",
+        "_frame_timeout_s",
         "_pending",
         "_oldest_pending_arrival",
         "_last_completed_frame",
@@ -93,33 +248,12 @@ class StreamReceiver:
         on_fir: Optional[Callable[[str], None]] = None,
         track_quality: bool = True,
     ) -> None:
-        self.sim = sim
-        self.flow_id = flow_id
         self.config = config or ReceiverConfig()
+        super().__init__(sim, flow_id, self.config.delay_smoothing)
         self.on_fir = on_fir
         self.freeze_tracker = FreezeTracker() if track_quality else None
-        # The per-packet tunables, read once here: nothing mutates ``config``
-        # after construction, and the packet paths read these every packet.
-        self._delay_weight = self.config.delay_smoothing
-        self._delay_keep = 1 - self._delay_weight
+        # Read once: nothing mutates ``config`` after construction.
         self._frame_timeout_s = self.config.frame_timeout_s
-
-        # Interval (per-report) accounting.
-        self._interval_bytes = 0
-        self._interval_video_packets = 0
-        self._interval_started_at = 0.0
-        self._prev_highest_seq: Optional[int] = None
-        self._highest_seq: Optional[int] = None
-        #: EWMA of the per-interval receive rate; frame boundaries make the
-        #: raw per-interval rate noisy, and congestion controllers key their
-        #: backoff on it (real GCC smooths its incoming-bitrate estimate the
-        #: same way).
-        self._smoothed_rate_bps: Optional[float] = None
-
-        # Delay tracking.
-        self._base_owd: Optional[float] = None
-        self._smoothed_owd: Optional[float] = None
-        self._prev_report_owd: Optional[float] = None
 
         # Frame reassembly.
         self._pending: dict[int, _PendingFrame] = {}
@@ -349,49 +483,9 @@ class StreamReceiver:
             self.freeze_tracker.on_frame(now)
 
     # -------------------------------------------------------------- reports
-    def make_report(self, now: float, rtt_s: float = 0.05) -> FeedbackReport:
-        """Summarise the interval since the previous report and reset it."""
-        interval = max(now - self._interval_started_at, 1e-6)
-        expected = 0
-        if self._highest_seq is not None and self._prev_highest_seq is not None:
-            expected = max(self._highest_seq - self._prev_highest_seq, 0)
-        received = self._interval_video_packets
-        loss = 0.0
-        if expected > 0:
-            loss = min(max(1.0 - received / expected, 0.0), 1.0)
-        queueing = 0.0
-        gradient = 0.0
-        if self._smoothed_owd is not None and self._base_owd is not None:
-            queueing = max(self._smoothed_owd - self._base_owd, 0.0)
-            if self._prev_report_owd is not None:
-                gradient = self._smoothed_owd - self._prev_report_owd
-            self._prev_report_owd = self._smoothed_owd
-
-        instantaneous_rate = self._interval_bytes * 8 / interval
-        if self._smoothed_rate_bps is None:
-            self._smoothed_rate_bps = instantaneous_rate
-        else:
-            self._smoothed_rate_bps = 0.5 * self._smoothed_rate_bps + 0.5 * instantaneous_rate
-
-        # Positional, in field order: every receiver reports every stream
-        # it gets, and keyword binding triples the construction cost.
-        report = FeedbackReport(
-            now,
-            interval,
-            self._smoothed_rate_bps,
-            loss,
-            queueing,
-            gradient,
-            rtt_s,
-            expected,
-            received,
-        )
-
-        self._interval_started_at = now
-        self._interval_bytes = 0
-        self._interval_video_packets = 0
-        self._prev_highest_seq = self._highest_seq
-        return report
+    #: Bound in this class's own namespace too, so that tools which wrap a
+    #: class's methods by ``cls.__dict__`` find it here.
+    make_report = StreamMeter.make_report
 
     # ---------------------------------------------------------------- stats
     def sample_received_fps(self) -> int:

@@ -84,7 +84,6 @@ class Packetizer:
             packet.created_at = now
             packet._meta = meta
             packet._packet_id = None
-            packet.enqueued_at = None
             packet.queueing_delay = 0.0
             append(packet)
         return packets

@@ -57,7 +57,6 @@ def make_report_packet(
     packet.created_at = now
     packet._meta = {"rtcp": "report", "report": report}
     packet._packet_id = None
-    packet.enqueued_at = None
     packet.queueing_delay = 0.0
     return packet
 

@@ -31,7 +31,7 @@ from repro.media.codec import Resolution
 from repro.net.node import Host
 from repro.net.packet import Packet, PacketKind
 from repro.net.simulator import PeriodicTask, Simulator
-from repro.rtp.jitter import StreamReceiver
+from repro.rtp.jitter import StreamMeter
 from repro.rtp.rtcp import make_fir_packet, make_report_packet
 from repro.rtp.sip import SignalingMessage, SignalKind, extract_signal, send_signal
 from repro.vca.base import VCAProfile, downlink_flow, uplink_flow
@@ -170,11 +170,10 @@ class SfuNode:
         if state is not None:
             return state
         state = ParticipantState(name=name)
-        state.uplink_receiver = StreamReceiver(
-            self.sim,
-            uplink_flow(name, self.call_id),
-            track_quality=False,
-        )
+        if self.profile.server_adapts:
+            # Only an adapting server reports on its uplinks; a plain relay
+            # hands its receivers' reports through to the sender instead.
+            state.uplink_meter = StreamMeter(self.sim, uplink_flow(name, self.call_id))
         # The per-receiver estimator: GCC with a wider receive-rate cap and a
         # low floor, standing in for the probing an SFU performs to discover
         # downlink headroom while it is application-limited on a cheap copy.
@@ -427,11 +426,9 @@ class SfuNode:
             state = self._sender_state(packet.flow_id)
             if state is None:
                 return
-        uplink = state.uplink_receiver
-        if uplink is not None:
-            # As a one-packet train, like every train the server receives,
-            # so a traced run counts the same receiver calls either way.
-            uplink.on_packet_batch((packet,))
+        meter = state.uplink_meter
+        if meter is not None:
+            meter.on_packet(packet)
         host_name = self.host.name
         new_packet = object.__new__
         size = packet.size_bytes
@@ -455,7 +452,6 @@ class SfuNode:
                 forwarded.created_at = created_at
                 forwarded._meta = meta
                 forwarded._packet_id = None
-                forwarded.enqueued_at = None
                 forwarded.queueing_delay = 0.0
                 outbound.append([size, [forwarded]])
             self.bytes_forwarded += size * len(outbound)
@@ -502,7 +498,6 @@ class SfuNode:
             forwarded.created_at = created_at
             forwarded._meta = meta
             forwarded._packet_id = None
-            forwarded.enqueued_at = None
             forwarded.queueing_delay = 0.0
             if draws is not None and draws[column] < server_fec:
                 repair = Packet(
@@ -560,8 +555,8 @@ class SfuNode:
             state = self._sender_state(flow)
             if state is None:
                 return
-        if state.uplink_receiver is not None:
-            state.uplink_receiver.on_packet_batch(packets)
+        if state.uplink_meter is not None:
+            state.uplink_meter.on_packet_batch(packets)
         host_name = self.host.name
         has_trunks = self._has_trunks
         new_packet = object.__new__
@@ -655,7 +650,6 @@ class SfuNode:
                     forwarded.created_at = packet.created_at
                     forwarded._meta = meta
                     forwarded._packet_id = None
-                    forwarded.enqueued_at = None
                     forwarded.queueing_delay = 0.0
                     train.append(forwarded)
                     if draws is not None:
@@ -722,7 +716,7 @@ class SfuNode:
         state = self.remote_senders.get(sender_name)
         if state is None:
             state = ParticipantState(name=sender_name)
-            state.uplink_receiver = StreamReceiver(self.sim, flow, track_quality=False)
+            state.uplink_meter = StreamMeter(self.sim, flow)
             self.remote_senders[sender_name] = state
             ingress = self._trunk_ingress.get(upstream)
             if ingress is None:
@@ -790,11 +784,7 @@ class SfuNode:
     def _trunk_feedback_tick(self, now: float) -> None:
         """Aggregate each ingress trunk's stream receivers into its estimator."""
         for ingress in self._trunk_ingress.values():
-            reports = [
-                state.uplink_receiver.make_report(now)
-                for state in ingress.states
-                if state.uplink_receiver is not None
-            ]
+            reports = [state.uplink_meter.make_report(now) for state in ingress.states]
             aggregate = aggregate_reports(reports)
             if aggregate is not None:
                 ingress.estimator.on_feedback(aggregate, now)
@@ -953,8 +943,8 @@ class SfuNode:
                 layer_bytes.clear()
             for meter in meters.values():
                 meter.roll(interval)
-            if self.profile.server_adapts and state.uplink_receiver is not None:
-                report = state.uplink_receiver.make_report(now)
+            if state.uplink_meter is not None:
+                report = state.uplink_meter.make_report(now)
                 packet = make_report_packet(
                     f"{uplink_flow(name, self.call_id)}:rtcp",
                     self.host.name,

@@ -21,7 +21,7 @@ from typing import Iterable, Optional
 from repro.cc.base import FeedbackReport
 from repro.cc.gcc import GCCController
 from repro.media.codec import Resolution
-from repro.rtp.jitter import StreamReceiver
+from repro.rtp.jitter import StreamMeter
 from repro.vca.base import VCAProfile
 
 __all__ = [
@@ -147,14 +147,15 @@ class ParticipantState:
 
     A node keeps one of these per *local* participant and one per *remote*
     sender whose media arrives over an ingress trunk; for remote senders the
-    ``uplink_receiver`` observes the trunk leg and ``downlink_estimator`` is
+    ``uplink_meter`` observes the trunk leg and ``downlink_estimator`` is
     ``None`` (the sender's home node owns its uplink feedback loop).
     """
 
     name: str
-    #: Receiver-side state of this participant's uplink stream (loss/delay
-    #: observations the server reports back to the sender).
-    uplink_receiver: Optional[StreamReceiver] = None
+    #: Loss and delay meter of this participant's uplink stream, which the
+    #: server reports back to the sender; ``None`` on a plain relay, which
+    #: relays its receivers' reports instead.
+    uplink_meter: Optional[StreamMeter] = None
     #: The server's estimate of this participant's *downlink* capacity,
     #: driven by the RTCP reports the participant sends about the streams it
     #: receives.  Used to select simulcast copies / SVC layers.

@@ -12,6 +12,7 @@ from repro.net.packet import Packet
 from repro.net.router import Router
 from repro.net.shaper import UNCONSTRAINED_BPS, BandwidthProfile, LinkShaper
 from repro.net.simulator import Simulator
+from repro.netem.impairments import DelayJitter, GilbertElliottLoss, IidLoss
 from repro.net.topology import (
     DEFAULT_LAN_DELAY_S,
     DEFAULT_WAN_DELAY_S,
@@ -145,6 +146,97 @@ class TestLink:
             link.send(make_packet(size=1000))
         sim.run(until=10.0)
         assert 0.0 < link.stats.drop_rate < 1.0
+
+
+def _general_deliver_due(self) -> None:
+    """``Link._deliver_due`` with every policy tested per packet, as the reference."""
+    from heapq import heappush
+
+    sim = self.sim
+    now = sim._now
+    pending = self._pending
+    stats = self.stats
+    sink = self._sink
+    loss_rate = self.loss_rate
+    loss_model = self.loss_model
+    jitter = self.jitter_model
+    while pending and pending[0][3] <= now:
+        record = pending.popleft()
+        packet = record[4]
+        stats.packets_sent += 1
+        stats.bytes_sent += packet.size_bytes
+        queueing = record[1] - record[0]
+        if queueing > 0.0:
+            packet.queueing_delay += queueing
+        if loss_model is not None:
+            lost = loss_model.sample(sim.rng)
+        else:
+            lost = loss_rate > 0.0 and sim.rng.random() < loss_rate
+        if lost:
+            stats.packets_lost_random += 1
+        elif jitter is None:
+            sink(packet)
+        else:
+            self._deliver_jittered(packet, now)
+    if pending:
+        sim._seq = seq = sim._seq + 1
+        self._delivery_seq = seq
+        heappush(sim._queue, (pending[0][3], seq, self._deliver_due))
+    else:
+        self._delivery_seq = None
+
+
+class _ReferenceLink(Link):
+    __slots__ = ()
+    _deliver_due = _general_deliver_due
+
+
+#: Loss and jitter policies a link can be switched between mid-run.
+_LINK_POLICIES = {
+    "clear": lambda: dict(loss_model=None, jitter_model=None),
+    "iid0": lambda: dict(loss_model=IidLoss(0.0)),
+    "iid": lambda: dict(loss_model=IidLoss(0.3)),
+    "burst": lambda: dict(loss_model=GilbertElliottLoss(0.2, 0.5)),
+    "jitter": lambda: dict(jitter_model=DelayJitter(0.004, 0.003, rho=0.5)),
+    "no-jitter": lambda: dict(jitter_model=None),
+}
+
+
+class TestLinkImpairmentToggles:
+    """Toggling a link's policies with packets pending matches the general loop."""
+
+    @staticmethod
+    def _run(link_class, ops):
+        sim = Simulator(seed=3)
+        link = link_class(sim, "l", rate_bps=400_000.0, delay_s=0.01, queue_bytes=8_000)
+        delivered: list = []
+        link.connect(lambda p: delivered.append((sim._now.hex(), p.seq, p.queueing_delay.hex())))
+        seq = 0
+        for at, (op, arg) in enumerate(ops):
+            when = 0.004 * (at + 1)
+            if op == "policy":
+                sim.schedule_at(when, lambda arg=arg: link.configure_impairments(**_LINK_POLICIES[arg]()))
+            else:
+                train = [make_packet(size=size, seq=seq + i) for i, size in enumerate(arg)]
+                seq += len(train)
+                sim.schedule_at(when, lambda train=train: link.send_batch(train))
+        sim.run(until=2.0)
+        stats = link.stats
+        return delivered, (stats.packets_sent, stats.bytes_sent, stats.packets_lost_random,
+                           stats.packets_dropped), sim.rng.random(), sim.events_processed
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        ops=st.lists(
+            st.one_of(
+                st.tuples(st.just("policy"), st.sampled_from(sorted(_LINK_POLICIES))),
+                st.tuples(st.just("send"), st.lists(st.integers(100, 1500), min_size=1, max_size=4)),
+            ),
+            max_size=25,
+        )
+    )
+    def test_matches_the_general_loop(self, ops):
+        assert self._run(Link, ops) == self._run(_ReferenceLink, ops)
 
 
 class TestBandwidthProfile:
@@ -473,6 +565,56 @@ class TestForwardedBursts:
         routed = [(dst, seqs) for _t, dst, seqs in fused_log if dst != "fallback"]
         assert routed[-3:] == [("A", [1]), ("B", [2, 3]), ("C", [4])]
 
+    @staticmethod
+    def _record_path(egress, outbound) -> None:
+        """The bus-record path that every burst took, one-packet bursts included."""
+        from repro.net.router import _deliver_trains
+
+        record = None
+        for _size, packets in outbound:
+            receiver_batch = egress._routes_batch.get(packets[0].dst)
+            if receiver_batch is None:
+                egress.send_batch(packets)
+            elif record is None:
+                record = [(receiver_batch, packets)]
+                egress.bus.push(_deliver_trains, record)
+            else:
+                record.append((receiver_batch, packets))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dst=st.sampled_from(["A", "B", "C", "elsewhere"]),
+        earlier=st.lists(st.sampled_from(["A", "C", "elsewhere"]), max_size=3),
+        as_dict_values=st.booleans(),
+    )
+    def test_one_packet_burst_rides_the_bus_as_its_packet(self, dst, earlier, as_dict_values):
+        def run(direct: bool):
+            sim = Simulator()
+            log: list = []
+            egress = self._egress(sim, log)
+            sim.schedule_at(0.05, lambda: None)
+            # Sends before the burst, so the bus may already be armed.
+            for seq, where in enumerate(earlier, start=20):
+                egress.send(make_packet(dst=where, seq=seq))
+            packet = make_packet(dst=dst, seq=7, size=333)
+            outbound = [[333, [packet]]]
+            if as_dict_values:
+                outbound = {dst: outbound[0]}.values()
+            if direct:
+                egress.send_trains(outbound)
+            else:
+                self._record_path(egress, outbound)
+            state = (self._heap(sim), sim._seq, len(egress.bus._transit))
+            last = egress.bus._transit[-1][2] if egress.bus._transit else None
+            sim.run(until=1.0)
+            return state, log, last is packet
+
+        state, log, rides_as_packet = run(True)
+        assert (state, log) == run(False)[:2]
+        assert rides_as_packet == (dst != "elsewhere")
+        where = "fallback" if dst == "elsewhere" else dst
+        assert [entry[1:] for entry in log if entry[2] == [7]] == [(where, [7])]
+
     def test_send_trains_unrouted_destination_falls_back_per_train(self):
         from repro.net.router import SourceRoutedEgress
 
@@ -515,6 +657,17 @@ class TestOnePacketTrains:
             receiver._smoothed_owd,
             receiver._fec_credits,
             sorted(receiver._pending),
+        )
+
+    @staticmethod
+    def _meter_state(meter):
+        return (
+            meter._interval_bytes,
+            meter._interval_video_packets,
+            meter._highest_seq,
+            meter._prev_highest_seq,
+            meter._base_owd,
+            meter._smoothed_owd,
         )
 
     @staticmethod
@@ -593,9 +746,10 @@ class TestOnePacketTrains:
             sim.schedule_at(0.2, deliver)
             sim.run(until=1.0)
             state = node.participants["C2"]
+            meter = state.uplink_meter
             return (
                 arrivals,
-                self._receiver_state(state.uplink_receiver),
+                None if meter is None else self._meter_state(meter),
                 dict(state.layer_bytes),
                 (node.bytes_forwarded, node.fec_bytes_added),
                 (server.packets_received, server.bytes_received, server.packets_sent, server.bytes_sent),
@@ -605,6 +759,12 @@ class TestOnePacketTrains:
         one = run(True)
         assert one == run(False)
         assert {n for _t, n, *_ in one[0]} >= {"C3", "C4"}
+        # A plain relay passes its receivers' reports through and keeps no
+        # uplink meter; an adapting server meters the video it received.
+        if get_profile(vca).server_adapts:
+            assert one[1][1] == 2
+        else:
+            assert one[1] is None
 
 
 class TestTopologies:

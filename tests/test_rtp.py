@@ -14,7 +14,7 @@ from repro.net.node import Host
 from repro.net.packet import Packet, PacketKind
 from repro.net.simulator import Simulator
 from repro.rtp.fec import FecGenerator
-from repro.rtp.jitter import StreamReceiver
+from repro.rtp.jitter import StreamMeter, StreamReceiver
 from repro.rtp.packetizer import Packetizer, make_audio_packet
 from repro.rtp.rtcp import extract_report, is_fir, is_report, make_fir_packet, make_report_packet
 from repro.rtp.session import RtpStreamSender, SenderConfig
@@ -274,6 +274,73 @@ class TestStreamReceiver:
             receiver.on_packet(self._packets_for_frame(i, 1, start_seq=i)[0])
         assert receiver.sample_received_fps() == 10
         assert receiver.sample_received_fps() == 0
+
+
+#: One arriving packet for the meter/receiver equivalence test: kind, seq,
+#: one-way delay (negative: the stamp lies in the future) and frame id.
+_meter_packets = st.tuples(
+    st.sampled_from([PacketKind.RTP_VIDEO, PacketKind.RTP_VIDEO, PacketKind.RTP_AUDIO, PacketKind.FEC]),
+    st.integers(min_value=0, max_value=40),
+    st.floats(min_value=-0.05, max_value=0.5, allow_nan=False),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=60, max_value=1300),
+)
+#: One step: a train (delivered per packet or batched, chosen per side),
+#: a report, or the clock moving on.
+_meter_steps = st.one_of(
+    st.tuples(st.just("train"), st.lists(_meter_packets, min_size=1, max_size=6), st.booleans(), st.booleans()),
+    st.tuples(st.just("report"), st.floats(min_value=0.0, max_value=0.2, allow_nan=False)),
+    st.tuples(st.just("wait"), st.floats(min_value=0.0, max_value=0.6, allow_nan=False)),
+)
+
+
+class TestStreamMeter:
+    """:class:`StreamMeter` reports exactly what :class:`StreamReceiver` does."""
+
+    @staticmethod
+    def _bits(report):
+        return tuple(
+            value.hex() if isinstance(value, float) else value
+            for value in (
+                report.timestamp, report.interval_s, report.receive_rate_bps,
+                report.loss_fraction, report.queueing_delay_s, report.delay_gradient_s,
+                report.rtt_s, report.packets_expected, report.packets_received,
+            )
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(steps=st.lists(_meter_steps, max_size=30))
+    def test_reports_are_bit_identical(self, steps):
+        sim = Simulator()
+        meter = StreamMeter(sim, "f")
+        receiver = StreamReceiver(sim, "f", track_quality=False)
+        reports = {"meter": [], "receiver": []}
+        for step in steps:
+            if step[0] == "wait":
+                sim._now += step[1]
+            elif step[0] == "report":
+                now = sim._now
+                reports["meter"].append(self._bits(meter.make_report(now, rtt_s=step[1])))
+                reports["receiver"].append(self._bits(receiver.make_report(now, rtt_s=step[1])))
+            else:
+                _, train, meter_batched, receiver_batched = step
+                packets = [
+                    Packet(
+                        size, "f", "a", "b", kind=kind, seq=seq, created_at=sim._now - owd,
+                        meta={"frame_id": frame, "frag_count": 2} if kind is PacketKind.RTP_VIDEO else None,
+                    )
+                    for kind, seq, owd, frame, size in train
+                ]
+                for sink, batched in ((meter, meter_batched), (receiver, receiver_batched)):
+                    if batched:
+                        sink.on_packet_batch(packets)
+                    else:
+                        for packet in packets:
+                            sink.on_packet(packet)
+        now = sim._now + 0.1
+        reports["meter"].append(self._bits(meter.make_report(now)))
+        reports["receiver"].append(self._bits(receiver.make_report(now)))
+        assert reports["meter"] == reports["receiver"]
 
 
 class TestRtpStreamSender:

@@ -53,8 +53,8 @@ def _packet_major_reference(self: SfuNode, packets) -> None:
             if state is None:
                 return
         self._state_by_flow[flow] = state
-    if state.uplink_receiver is not None:
-        state.uplink_receiver.on_packet_batch(packets)
+    if state.uplink_meter is not None:
+        state.uplink_meter.on_packet_batch(packets)
     host_name = self.host.name
     has_trunks = self._control is not None and len(self._control.neighbors.get(self.node_id, ())) > 0
     if len(packets) == 1 and packets[0].kind is PacketKind.RTP_AUDIO:
