@@ -105,9 +105,11 @@ def run_ttr_sweep(
                     time_to_recovery(
                         times,
                         mbps,
-                        disruption_start=drop_at_s + run.start_s,
-                        disruption_end=disruption_end + run.start_s,
-                        max_ttr_s=duration_s - disruption_end,
+                        # The shaper drops the rate at absolute simulation
+                        # time, the clock the bitrate series is binned on.
+                        disruption_start=drop_at_s,
+                        disruption_end=disruption_end,
+                        max_ttr_s=run.end_s - disruption_end,
                     )
                 )
             summary = aggregate_runs(ttrs)

@@ -101,6 +101,37 @@ class TestDisruptionDrivers:
         )
         assert result["meet"].y[0] > 3.0
 
+    @pytest.mark.parametrize("recovers, ttr", [(True, 4.0), (False, 9.0)])
+    def test_ttr_windows_follow_the_drop_in_simulation_time(self, monkeypatch, recovers, ttr):
+        """A synthetic trace: 1 Mbps, a drop to 0.25 Mbps over t=8..13 s of a
+        20 s call (the call runs t=2..22 s), then a ramp back to 1 Mbps.
+
+        The drop is applied at absolute simulation time, so recovery counts
+        from t=13 s against the rate before t=8 s, and a call that never
+        recovers scores the 9 s of trace left after the drop.
+        """
+        import numpy as np
+
+        from repro.experiments import disruption
+
+        times = np.arange(22.0)
+        mbps = np.where(times < 8, 1.0, 0.25)
+        if recovers:
+            mbps[13:] = [0.3, 0.6] + [1.0] * 7
+
+        class SyntheticRun:
+            start_s, end_s = 2.0, 22.0
+
+            def bitrate_series(self, tx_rx, name="C1"):
+                return times, mbps
+
+        monkeypatch.setattr(disruption, "run_scenario", lambda *args, **kwargs: SyntheticRun())
+        result = run_ttr_sweep(
+            vcas=("meet",), levels_mbps=(0.25,), duration_s=20, repetitions=1,
+            drop_at_s=8, drop_duration_s=5,
+        )
+        assert result["meet"].y == [ttr]
+
     def test_timeseries_shows_the_dip(self):
         result = run_disruption_timeseries(
             direction="up", drop_to_mbps=0.25, vcas=("zoom",), duration_s=150, repetitions=1
