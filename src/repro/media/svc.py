@@ -196,7 +196,7 @@ class SVCEncoder:
             size_bytes = int(frame_bits / 8)
             if 150 > size_bytes:
                 size_bytes = 150
-            # Positional, in field order.
+            # Positional, in field order: keyword binding costs more.
             frames.append(
                 EncodedFrame(next(frame_ids), now, size_bytes, cached[1], keyframe, name)
             )

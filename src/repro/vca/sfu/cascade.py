@@ -23,7 +23,7 @@ Key objects:
   train crosses a trunk exactly once regardless of how many receivers sit
   behind it.
 * :class:`TrunkIngress` -- a node's receive-side state for one upstream
-  trunk: the per-sender stream receivers plus the trunk's own relay
+  trunk: the per-sender stream meters plus the trunk's own relay
   estimator, which turns observed trunk loss/delay into the budget that
   caps the demands this node publishes upstream.
 """
@@ -136,7 +136,7 @@ class TrunkIngress:
 
     upstream: str
     #: The trunk's relay estimator: fed the aggregate of the per-sender
-    #: stream receivers each feedback tick, its estimate is the budget behind
+    #: stream meters each feedback tick, its estimate is the budget behind
     #: the demands this node publishes toward the upstream node.
     estimator: GCCController
     #: Remote-sender states whose media arrives over this trunk.

@@ -782,7 +782,7 @@ class SfuNode:
         return plan
 
     def _trunk_feedback_tick(self, now: float) -> None:
-        """Aggregate each ingress trunk's stream receivers into its estimator."""
+        """Aggregate each ingress trunk's stream meters into its estimator."""
         for ingress in self._trunk_ingress.values():
             reports = [state.uplink_meter.make_report(now) for state in ingress.states]
             aggregate = aggregate_reports(reports)
