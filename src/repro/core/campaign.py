@@ -142,6 +142,10 @@ class Condition:
         return self.seed + repetition
 
 
+#: Below this many values numpy's pairwise sum is one plain loop from ``0.0``.
+_PAIRWISE_BLOCK = 8
+
+
 @dataclass
 class ConditionResult:
     """All repetitions of one condition, in repetition order."""
@@ -156,13 +160,25 @@ class ConditionResult:
     def mean(self, name: str) -> float:
         """Mean of one metric over repetitions (``0.0`` when absent).
 
-        Bit-identical to the ``mean`` of :meth:`summary`, without the median
-        and CI quantiles that table merges never read.  It stays ``np.mean``
-        (not a Python sum) so tables keep numpy's pairwise summation.
+        Bit-identical to the ``mean`` of :meth:`summary` (``np.mean``),
+        without the median and CI quantiles that table merges never read.
+        Below eight values numpy's pairwise summation is a plain left-to-right
+        loop from ``0.0``, so short runs sum the same way in Python and skip
+        the array round trip; from eight values on it stays ``np.mean``.
+        The loop starts at ``0.0``, not at the first value, because numpy
+        starts at the identity (a lone ``-0.0`` averages to ``0.0``); and it
+        is not ``sum()``, which from Python 3.12 compensates its rounding
+        and would differ from numpy in the last bit.
         """
         values = self.metric_values(name)
-        if not values:
+        count = len(values)
+        if count == 0:
             return 0.0
+        if count < _PAIRWISE_BLOCK:
+            total = 0.0
+            for value in values:
+                total += value
+            return total / count
         return float(np.mean(np.asarray(values, dtype=float)))
 
     def summary(self, name: str, confidence: float = 0.90) -> RunSummary:
@@ -206,27 +222,33 @@ def default_workers() -> int:
         return os.cpu_count() or 1
 
 
-def _unit_key(condition: Condition, seed: int, fingerprint: str) -> Optional[str]:
-    """The store key of one ``(condition, seed)`` unit, or ``None``.
+def _condition_keys(
+    condition: Condition, seeds: list[int], fingerprint: Optional[str]
+) -> list[Optional[str]]:
+    """The store key of each repetition seed of one condition, all ``None``
+    without a ``fingerprint`` or when the condition is uncacheable.
 
-    ``None`` marks the unit uncacheable: its payload (explicit or derived)
-    is not JSON-expressible, or its function has no stable qualified name.
+    A condition is uncacheable when its payload (explicit or derived) is not
+    JSON-expressible or its function has no stable qualified name.
     Uncacheable units always execute -- caching is an optimisation, never a
     correctness requirement.
     """
-    from repro.results.fingerprint import result_key
+    from repro.results.fingerprint import result_keys
 
+    uncached: list[Optional[str]] = [None] * len(seeds)
+    if fingerprint is None:
+        return uncached
     payload = condition.cache_payload
     if payload is None:
         module = getattr(condition.fn, "__module__", None)
         qualname = getattr(condition.fn, "__qualname__", None)
         if not module or not qualname:
-            return None
+            return uncached
         payload = {"fn": f"{module}.{qualname}", "params": condition.params}
     try:
-        return result_key(payload, seed, fingerprint)
+        return result_keys(payload, seeds, fingerprint)
     except TypeError:
-        return None
+        return uncached
 
 
 def _effective_duration(condition: Condition) -> Optional[float]:
@@ -275,13 +297,13 @@ def expand_units(
             f"{getattr(condition.fn, '__module__', '?')}."
             f"{getattr(condition.fn, '__qualname__', repr(condition.fn))}"
         )
-        for repetition in range(condition.repetitions):
-            seed = condition.seed_for(repetition)
-            key = _unit_key(condition, seed, fingerprint) if fingerprint is not None else None
+        params = repr(sorted(condition.params.items()))
+        seeds = [condition.seed_for(repetition) for repetition in range(condition.repetitions)]
+        keys = _condition_keys(condition, seeds, fingerprint)
+        for repetition, (seed, key) in enumerate(zip(seeds, keys)):
             uid = f"{index}:{condition.name}#r{repetition}"
             descriptors.append(
-                {"uid": uid, "seed": seed, "key": key, "fn": fn_name,
-                 "params": repr(sorted(condition.params.items()))}
+                {"uid": uid, "seed": seed, "key": key, "fn": fn_name, "params": params}
             )
             units.append(
                 WorkUnit(

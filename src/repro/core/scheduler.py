@@ -9,11 +9,12 @@ with filesystem-only, crash-safe coordination:
 * **Leases.**  Every work unit maps to one lease file under
   ``<store>/leases/<key[:2]>/<key>.json`` (keyed by the unit's
   content-addressed store key, so two campaigns over the same grid share
-  work instead of duplicating it).  A host claims a unit by creating its
-  lease with ``O_CREAT | O_EXCL`` -- the filesystem arbitrates, exactly one
-  claimant wins -- and the lease records the owner's host id, pid, a random
-  claim token, a fencing counter and an expiry deadline derived from the
-  unit's simulated duration.
+  work instead of duplicating it).  A host claims a unit by hard-linking a
+  fully written record to the lease name -- the link fails when the lease
+  exists, so the filesystem arbitrates and exactly one claimant wins, and no
+  peer reads a claim before its content -- and the lease records the
+  owner's host id, pid, a random claim token, a fencing counter and an
+  expiry deadline derived from the unit's simulated duration.
 
 * **Heartbeats.**  A daemon thread refreshes every lease the host holds
   (atomic rewrite extending ``expires_at``) at a fraction of the lease TTL,
@@ -21,7 +22,7 @@ with filesystem-only, crash-safe coordination:
 
 * **Stale-lease stealing.**  A lease whose deadline has passed marks a dead
   or frozen owner.  Any other host reclaims it: unlink the stale file, then
-  race a fresh ``O_EXCL`` claim (two stealers race; exactly one wins) with
+  race a fresh exclusive claim (two stealers race; exactly one wins) with
   the fencing counter incremented.
 
 * **Fencing.**  Every refresh and release verifies the on-disk lease still
@@ -71,7 +72,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional, Sequence, Union
 
-from repro.core.fsutil import atomic_write_text, sweep_stale_tmp
+from repro.core.fsutil import atomic_write_text, sweep_stale_tmp, tmp_path_for
 from repro.core.journal import CampaignJournal
 from repro.core.supervisor import (
     KIND_ERROR,
@@ -237,10 +238,10 @@ class HostStats:
 class LeaseManager:
     """Crash-safe lease files under one shared directory.
 
-    Claims use ``O_CREAT | O_EXCL`` (the filesystem picks exactly one
-    winner); refreshes and releases verify the on-disk identity first, so a
-    host whose lease was stolen discovers it instead of clobbering the
-    thief.  Stealing unlinks the stale file and races a fresh exclusive
+    Claims hard-link a complete record to the lease name (the filesystem
+    picks exactly one winner); refreshes and releases verify the on-disk
+    identity first, so a host whose lease was stolen discovers it instead
+    of clobbering the thief.  Stealing unlinks the stale file and races a fresh exclusive
     claim with the fencing counter incremented.
     """
 
@@ -275,14 +276,23 @@ class LeaseManager:
             ttl_s=ttl_s,
             expires_at=now + ttl_s,
         )
-        try:
-            fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
-        except FileExistsError:
-            return None
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+        # Write the whole record to a private temp file, then hard-link it
+        # to the lease name: the link fails when the lease exists, so the
+        # claim stays exclusive, and a peer never sees the lease before its
+        # content.  Creating the lease empty and writing it afterwards let a
+        # peer read it in between, take it as torn (stale) and steal it from
+        # a live owner, so both executed the unit.
+        tmp = tmp_path_for(path)
+        with open(tmp, "w", encoding="utf-8") as handle:
             handle.write(json.dumps(lease.record(now), sort_keys=True) + "\n")
             handle.flush()
             os.fsync(handle.fileno())
+        try:
+            os.link(tmp, path)
+        except FileExistsError:
+            return None
+        finally:
+            os.unlink(tmp)
         return lease
 
     def read(self, key: str) -> Optional[dict[str, Any]]:
@@ -300,8 +310,10 @@ class LeaseManager:
     def is_stale(self, record: Mapping[str, Any], grace_s: float = 0.0) -> bool:
         """Whether a lease record's owner must be presumed dead.
 
-        A torn record (claim cut short by a crash) is immediately stale --
-        it can never be refreshed, so waiting on it would deadlock.
+        A torn record is immediately stale -- it can never be refreshed, so
+        waiting on it would deadlock.  Claims appear whole (hard link) and
+        refreshes replace whole (rename), so a live owner's lease never
+        reads as torn; only a damaged file does.
         """
         if record.get("corrupt"):
             return True
@@ -316,7 +328,7 @@ class LeaseManager:
         """Reclaim an expired lease; ``None`` when another stealer won.
 
         Unlink-then-claim: both racing stealers may unlink (idempotent) but
-        the fresh ``O_EXCL`` claim has exactly one winner.  The new fence is
+        the fresh exclusive claim has exactly one winner.  The new fence is
         the stale owner's plus one, so provenance records how often the
         unit changed hands.
         """
@@ -840,7 +852,7 @@ def execute_distributed(
             )
 
     pre_cached = {
-        unit.uid for unit in units if store.object_path(unit.key).is_file()
+        unit.uid for unit in units if os.path.isfile(store.entry_path(unit.key))
     }
     status_dir = Path(store.root) / "hosts" / (campaign_id[:12] or "campaign")
     status_dir.mkdir(parents=True, exist_ok=True)
@@ -871,7 +883,7 @@ def execute_distributed(
     def done_count() -> int:
         count = 0
         for unit in units:
-            if store.object_path(unit.key).is_file():
+            if os.path.isfile(store.entry_path(unit.key)):
                 count += 1
             elif manager.quarantine_path(unit.key).is_file():
                 count += 1

@@ -17,6 +17,7 @@ from cache while editing one spec re-simulates exactly that scenario.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import hashlib
 from pathlib import Path
@@ -70,10 +71,11 @@ def scenario_cache_payload(
 ) -> dict[str, Any]:
     """The content the result store hashes for one scenario condition.
 
-    The full spec is flattened to plain data (``dataclasses.asdict``), so
-    *any* field edit -- a shaping level, a loss parameter, the VCA -- changes
-    the hash; the registry name alone never would.  ``duration_s`` records
-    the effective call duration (``None`` resolves to the spec's own).
+    The full spec is flattened to plain data (a deep copy equal to
+    ``dataclasses.asdict``, see :func:`_plain_copy`), so *any* field edit --
+    a shaping level, a loss parameter, the VCA -- changes the hash; the
+    registry name alone never would.  ``duration_s`` records the effective
+    call duration (``None`` resolves to the spec's own).
 
     A ``workload=None`` or ``pinned=None`` spec omits that key entirely:
     adding an axis must not re-key the store for the (vast) majority that
@@ -82,7 +84,10 @@ def scenario_cache_payload(
     re-keys exactly those cells.
     """
     duration = float(duration_s) if duration_s is not None else spec.duration_s
-    spec_payload = dataclasses.asdict(spec)
+    spec_payload = {
+        field.name: _plain_copy(getattr(spec, field.name))
+        for field in dataclasses.fields(spec)
+    }
     for optional_axis in ("workload", "pinned"):
         if spec_payload[optional_axis] is None:
             del spec_payload[optional_axis]
@@ -98,6 +103,28 @@ def scenario_cache_payload(
         # file) invalidate exactly the scenarios that read it.
         payload["trace_content"] = trace_content
     return payload
+
+
+#: Field values returned as they are: immutable, and plain data already.
+_ATOMS = frozenset({str, int, float, bool, type(None)})
+
+
+def _plain_copy(value: Any) -> Any:
+    """Deep copy of one spec field, equal to what ``dataclasses.asdict``
+    renders for it.
+
+    Dicts, lists and tuples are rebuilt level by level, so the payload
+    shares no mutable container with the spec; any other value (none in a
+    registered spec) is deep-copied, as ``asdict`` does.
+    """
+    kind = type(value)
+    if kind in _ATOMS:
+        return value
+    if kind is dict:
+        return {key: _plain_copy(item) for key, item in value.items()}
+    if kind is tuple or kind is list:
+        return kind(_plain_copy(item) for item in value)
+    return copy.deepcopy(value)
 
 
 def _trace_content_hashes(spec: ScenarioSpec) -> dict[str, str]:
@@ -124,16 +151,28 @@ def scenario_conditions(
     seed: int = 0,
 ) -> list[Condition]:
     """Campaign conditions (with cache payloads) for registered scenarios."""
+    return _spec_conditions(
+        [get_scenario(name) for name in names], duration_s, repetitions, seed
+    )
+
+
+def _spec_conditions(
+    specs: Sequence[ScenarioSpec],
+    duration_s: Optional[float],
+    repetitions: int,
+    seed: int,
+) -> list[Condition]:
+    """:func:`scenario_conditions` over specs already resolved by name."""
     return [
         Condition(
-            name=name,
+            name=spec.name,
             fn=run_scenario_by_name,
-            params={"name": name, "duration_s": duration_s},
+            params={"name": spec.name, "duration_s": duration_s},
             repetitions=repetitions,
             seed=seed,
-            cache_payload=scenario_cache_payload(get_scenario(name), duration_s),
+            cache_payload=scenario_cache_payload(spec, duration_s),
         )
-        for name in names
+        for spec in specs
     ]
 
 
@@ -207,14 +246,12 @@ def run_scenario_sweep(
     zeros.
     """
     if scenarios is not None:
-        names = [get_scenario(name).name for name in scenarios]
+        specs = [get_scenario(name) for name in scenarios]
     else:
-        names = [spec.name for spec in list_scenarios(tag=tag)]
-    if not names:
+        specs = list_scenarios(tag=tag)
+    if not specs:
         raise ValueError("no scenarios selected")
-    conditions = scenario_conditions(
-        names, duration_s=duration_s, repetitions=repetitions, seed=seed
-    )
+    conditions = _spec_conditions(specs, duration_s, repetitions, seed)
     results = run_campaign(
         conditions,
         workers=workers,
@@ -235,7 +272,7 @@ def run_scenario_sweep(
     # workload anywhere; workload-free scenarios in a mixed selection report
     # NaN there (their runs never produce the metrics).
     sweep_metrics = SWEEP_METRICS
-    if any(get_scenario(name).workload is not None for name in names):
+    if any(spec.workload is not None for spec in specs):
         sweep_metrics = (*SWEEP_METRICS, *WORKLOAD_SWEEP_METRICS)
     columns = ("scenario", *sweep_metrics)
     if formula is not None:
@@ -248,18 +285,16 @@ def run_scenario_sweep(
     for result in results:
         if not result.runs:  # every repetition quarantined
             continue
+        present = set().union(*result.runs)
         row = [
             result.condition.name,
             *(
-                result.mean(metric)
-                if any(metric in run for run in result.runs)
-                else float("nan")
+                result.mean(metric) if metric in present else float("nan")
                 for metric in sweep_metrics
             ),
         ]
         if formula is not None:
-            keys = sorted({key for run in result.runs for key in run})
-            means = {key: result.mean(key) for key in keys}
+            means = {key: result.mean(key) for key in sorted(present)}
             row.append(formula.quality_index(means))
         table.add_row(*row)
     table.campaign_stats = results.stats.as_dict()

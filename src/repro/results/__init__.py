@@ -24,6 +24,7 @@ from repro.results.fingerprint import (
     code_fingerprint,
     payload_hash,
     result_key,
+    result_keys,
 )
 from repro.results.store import ResultStore, resolve_store, store_from_env
 
@@ -33,6 +34,7 @@ __all__ = [
     "code_fingerprint",
     "payload_hash",
     "result_key",
+    "result_keys",
     "ResultStore",
     "resolve_store",
     "store_from_env",

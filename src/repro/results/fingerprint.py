@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Optional
+from typing import Any, Iterable, Optional
 
 __all__ = [
     "STORE_SCHEMA_VERSION",
@@ -28,6 +28,7 @@ __all__ = [
     "code_fingerprint",
     "payload_hash",
     "result_key",
+    "result_keys",
 ]
 
 #: Bump when the stored entry format (or the meaning of cached metrics)
@@ -82,8 +83,25 @@ def result_key(payload: Any, seed: int, fingerprint: Optional[str] = None) -> st
     ``fingerprint`` defaults to :func:`code_fingerprint`; passing it
     explicitly lets a campaign hash many units against one snapshot.
     """
+    return result_keys(payload, (seed,), fingerprint)[0]
+
+
+def result_keys(
+    payload: Any, seeds: Iterable[int], fingerprint: Optional[str] = None
+) -> list[str]:
+    """The store keys of one payload repeated under each of ``seeds``.
+
+    Each key is the digest of the canonical JSON of
+    ``{"fingerprint": ..., "payload": ..., "seed": N}``.  Sorted keys put the
+    seed last, so the payload is serialised once and every seed is spliced
+    into the same prefix; the text is the one :func:`canonical_json` renders
+    for the whole record.  Raises ``TypeError`` when the payload is not
+    JSON-expressible, as :func:`result_key` does.
+    """
     if fingerprint is None:
         fingerprint = code_fingerprint()
-    return _digest(
-        canonical_json({"fingerprint": fingerprint, "payload": payload, "seed": int(seed)})
+    prefix = (
+        f'{{"fingerprint":{canonical_json(fingerprint)},'
+        f'"payload":{canonical_json(payload)},"seed":'
     )
+    return [_digest(f"{prefix}{int(seed)}}}") for seed in seeds]

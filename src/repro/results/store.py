@@ -50,6 +50,9 @@ class ResultStore:
 
     def __init__(self, root: Union[str, Path]) -> None:
         self.root = Path(root)
+        #: ``<root>/objects/`` as a string: the per-key entry path is built by
+        #: concatenation (:meth:`entry_path`) on every lookup.
+        self._objects_prefix = os.path.join(str(self.root), "objects", "")
         self.hits = 0
         self.misses = 0
         self.puts = 0
@@ -60,12 +63,13 @@ class ResultStore:
         self.swept_tmp = sweep_stale_tmp(self.root / "objects")
 
     # ------------------------------------------------------------- layout
+    def entry_path(self, key: str) -> str:
+        """On-disk path of one entry, as a string (the per-lookup form)."""
+        return f"{self._objects_prefix}{key[:2]}/{key}.json"
+
     def object_path(self, key: str) -> Path:
         """On-disk path of one entry (the chaos harness corrupts these)."""
-        return self.root / "objects" / key[:2] / f"{key}.json"
-
-    # Backwards-compatible alias (pre-dates the public accessor).
-    _object_path = object_path
+        return Path(self.entry_path(key))
 
     def reset_counters(self) -> None:
         self.hits = self.misses = self.puts = self.discarded = 0
@@ -84,9 +88,13 @@ class ResultStore:
         filename, a non-mapping metrics payload -- is deleted and treated
         as a miss, so a corrupted store degrades to re-execution.
         """
-        path = self.object_path(key)
+        path = self.entry_path(key)
         try:
-            entry = json.loads(path.read_text(encoding="utf-8"))
+            # Unbuffered bytes, decoded as strict UTF-8: the text a text-mode
+            # read gives (its newline translation cannot change what JSON
+            # accepts), without the text wrapper's set-up cost.
+            with open(path, "rb", buffering=0) as handle:
+                entry = json.loads(handle.read().decode("utf-8"))
         except FileNotFoundError:
             self.misses += 1
             return None
@@ -106,10 +114,10 @@ class ResultStore:
         self.hits += 1
         return entry["metrics"]
 
-    def _discard(self, path: Path) -> None:
+    def _discard(self, path: str) -> None:
         self.discarded += 1
         try:
-            path.unlink()
+            os.unlink(path)
         except OSError:  # pragma: no cover - unlink race / read-only store
             pass
 

@@ -112,6 +112,7 @@ class TestAnalysis:
         """``ConditionResult.mean`` is ``aggregate_runs(...).mean`` to the bit."""
         rng = random.Random(f"condition-mean:{n}")
         condition = Condition(name="c", fn=len)
+        trials = []
         for _ in range(40):
             runs = []
             for _ in range(n):
@@ -122,12 +123,26 @@ class TestAnalysis:
                     value = -0.0
                 elif draw < 0.25:
                     value = rng.randint(0, 50)
+                elif draw < 0.30:
+                    value = rng.choice((math.inf, -math.inf))
+                elif draw < 0.38:
+                    # Two of these overflow the running sum to +-inf.
+                    value = rng.choice((-1.0, 1.0)) * rng.uniform(1e307, 1.7e308)
+                elif draw < 0.46:
+                    # Subnormals: below 2.2e-308, down to the 5e-324 minimum.
+                    value = rng.choice((-1.0, 1.0)) * 5e-324 * rng.randint(1, 2**52 - 1)
                 else:
                     value = rng.choice((-1.0, 1.0)) * rng.random() * 10.0 ** rng.randint(-12, 12)
                 runs.append({"m": value} if rng.random() < 0.9 else {"other": 1.0})
+            trials.append(runs)
+        trials.append([{"m": -0.0}] * n)  # numpy's sum starts at +0.0
+        trials.append([{"m": 1.7e308}] * n)  # overflows from the second value
+        trials.append([{"m": 5e-324}] * n)  # the smallest subnormal
+        for runs in trials:
             result = ConditionResult(condition=condition, runs=runs)
-            got = result.mean("m")
-            want = aggregate_runs(result.metric_values("m")).mean
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = result.mean("m")
+                want = aggregate_runs(result.metric_values("m")).mean
             assert (math.isnan(got) and math.isnan(want)) or (
                 struct.pack("<d", got) == struct.pack("<d", want)
             ), (runs, got, want)

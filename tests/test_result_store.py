@@ -12,16 +12,23 @@ Covers the invalidation semantics the store's correctness rests on:
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
+import hypothesis.strategies as st
+import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import repro.experiments.scenario as scenario_mod
 import repro.results.fingerprint as fingerprint_mod
 from repro.calibrate.constants import COMMITTED_CONSTANTS, set_active_constants
 from repro.calibrate.targets import SCENARIO_TARGETS, ScenarioTarget, score_scenario_metrics
 from repro.calibrate.verify import target_scenario_names, verify_scenarios
-from repro.core.campaign import Condition, run_campaign
+from repro.core.campaign import Condition, expand_units, run_campaign
 from repro.experiments.registry import run_experiment
 from repro.experiments.scenario import (
     SWEEP_METRICS,
@@ -31,7 +38,14 @@ from repro.experiments.scenario import (
     scenario_cache_payload,
 )
 from repro.netem.scenarios import SCENARIOS, ScenarioSpec, get_scenario
-from repro.results import ResultStore, code_fingerprint, payload_hash, result_key
+from repro.results import (
+    ResultStore,
+    canonical_json,
+    code_fingerprint,
+    payload_hash,
+    result_key,
+    result_keys,
+)
 from repro.results.store import store_from_env
 
 
@@ -60,7 +74,128 @@ def _dispatch_log(monkeypatch) -> list[tuple[str, int]]:
     return calls
 
 
+def _reference_key(payload, seed, fingerprint: str) -> str:
+    """The key format: sha256 of the whole record's canonical JSON."""
+    record = {"fingerprint": fingerprint, "payload": payload, "seed": int(seed)}
+    return hashlib.sha256(canonical_json(record).encode("utf-8")).hexdigest()
+
+
+def _asdict_payload(spec: ScenarioSpec, duration_s=None) -> dict:
+    """``scenario_cache_payload`` as first written, over ``dataclasses.asdict``."""
+    duration = float(duration_s) if duration_s is not None else spec.duration_s
+    spec_payload = dataclasses.asdict(spec)
+    for optional_axis in ("workload", "pinned"):
+        if spec_payload[optional_axis] is None:
+            del spec_payload[optional_axis]
+    payload = {"kind": "scenario", "spec": spec_payload, "duration_s": duration}
+    trace_content = scenario_mod._trace_content_hashes(spec)
+    if trace_content:
+        payload["trace_content"] = trace_content
+    return payload
+
+
+def _containers(value) -> list:
+    """Every dict and list inside ``value`` (tuples are walked, not listed)."""
+    found = []
+    if isinstance(value, dict):
+        found.append(value)
+        for item in value.values():
+            found.extend(_containers(item))
+    elif isinstance(value, (list, tuple)):
+        if isinstance(value, list):
+            found.append(value)
+        for item in value:
+            found.extend(_containers(item))
+    return found
+
+
+def _perfbench_gallery_specs() -> list[ScenarioSpec]:
+    """The ad-hoc gallery specs of the benchmark's gallery-fanout workload."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    module_spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(module_spec)
+    # Its dataclasses resolve their annotations through sys.modules.
+    sys.modules[module_spec.name] = workloads
+    try:
+        module_spec.loader.exec_module(workloads)
+        return [workloads.gallery_spec(vca, n) for vca, n in workloads.GALLERY_CALLS]
+    finally:
+        del sys.modules[module_spec.name]
+
+
+_JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**70), max_value=2**70)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text()
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=20,
+)
+_SEEDS = st.lists(
+    st.integers(min_value=-(2**40), max_value=2**40)
+    | st.booleans()
+    | st.integers(min_value=-(2**31), max_value=2**31).map(np.int64)
+    | st.integers(min_value=0, max_value=2**16 - 1).map(np.uint16),
+    max_size=5,
+)
+#: Fingerprints whose JSON rendering escapes: quotes, backslashes, control
+#: characters, non-ASCII and lone surrogates.
+_FINGERPRINTS = st.text(
+    alphabet=st.sampled_from('ab"\\\n\t\x00\x1f/é\u2028\U0001f600\ud800'), max_size=8
+) | st.just(code_fingerprint())
+
+
 class TestKeys:
+    @settings(max_examples=300, deadline=None)
+    @given(payload=_JSON_VALUES, seeds=_SEEDS, fingerprint=_FINGERPRINTS)
+    def test_result_keys_equal_per_seed_result_key(self, payload, seeds, fingerprint):
+        keys = result_keys(payload, seeds, fingerprint)
+        assert keys == [result_key(payload, seed, fingerprint) for seed in seeds]
+        assert keys == [_reference_key(payload, seed, fingerprint) for seed in seeds]
+
+    def test_result_keys_default_to_the_code_fingerprint(self):
+        payload = {"kind": "scenario", "mbps": 2.0}
+        assert result_keys(payload, [0, 1]) == result_keys(payload, [0, 1], code_fingerprint())
+
+    def test_non_json_payload_makes_every_repetition_uncacheable(self):
+        with pytest.raises(TypeError):
+            result_keys({"fn": object()}, [0, 1], "fp")
+        with pytest.raises(TypeError):
+            result_key({"fn": object()}, 0, "fp")
+        grid = [
+            Condition(name="bad", fn=_counted_metrics, repetitions=3,
+                      cache_payload={"fn": object()}),
+            Condition(name="bad-params", fn=_counted_metrics, params={"value": object()},
+                      repetitions=2),
+            Condition(name="good", fn=_counted_metrics, repetitions=2),
+        ]
+        units, descriptors = expand_units(grid, fingerprint="fp")
+        assert [unit.key for unit in units[:5]] == [None] * 5
+        assert all(len(unit.key) == 64 for unit in units[5:])
+        assert [d["key"] for d in descriptors] == [unit.key for unit in units]
+
+    def test_scenario_payload_equals_the_asdict_payload(self):
+        specs = [*SCENARIOS.values(), *_perfbench_gallery_specs()]
+        assert len(specs) > len(SCENARIOS)
+        for spec in specs:
+            for duration_s in (None, 4.0):
+                payload = scenario_cache_payload(spec, duration_s)
+                assert payload == _asdict_payload(spec, duration_s), spec.name
+                assert canonical_json(payload) == canonical_json(
+                    _asdict_payload(spec, duration_s)
+                )
+                # A deep copy: no dict or list of the payload is the spec's.
+                spec_ids = {
+                    id(c) for f in dataclasses.fields(spec)
+                    for c in _containers(getattr(spec, f.name))
+                }
+                assert not spec_ids & {id(c) for c in _containers(payload)}, spec.name
+
     def test_key_is_stable_across_processes(self):
         payload = {"kind": "scenario", "b": [1, 2], "a": {"x": 1.5}}
         assert result_key(payload, 3) == result_key({"a": {"x": 1.5}, "b": [1, 2], "kind": "scenario"}, 3)
@@ -146,7 +281,7 @@ class TestStore:
         store = ResultStore(tmp_path)
         key = result_key({"k": "corrupt"}, 0)
         store.put(key, {"v": 1.0})
-        path = store._object_path(key)
+        path = store.object_path(key)
         path.write_text("{ not json", encoding="utf-8")
         assert store.get(key) is None
         assert store.discarded == 1
@@ -154,7 +289,7 @@ class TestStore:
         # Valid JSON under the wrong key is equally untrusted.
         other = result_key({"k": "other"}, 0)
         store.put(other, {"v": 2.0})
-        path.write_text(store._object_path(other).read_text(), encoding="utf-8")
+        path.write_text(store.object_path(other).read_text(), encoding="utf-8")
         assert store.get(key) is None
         assert store.discarded == 2
 
@@ -171,7 +306,7 @@ class TestStore:
         file, which lookups ignore and a later good write supersedes."""
         store = ResultStore(tmp_path)
         key = result_key({"k": "torn"}, 0)
-        path = store._object_path(key)
+        path = store.object_path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_name(path.name + ".tmp12345")
         tmp.write_text('{"schema": 1, "key": "', encoding="utf-8")  # torn write
@@ -188,11 +323,11 @@ class TestStore:
         store = ResultStore(tmp_path)
         key = result_key({"k": "partial"}, 0)
         good = store.put(key, {"v": 1.0})
-        truncated = store._object_path(key).read_text(encoding="utf-8")[:40]
-        store._object_path(key).write_text(truncated, encoding="utf-8")
+        truncated = store.object_path(key).read_text(encoding="utf-8")[:40]
+        store.object_path(key).write_text(truncated, encoding="utf-8")
         assert store.get(key) is None
         assert store.discarded == 1
-        assert not store._object_path(key).exists()
+        assert not store.object_path(key).exists()
         assert store.put(key, {"v": 2.0}) == {"v": 2.0}
         assert store.get(key) == {"v": 2.0} != good
 
