@@ -24,9 +24,10 @@ Modes:
 content-addressed result store: a warm store re-scores the whole
 population without a single simulation, so editing a formula or a
 scorecard threshold replays yesterday's campaign for free.  The campaign
-fault-tolerance controls (--journal/--resume/--unit-timeout/--max-retries/
---quarantine) and the multi-host fan-out (--hosts N, requires --store)
-work exactly as in examples/scenario_explorer.py.
+fault-tolerance controls (--unit-timeout/--max-retries/--quarantine), the
+multi-host fan-out (--hosts N, requires --store) and resume (re-run the
+same command against the same --store) work exactly as in
+examples/scenario_explorer.py.
 
 Run with:  python examples/barometer.py --tiers
            python examples/barometer.py --sample 20 --seed 7
@@ -65,7 +66,7 @@ def _print_campaign(stats, failures, hosts=None) -> None:
         print(
             "campaign: "
             f"{stats['completed']} run, {stats['cache_hits']} cached, "
-            f"{stats['resumed']} resumed, {stats['retries']} retries, "
+            f"{stats['retries']} retries, "
             f"{stats['timeouts']} timeouts, {stats['crashes']} crashes, "
             f"{stats['quarantined']} quarantined"
             + (f", {stats['stolen']} leases stolen, {stats['fenced']} fenced"
@@ -160,8 +161,6 @@ def cmd_sweep(args) -> int:
         store=store,
         use_cache=not args.no_cache,
         policy=_resolve_policy(args),
-        journal=args.journal,
-        resume=args.resume,
         progress=args.progress or None,
         hosts=args.hosts,
     )
@@ -217,8 +216,6 @@ def cmd_verify(args) -> int:
         use_cache=not args.no_cache,
         output_path=args.json,
         policy=_resolve_policy(args),
-        journal=args.journal,
-        resume=args.resume,
         progress=args.progress or None,
         hosts=args.hosts,
         targets=targets,
@@ -278,10 +275,6 @@ def main() -> int:
                         help="content-addressed result store directory (incremental re-runs)")
     parser.add_argument("--no-cache", action="store_true",
                         help="do not read the store (fresh results still stored)")
-    parser.add_argument("--journal", default=None, metavar="DIR",
-                        help="campaign journal directory (checkpointed per-unit progress)")
-    parser.add_argument("--resume", action="store_true",
-                        help="resume an interrupted sweep from --journal")
     parser.add_argument("--unit-timeout", type=float, default=None, metavar="SECONDS",
                         help="per-unit wall-clock timeout for pooled sweeps")
     parser.add_argument("--max-retries", type=int, default=None, metavar="N",
@@ -293,8 +286,6 @@ def main() -> int:
     parser.add_argument("--json", default=None, help="also write results to this JSON file")
     args = parser.parse_args()
 
-    if args.resume and not args.journal:
-        parser.error("--resume requires --journal DIR")
     if args.hosts is not None:
         if not args.store:
             parser.error("--hosts requires --store DIR")

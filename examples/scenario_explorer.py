@@ -31,26 +31,29 @@ content-addressed result store: unchanged (scenario, seed, duration) cells
 re-score from cache.  ``--no-cache`` re-executes everything but still
 refreshes the store.
 
-Fault tolerance (--sweep / --verify-targets): ``--journal DIR`` checkpoints
-per-unit progress so a killed sweep resumes with ``--resume`` (completed
-units are never re-simulated); ``--unit-timeout``, ``--max-retries`` and
-``--quarantine`` tune the supervised pool's per-unit wall-clock timeout,
-bounded-retry budget, and whether exhausted units are quarantined into a
-failure report instead of aborting the campaign.
+Resume: the store is the checkpoint.  A killed --sweep / --verify-targets
+resumes by re-running the same command against the same ``--store``:
+stored units merge as cache hits and only the rest are simulated.  An
+edited scenario re-keys and re-simulates only itself; ``--no-cache``
+refreshes entries and therefore does not resume.
+
+Fault tolerance (--sweep / --verify-targets): ``--unit-timeout``,
+``--max-retries`` and ``--quarantine`` tune the supervised pool's per-unit
+wall-clock timeout, bounded-retry budget, and whether exhausted units are
+quarantined into a failure report instead of aborting the campaign.
 
 ``--hosts N`` (requires ``--store``) fans the sweep out over N independent
 host processes coordinating only through the store's lease directory --
 the same lease/heartbeat/steal protocol `python -m repro.campaignd` workers
 use across real machines.  Any host can be killed mid-run; the survivors
 steal its leases and the sweep completes byte-identically.  With
-``--progress`` a live per-host progress/ETA line (fed by lease + journal
-state) replaces the single-process progress view.
+``--progress`` a live per-host progress/ETA line (fed by lease state)
+replaces the single-process progress view.
 
 Run with:  python examples/scenario_explorer.py --list
            python examples/scenario_explorer.py --run lte-uplink-zoom --duration 30
            python examples/scenario_explorer.py --sweep --tag beyond-paper \\
-               --duration 30 --workers auto --store .repro-results \\
-               --journal .repro-journal --resume
+               --duration 30 --workers auto --store .repro-results
            python examples/scenario_explorer.py --verify-targets --duration 10 \\
                --store .repro-results --json SCENARIO_MARGINS.json
 """
@@ -86,7 +89,7 @@ def _print_campaign(stats, failures, hosts=None) -> None:
         print(
             "campaign: "
             f"{stats['completed']} run, {stats['cache_hits']} cached, "
-            f"{stats['resumed']} resumed, {stats['retries']} retries, "
+            f"{stats['retries']} retries, "
             f"{stats['timeouts']} timeouts, {stats['crashes']} crashes, "
             f"{stats['quarantined']} quarantined"
             + (f", {stats['stolen']} leases stolen, {stats['fenced']} fenced"
@@ -219,8 +222,6 @@ def cmd_sweep(args) -> int:
         store=store,
         use_cache=not args.no_cache,
         policy=_resolve_policy(args),
-        journal=args.journal,
-        resume=args.resume,
         progress=args.progress or None,
         hosts=args.hosts,
     )
@@ -268,8 +269,6 @@ def cmd_cascade(args) -> int:
         store=store,
         use_cache=not args.no_cache,
         policy=_resolve_policy(args),
-        journal=args.journal,
-        resume=args.resume,
         progress=args.progress or None,
         hosts=args.hosts,
     )
@@ -313,8 +312,6 @@ def cmd_verify_targets(args) -> int:
         use_cache=not args.no_cache,
         output_path=args.json,
         policy=_resolve_policy(args),
-        journal=args.journal,
-        resume=args.resume,
         progress=args.progress or None,
         hosts=args.hosts,
     )
@@ -332,7 +329,7 @@ def cmd_verify_targets(args) -> int:
         print(
             "campaign: "
             f"{stats['completed']} run, {stats['cache_hits']} cached, "
-            f"{stats['resumed']} resumed, {stats['retries']} retries, "
+            f"{stats['retries']} retries, "
             f"{stats['timeouts']} timeouts, {stats['crashes']} crashes, "
             f"{stats['quarantined']} quarantined"
             + (f", {stats['stolen']} leases stolen, {stats['fenced']} fenced"
@@ -410,10 +407,6 @@ def main() -> int:
                         help="content-addressed result store directory (incremental re-runs)")
     parser.add_argument("--no-cache", action="store_true",
                         help="do not read the store (re-run everything; fresh results still stored)")
-    parser.add_argument("--journal", default=None, metavar="DIR",
-                        help="campaign journal directory (checkpointed per-unit progress)")
-    parser.add_argument("--resume", action="store_true",
-                        help="resume an interrupted sweep from --journal (completed units skipped)")
     parser.add_argument("--unit-timeout", type=float, default=None, metavar="SECONDS",
                         help="per-unit wall-clock timeout for pooled sweeps "
                              "(default: 4x the unit's simulated duration)")
@@ -427,8 +420,6 @@ def main() -> int:
     parser.add_argument("--json", default=None, help="also write results to this JSON file")
     args = parser.parse_args()
 
-    if args.resume and not args.journal:
-        parser.error("--resume requires --journal DIR")
     if args.hosts is not None:
         if not args.store:
             parser.error("--hosts requires --store DIR (the hosts' shared coordination substrate)")

@@ -4,8 +4,8 @@
 experiment id: it samples (or accepts) a household grid, compiles every
 (household, VCA, use case) cell into a :class:`ScenarioSpec`, fans the
 cells through :func:`repro.core.campaign.run_campaign` -- with the full
-store / journal / supervised-pool / ``hosts=N`` machinery the campaign
-service provides -- and tabulates one row per cell with the cell's raw
+store / supervised-pool / ``hosts=N`` machinery the campaign service
+provides -- and tabulates one row per cell with the cell's raw
 scenario metrics plus its formula-scored quality index.
 
 Two properties make population scale cheap:
@@ -26,7 +26,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 if TYPE_CHECKING:
-    from repro.core.journal import CampaignJournal
     from repro.results.store import ResultStore
 
 from repro.barometer.formula import UseCaseFormula, get_use_case, list_use_cases
@@ -127,8 +126,6 @@ def run_barometer_sweep(
     store: Union["ResultStore", str, Path, None] = None,
     use_cache: bool = True,
     policy: Optional[CampaignPolicy] = None,
-    journal: Union["CampaignJournal", str, Path, None] = None,
-    resume: bool = False,
     progress: Union[bool, None] = None,
     hosts: Optional[int] = None,
 ) -> TableResult:
@@ -167,8 +164,6 @@ def run_barometer_sweep(
         store=store,
         use_cache=use_cache,
         policy=policy,
-        journal=journal,
-        resume=resume,
         progress=progress,
         hosts=hosts,
     )

@@ -76,8 +76,6 @@ def verify_scenarios(
     use_cache: bool = True,
     output_path: Union[str, Path, None] = None,
     policy: Optional[CampaignPolicy] = None,
-    journal: Union[str, Path, None, Any] = None,
-    resume: bool = False,
     progress: Union[bool, None] = None,
     hosts: Optional[int] = None,
     targets: Optional[Sequence[ScenarioTarget]] = None,
@@ -91,10 +89,10 @@ def verify_scenarios(
     Runs every referenced scenario ``repetitions`` times (seeds ``seed`` ..
     ``seed + repetitions - 1``), aggregates each metric as the mean over
     repetitions, and scores every :class:`ScenarioTarget`.  ``store`` makes
-    the run incremental; ``duration_s=None`` uses each spec's own duration
-    (the full-duration nightly gate).  ``policy``/``journal``/``resume``
-    are the campaign fault-tolerance controls (timeouts, bounded retries,
-    quarantine, checkpointed resume).
+    the run incremental (and an interrupted run resumable); ``duration_s=None``
+    uses each spec's own duration (the full-duration nightly gate).
+    ``policy`` holds the campaign fault-tolerance controls (timeouts,
+    bounded retries, quarantine).
 
     The report records per-target values, thresholds and margins plus the
     per-scenario aggregated metrics; ``satisfied`` is ``True`` only when
@@ -123,8 +121,6 @@ def verify_scenarios(
         store=store,
         use_cache=use_cache,
         policy=policy,
-        journal=journal,
-        resume=resume,
         progress=progress,
         hosts=hosts,
     )

@@ -4,10 +4,11 @@ Launch the same command on any number of machines (or terminals) sharing
 one result-store directory and they cooperatively drain one scenario
 campaign -- no coordinator, no network protocol, no message queue.  All
 coordination is crash-safe filesystem state under the shared store
-(:mod:`repro.core.scheduler`): per-unit lease files claimed with
-``O_EXCL``, heartbeat-refreshed deadlines, stale-lease stealing with a
-fencing counter, and completion published through the content-addressed
-store itself.
+(:mod:`repro.core.scheduler`): per-unit lease files claimed by
+hard-linking a fully written record to the lease name (the link fails
+while the lease is held), heartbeat-refreshed deadlines, stale-lease
+stealing with a fencing counter, and completion published through the
+content-addressed store itself.
 
 Every worker must be given the *same grid* (same scenario selection,
 duration, repetitions and seed) -- the grid is expanded identically on
@@ -68,8 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--host-id", default=None,
                         help="stable identity of this worker in leases and provenance "
                              "(default: <hostname>-<pid>)")
-    parser.add_argument("--journal", default=None, metavar="DIR",
-                        help="write this host's per-unit journal under DIR/<host-id>")
     parser.add_argument("--min-ttl", type=float, default=None, metavar="SECONDS",
                         help="minimum lease TTL before a silent host is presumed dead")
     parser.add_argument("--ttl-multiplier", type=float, default=None, metavar="X",
@@ -169,8 +168,6 @@ def main(argv=None) -> int:
             host_id,
             policy=policy,
             lease_config=lease_config,
-            journal_root=args.journal,
-            campaign_id=campaign_id,
             progress=render if args.progress else None,
         )
     except KeyboardInterrupt:

@@ -53,11 +53,12 @@ checkpointing).  Fresh and cached metrics both pass through the store's
 canonical-JSON round trip, so warm, cold, serial and parallel runs merge
 byte-identically.
 
-Passing ``journal=`` (a :class:`repro.core.journal.CampaignJournal` or a
-directory path) additionally logs every dispatch, completion, failure and
-quarantine; ``resume=True`` replays a matching journal and re-simulates
-only the units it does not record as completed -- the recovery path for a
-sweep killed mid-run.
+The store is also the resume mechanism: a sweep killed mid-run (Ctrl-C,
+SIGKILL, a lost machine) resumes by re-running the same campaign against
+the same ``store=`` -- every unit stored before the kill is merged as a
+cache hit and only the rest are simulated.  An edited condition re-keys,
+so it misses and re-simulates only itself.  ``use_cache=False`` refreshes
+entries instead and therefore does not resume.
 """
 
 from __future__ import annotations
@@ -73,7 +74,6 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional, Sequence, Un
 import numpy as np
 
 from repro.core.analysis import RunSummary, aggregate_runs
-from repro.core.journal import CampaignJournal, resolve_journal
 from repro.core.supervisor import (
     CampaignPolicy,
     CampaignStats,
@@ -193,8 +193,8 @@ class CampaignOutcome(list):
     (iteration, indexing, equality), with three extra attributes:
 
     * ``stats`` -- the :class:`~repro.core.supervisor.CampaignStats`
-      execution counters (dispatches, cache hits, resumed units, retries,
-      timeouts, crashes, quarantines),
+      execution counters (dispatches, cache hits, retries, timeouts,
+      crashes, quarantines),
     * ``failures`` -- the :class:`~repro.core.supervisor.FailureReport` of
       quarantined units (empty under ``on_exhausted="raise"``),
     * ``ok`` -- ``True`` when nothing was quarantined.
@@ -263,7 +263,7 @@ def _effective_duration(condition: Condition) -> Optional[float]:
 
 
 def _campaign_id(descriptors: list[dict[str, Any]]) -> str:
-    """Identity of one campaign grid, for journal resume validation."""
+    """Identity of one campaign grid (names the hosts' status directory)."""
     from repro.results.fingerprint import payload_hash
 
     return payload_hash(descriptors)
@@ -280,8 +280,8 @@ def expand_units(
     repetition)`` with a stable uid, the per-repetition seed, a wall-clock
     budget derived from the condition's simulated duration, and -- when a
     code-version ``fingerprint`` is given -- the unit's content-addressed
-    store key.  The descriptors hash into the campaign id that journal
-    resume and the distributed scheduler validate against.
+    store key.  The descriptors hash into the campaign id that names the
+    distributed scheduler's per-campaign host status directory.
 
     Shared by :func:`run_campaign` and the ``repro.campaignd`` worker
     entrypoint, which must expand *identical* units from the same grid on
@@ -329,11 +329,10 @@ class _ProgressReporter:
     which is also the injection point the interrupt tests use.
 
     The ETA is completion-rate based: mean per-unit wall-clock duration
-    (measured per successful attempt, seeded across resumes from the
-    ``elapsed_s`` recorded in journal ``ok`` events) times the remaining
-    unit count, divided by the effective worker parallelism.  Unlike the
-    old elapsed/executed estimate it is not skewed by time spent merging
-    cache hits or waiting out retry backoff.
+    (measured per successful attempt) times the remaining unit count,
+    divided by the effective worker parallelism; it appears once one unit
+    has completed.  Unlike the old elapsed/executed estimate it is not
+    skewed by time spent merging cache hits or waiting out retry backoff.
     """
 
     def __init__(
@@ -342,13 +341,11 @@ class _ProgressReporter:
         stats: CampaignStats,
         min_interval_s: float = 0.5,
         workers: int = 1,
-        seed_durations: Optional[Sequence[float]] = None,
     ) -> None:
         self._sink = sink
         self._stats = stats
         self._min_interval_s = min_interval_s
         self._workers = max(1, workers)
-        self._seed_durations = list(seed_durations or [])
         self._last_render = 0.0
         self._rendered = False
 
@@ -356,11 +353,9 @@ class _ProgressReporter:
         """Seconds to completion, or ``None`` without a duration sample."""
         stats = self._stats
         remaining = stats.units - stats.done
-        samples = stats.completed + len(self._seed_durations)
-        if remaining <= 0 or samples <= 0:
+        if remaining <= 0 or stats.completed <= 0:
             return None
-        mean = (stats.exec_wall_s + sum(self._seed_durations)) / samples
-        return mean * remaining / self._workers
+        return stats.exec_wall_s / stats.completed * remaining / self._workers
 
     def unit_done(self) -> None:
         stats = self._stats
@@ -382,7 +377,7 @@ class _ProgressReporter:
         eta = f"{eta_s:5.0f}s" if eta_s is not None else "    -"
         line = (
             f"\r[campaign] {stats.done}/{stats.units} units "
-            f"({stats.cache_hits} cached, {stats.resumed} resumed) "
+            f"({stats.cache_hits} cached) "
             f"retries={stats.retries} timeouts={stats.timeouts} "
             f"quarantined={stats.quarantined} eta {eta}"
         )
@@ -403,8 +398,6 @@ def run_campaign(
     store: Union["ResultStore", str, Path, None] = None,
     use_cache: bool = True,
     policy: Optional[CampaignPolicy] = None,
-    journal: Union[CampaignJournal, str, Path, None] = None,
-    resume: bool = False,
     progress: Union[bool, Callable[[dict[str, Any]], None], None] = None,
     chaos: Optional["ChaosConfig"] = None,
     hosts: Optional[int] = None,
@@ -428,7 +421,8 @@ def run_campaign(
     store:
         A :class:`repro.results.ResultStore` (or a directory path) consulted
         before dispatch; hits are merged without executing, misses execute
-        and are written back as they complete.  ``None`` (the default)
+        and are written back as they complete.  Re-running an interrupted
+        campaign against the same store resumes it.  ``None`` (the default)
         disables caching.
     use_cache:
         With ``False`` the store is not *read* -- every unit re-executes --
@@ -438,13 +432,6 @@ def run_campaign(
         The :class:`CampaignPolicy` governing timeouts, retries, backoff and
         quarantine.  ``None`` uses the defaults (3 attempts, raise on
         exhaustion, duration-derived timeouts).
-    journal:
-        A :class:`~repro.core.journal.CampaignJournal` (or directory path)
-        recording per-unit status/attempt events for crash recovery.
-    resume:
-        With a journal: replay it and merge previously completed units
-        without dispatching them (``stats.resumed``); the journal must have
-        been written by this same campaign grid.
     progress:
         ``True`` renders a progress/ETA line on stderr; a callable receives
         a snapshot dict after every accounted unit.
@@ -469,7 +456,7 @@ def run_campaign(
     A :class:`CampaignOutcome` -- one :class:`ConditionResult` per condition,
     in input order, with repetitions in repetition order (identical
     regardless of worker count, retries and of which units came from the
-    store or journal) -- carrying the run's ``stats`` and ``failures``.
+    store) -- carrying the run's ``stats`` and ``failures``.
     """
     if workers == "auto":
         workers = default_workers()
@@ -526,26 +513,12 @@ def run_campaign(
     # Expand the grid into work units with stable uids and wall-clock budgets.
     units, descriptors = expand_units(conditions, policy, fingerprint)
 
-    journal_obj = resolve_journal(journal)
-    completed_before: dict[str, Any] = {}
-    if journal_obj is not None:
-        meta = {"conditions": len(conditions), "workers": workers if serial else int(workers)}
-        if hosts_mode:
-            meta["hosts"] = int(hosts)
-        completed_before = journal_obj.start(
-            _campaign_id(descriptors),
-            total_units=len(units),
-            resume=resume,
-            meta=meta,
-        )
-
     # In hosts mode the distributed fan-out renders its own per-host view.
     progress_reporter = (
         _ProgressReporter(
             progress,
             stats,
             workers=1 if serial else int(workers),
-            seed_durations=journal_obj.replayed_durations if journal_obj is not None else None,
         )
         if progress and not hosts_mode
         else None
@@ -555,28 +528,17 @@ def run_campaign(
         if progress_reporter is not None:
             progress_reporter.unit_done()
 
-    # Merge journal-resumed and store-cached units without dispatching.
+    # Merge store-cached units without dispatching.
     pending: list[WorkUnit] = []
     for unit in units:
-        if unit.uid in completed_before:
-            merged[unit.index][unit.repetition] = completed_before[unit.uid]
-            stats.resumed += 1
-            _accounted()
-            continue
         if result_store is not None and unit.key is not None and use_cache:
             cached = result_store.get(unit.key)
             if cached is not None:
                 merged[unit.index][unit.repetition] = cached
                 stats.cache_hits += 1
-                if journal_obj is not None:
-                    journal_obj.record_ok(unit.uid, 0, cached, source="cache")
                 _accounted()
                 continue
         pending.append(unit)
-
-    def on_dispatch(unit: WorkUnit) -> None:
-        if journal_obj is not None:
-            journal_obj.record_dispatch(unit.uid, unit.attempts - 1)
 
     def on_complete(unit: WorkUnit, metrics: Mapping[str, Any]) -> None:
         stats.completed += 1
@@ -597,13 +559,9 @@ def run_campaign(
                 # the result is usable this run, it just is not cached.
                 pass
         merged[unit.index][unit.repetition] = metrics
-        if journal_obj is not None:
-            journal_obj.record_ok(unit.uid, unit.attempts - 1, metrics, elapsed_s=unit.elapsed_s)
         _accounted()
 
     def on_attempt_failed(unit: WorkUnit, kind: str, error: str) -> None:
-        if journal_obj is not None:
-            journal_obj.record_failure(unit.uid, unit.attempts - 1, kind, error)
         if (
             chaos is not None
             and result_store is not None
@@ -616,12 +574,9 @@ def run_campaign(
 
     def on_quarantined(unit: WorkUnit) -> None:
         failures.quarantined.append(unit.failure())
-        if journal_obj is not None:
-            journal_obj.record_quarantined(unit.uid, unit.attempts, list(unit.failure_kinds))
         _accounted()
 
     callbacks = UnitCallbacks(
-        on_dispatch=on_dispatch,
         on_complete=on_complete,
         on_attempt_failed=on_attempt_failed,
         on_quarantined=on_quarantined,
@@ -646,7 +601,6 @@ def run_campaign(
                     policy,
                     lease_config=lease_config,
                     chaos=chaos,
-                    journal_root=journal_obj.root / "hosts" if journal_obj is not None else None,
                     campaign_id=_campaign_id(descriptors),
                     progress=progress,
                 )
@@ -664,8 +618,6 @@ def run_campaign(
                         continue
                     stats.completed += 1
                     merged[unit.index][unit.repetition] = metrics
-                    if journal_obj is not None:
-                        journal_obj.record_ok(unit.uid, 0, metrics, source="host")
                 stats.quarantined += len(dist.failures.quarantined)
                 failures.quarantined.extend(dist.failures.quarantined)
                 if failures.quarantined and policy.on_exhausted == "raise":
@@ -683,22 +635,10 @@ def run_campaign(
                 )
     except KeyboardInterrupt:
         stats.interrupted = True
-        if journal_obj is not None:
-            journal_obj.record_interrupted()
         raise
     finally:
-        if journal_obj is not None:
-            journal_obj.close()
         if progress_reporter is not None:
             progress_reporter.close()
-
-    # Clean completion: compact the append-only event log down to terminal
-    # events so resume cycles do not grow it without bound.
-    if journal_obj is not None and not stats.interrupted:
-        try:
-            journal_obj.compact()
-        except OSError:  # pragma: no cover - read-only journal dir
-            pass
 
     outcome = CampaignOutcome(
         ConditionResult(

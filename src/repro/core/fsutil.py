@@ -1,10 +1,10 @@
 """Small crash-safe filesystem helpers shared by the durability layers.
 
-The result store, the campaign journal and the lease scheduler all follow
-the same write discipline: build the content in a same-directory temp file
-named ``<target>.tmp<pid>``, flush + fsync it, then ``os.replace`` it over
-the target.  A writer killed between fsync and rename leaves the temp file
-behind forever -- harmless (lookups never read it) but accumulating.
+The result store and the lease scheduler follow the same write discipline:
+build the content in a same-directory temp file named ``<target>.tmp<pid>``,
+flush + fsync it, then ``os.replace`` it over the target.  A writer killed
+between fsync and rename leaves the temp file behind forever -- harmless
+(lookups never read it) but accumulating.
 :func:`sweep_stale_tmp` is the garbage collector both layers run on open:
 it removes ``*.tmp*`` files older than a safety age, never anything
 younger (a concurrent writer's in-flight temp file must survive).
@@ -36,8 +36,8 @@ def atomic_write_text(path: Path, text: str, fsync_dir: bool = False) -> None:
     """Write ``text`` to ``path`` atomically (fsynced temp file + rename).
 
     ``fsync_dir=True`` additionally fsyncs the parent directory so the
-    rename itself is durable (the result store's contract); the journal and
-    lease layers skip it -- their readers tolerate a lost rename.
+    rename itself is durable (the result store's contract); the lease layer
+    skips it -- its readers tolerate a lost rename.
     """
     tmp = tmp_path_for(path)
     with open(tmp, "w", encoding="utf-8") as handle:

@@ -31,7 +31,7 @@ with filesystem-only, crash-safe coordination:
   still publish its metrics -- harmless, completion goes through the
   content-addressed :meth:`ResultStore.put`, so a double execution is
   byte-identical -- but it is *fenced* out of provenance (its completion is
-  not journalled or counted) and it never touches the thief's lease.
+  not counted) and it never touches the thief's lease.
 
 * **Completion.**  The store entry *is* the completion record.  Hosts check
   the store before claiming and again after winning a lease; a campaign is
@@ -73,7 +73,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional, Sequence, Union
 
 from repro.core.fsutil import atomic_write_text, sweep_stale_tmp, tmp_path_for
-from repro.core.journal import CampaignJournal
 from repro.core.supervisor import (
     KIND_ERROR,
     CampaignPolicy,
@@ -459,8 +458,6 @@ def run_host(
     policy: Optional[CampaignPolicy] = None,
     lease_config: Optional[LeaseConfig] = None,
     chaos: Optional["ChaosConfig"] = None,
-    journal_root: Union[str, Path, None] = None,
-    campaign_id: str = "",
     status_path: Union[str, Path, None] = None,
     progress: Optional[Callable[[dict[str, Any]], None]] = None,
 ) -> tuple[HostStats, FailureReport]:
@@ -496,11 +493,6 @@ def run_host(
     heartbeat = _HeartbeatThread(manager, lease_config.heartbeat_interval(), stats)
     heartbeat.start()
 
-    journal: Optional[CampaignJournal] = None
-    if journal_root is not None:
-        journal = CampaignJournal(Path(journal_root) / host_id)
-        journal.start(campaign_id, total_units=len(units), meta={"host": host_id})
-
     status = Path(status_path) if status_path is not None else None
 
     def account(snapshot_done: bool = True) -> None:
@@ -530,8 +522,6 @@ def run_host(
                 cached = store.get(unit.key)
                 if cached is not None:
                     stats.merged += 1
-                    if journal is not None:
-                        journal.record_ok(uid, 0, cached, source="store")
                     del remaining[uid]
                     progressed = True
                     account()
@@ -551,10 +541,6 @@ def run_host(
                             last_error=marker.get("last_error", ""),
                         )
                     )
-                    if journal is not None:
-                        journal.record_quarantined(
-                            uid, marker.get("attempts", 0), list(marker.get("kinds", []))
-                        )
                     del remaining[uid]
                     progressed = True
                     account()
@@ -593,8 +579,6 @@ def run_host(
                 if cached is not None:
                     manager.release(lease)
                     stats.merged += 1
-                    if journal is not None:
-                        journal.record_ok(uid, 0, cached, source="store")
                     del remaining[uid]
                     progressed = True
                     account()
@@ -608,8 +592,6 @@ def run_host(
                     attempt = unit.attempts
                     unit.attempts += 1
                     stats.attempts += 1
-                    if journal is not None:
-                        journal.record_dispatch(uid, attempt)
                     try:
                         if chaos is not None:
                             chaos.execute_fault(uid, attempt)
@@ -620,8 +602,6 @@ def run_host(
                         stats.errors += 1
                         unit.failure_kinds.append(KIND_ERROR)
                         unit.last_error = f"{type(exc).__name__}: {exc}"
-                        if journal is not None:
-                            journal.record_failure(uid, attempt, KIND_ERROR, unit.last_error)
                         if unit.attempts >= policy.max_attempts:
                             break
                         delay = policy.backoff_for(uid, unit.attempts)
@@ -629,8 +609,7 @@ def run_host(
                             time.sleep(delay)
                     else:
                         break
-                elapsed = time.monotonic() - exec_started
-                stats.exec_wall_s += elapsed
+                stats.exec_wall_s += time.monotonic() - exec_started
 
                 if metrics is None:
                     # Exhausted: poison the unit for every host, release.
@@ -640,8 +619,6 @@ def run_host(
                     manager.release(lease)
                     stats.quarantined += 1
                     failures.quarantined.append(failure)
-                    if journal is not None:
-                        journal.record_quarantined(uid, unit.attempts, list(unit.failure_kinds))
                     del remaining[uid]
                     progressed = True
                     account()
@@ -680,8 +657,6 @@ def run_host(
                 #    completion into its provenance (and removes the lease).
                 if not lease.lost and manager.release(lease):
                     stats.executed += 1
-                    if journal is not None:
-                        journal.record_ok(uid, unit.attempts - 1, metrics, elapsed_s=elapsed)
                 else:
                     stats.fenced += 1
                 del remaining[uid]
@@ -693,8 +668,6 @@ def run_host(
     finally:
         heartbeat.stop()
         stats.wall_s = time.monotonic() - started
-        if journal is not None:
-            journal.close()
         _write_status(status, stats, len(units), alive=False)
     return stats, failures
 
@@ -725,8 +698,6 @@ def _host_entry(
     policy: CampaignPolicy,
     lease_config: LeaseConfig,
     chaos: Optional["ChaosConfig"],
-    journal_root: Optional[str],
-    campaign_id: str,
     status_path: str,
 ) -> None:
     """Child-process entrypoint of one locally fanned-out host."""
@@ -740,8 +711,6 @@ def _host_entry(
             policy=policy,
             lease_config=lease_config,
             chaos=chaos,
-            journal_root=journal_root,
-            campaign_id=campaign_id,
             status_path=status_path,
         )
     except Exception:  # pragma: no cover - surfaced via exit code
@@ -752,9 +721,9 @@ def _host_entry(
 class _DistributedProgress:
     """Live per-host progress/ETA view of a fanned-out campaign.
 
-    Fed by the hosts' status snapshots (lease + journal state distilled per
-    host) and the store's completion count; renders a carriage-return line
-    on stderr, or feeds snapshot dicts to a callable sink.
+    Fed by the hosts' status snapshots (lease state distilled per host) and
+    the store's completion count; renders a carriage-return line on stderr,
+    or feeds snapshot dicts to a callable sink.
     """
 
     def __init__(self, sink, total: int, min_interval_s: float = 0.5) -> None:
@@ -823,7 +792,6 @@ def execute_distributed(
     policy: CampaignPolicy,
     lease_config: Optional[LeaseConfig] = None,
     chaos: Optional["ChaosConfig"] = None,
-    journal_root: Union[str, Path, None] = None,
     campaign_id: str = "",
     progress=None,
     host_prefix: str = "host",
@@ -868,8 +836,6 @@ def execute_distributed(
                 policy,
                 lease_config,
                 chaos,
-                str(journal_root) if journal_root is not None else None,
-                campaign_id,
                 str(status_dir / f"{host_id}.json"),
             ),
             daemon=False,

@@ -23,7 +23,7 @@ replaces it for week-long population campaigns:
   the pool never shrinks below its configured size while work remains,
 * **graceful interrupt** -- the first ``KeyboardInterrupt`` stops dispatching
   and drains in-flight units (bounded by :attr:`CampaignPolicy.drain_timeout_s`
-  and the units' own deadlines) so their results reach the store/journal; a
+  and the units' own deadlines) so their results reach the store; a
   second interrupt tears the pool down immediately.  Worker teardown
   (terminate + join) runs on *every* exit path.
 
@@ -44,7 +44,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import heapq
-import os
 import signal
 import time
 from collections import deque
@@ -153,8 +152,8 @@ class CampaignStats:
     """Execution counters of one campaign run.
 
     ``units`` is the grid size; every unit ends up exactly once in
-    ``completed``, ``cache_hits``, ``resumed`` or ``quarantined`` (unless the
-    run was interrupted).  ``dispatched`` counts attempts handed to an
+    ``completed``, ``cache_hits`` or ``quarantined`` (unless the run was
+    interrupted).  ``dispatched`` counts attempts handed to an
     executor -- the number a resume test asserts to prove completed units
     were never re-simulated -- and ``retries``/``errors``/``timeouts``/
     ``crashes`` make silent fault recovery visible in provenance records.
@@ -164,7 +163,6 @@ class CampaignStats:
     dispatched: int = 0
     completed: int = 0
     cache_hits: int = 0
-    resumed: int = 0
     retries: int = 0
     errors: int = 0
     timeouts: int = 0
@@ -178,7 +176,7 @@ class CampaignStats:
     @property
     def done(self) -> int:
         """Units accounted for (merged or quarantined)."""
-        return self.completed + self.cache_hits + self.resumed + self.quarantined
+        return self.completed + self.cache_hits + self.quarantined
 
     @property
     def faults(self) -> int:
@@ -253,9 +251,6 @@ class WorkUnit:
     attempts: int = 0
     failure_kinds: list[str] = field(default_factory=list)
     last_error: str = ""
-    #: Wall-clock duration of the successful attempt (set by the executors;
-    #: feeds journal ``ok`` events and the progress reporter's ETA).
-    elapsed_s: Optional[float] = None
 
     def failure(self) -> UnitFailure:
         return UnitFailure(
@@ -270,9 +265,8 @@ class WorkUnit:
 
 @dataclass
 class UnitCallbacks:
-    """Hooks the campaign layer uses to journal/checkpoint supervised work."""
+    """Hooks the campaign layer uses to checkpoint supervised work."""
 
-    on_dispatch: Callable[[WorkUnit], None] = lambda unit: None
     on_complete: Callable[[WorkUnit, Mapping[str, Any]], None] = lambda unit, metrics: None
     on_attempt_failed: Callable[[WorkUnit, str, str], None] = lambda unit, kind, error: None
     on_quarantined: Callable[[WorkUnit], None] = lambda unit: None
@@ -394,7 +388,6 @@ def execute_serial(
             attempt = unit.attempts
             unit.attempts += 1
             stats.dispatched += 1
-            callbacks.on_dispatch(unit)
             attempt_started = time.monotonic()
             try:
                 if chaos is not None:
@@ -418,8 +411,7 @@ def execute_serial(
                 if delay > 0:
                     time.sleep(delay)
             else:
-                unit.elapsed_s = time.monotonic() - attempt_started
-                stats.exec_wall_s += unit.elapsed_s
+                stats.exec_wall_s += time.monotonic() - attempt_started
                 callbacks.on_complete(unit, metrics)
                 break
 
@@ -515,7 +507,6 @@ def execute_supervised(
                         worker.unit = unit
                         worker.started = monotonic()
                         worker.deadline = worker.started + unit.timeout_s
-                        callbacks.on_dispatch(unit)
 
                 busy = [worker for worker in pool if worker.unit is not None]
                 if not busy:
@@ -555,8 +546,7 @@ def execute_supervised(
                         continue
                     if status == "ok":
                         if dispatched_at is not None:
-                            unit.elapsed_s = monotonic() - dispatched_at
-                            stats.exec_wall_s += unit.elapsed_s
+                            stats.exec_wall_s += monotonic() - dispatched_at
                         callbacks.on_complete(unit, payload)
                     else:
                         fail_attempt(unit, KIND_ERROR, str(payload))

@@ -19,7 +19,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 if TYPE_CHECKING:
-    from repro.core.journal import CampaignJournal
     from repro.results.store import ResultStore
 
 from repro.core.campaign import CampaignPolicy, run_campaign
@@ -49,8 +48,6 @@ def run_cascade_sweep(
     store: Union["ResultStore", str, Path, None] = None,
     use_cache: bool = True,
     policy: Optional[CampaignPolicy] = None,
-    journal: Union["CampaignJournal", str, Path, None] = None,
-    resume: bool = False,
     progress: Union[bool, None] = None,
     hosts: Optional[int] = None,
 ) -> TableResult:
@@ -88,8 +85,6 @@ def run_cascade_sweep(
         store=store,
         use_cache=use_cache,
         policy=policy,
-        journal=journal,
-        resume=resume,
         progress=progress,
         hosts=hosts,
     )

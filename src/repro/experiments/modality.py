@@ -56,8 +56,6 @@ def run_participant_sweep(
     workers: Optional[int | str] = None,
     store: Union[str, Path, None, object] = None,
     policy: Optional[CampaignPolicy] = None,
-    journal: Union[str, Path, None, object] = None,
-    resume: bool = False,
 ) -> dict[str, dict[str, FigureSeries]]:
     """Figure 15: C1's network utilization vs the number of participants.
 
@@ -65,9 +63,9 @@ def run_participant_sweep(
     ``speaker`` mode every other participant pins C1 (Figure 15c measures the
     pinned client's uplink).  ``workers`` fans the grid out over the
     supervised pool of :func:`repro.core.campaign.run_campaign`; ``store``
-    re-scores unchanged grid cells from the content-addressed result cache;
-    ``policy`` tunes timeouts/retries/quarantine and ``journal``/``resume``
-    checkpoint the sweep for crash recovery.
+    re-scores unchanged grid cells from the content-addressed result cache
+    (and resumes an interrupted sweep); ``policy`` tunes
+    timeouts/retries/quarantine.
     """
     if mode not in ("gallery", "speaker"):
         raise ValueError("mode must be 'gallery' or 'speaker'")
@@ -97,9 +95,7 @@ def run_participant_sweep(
         )
         for count, vca in grid
     ]
-    results = run_campaign(
-        conditions, workers=workers, store=store, policy=policy, journal=journal, resume=resume
-    )
+    results = run_campaign(conditions, workers=workers, store=store, policy=policy)
     for condition_result, (count, vca) in zip(results, grid):
         up_summary = condition_result.summary("up_mbps")
         down_summary = condition_result.summary("down_mbps")

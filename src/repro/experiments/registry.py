@@ -50,7 +50,7 @@ class ExperimentSpec:
 
     @property
     def supports_fault_tolerance(self) -> bool:
-        """Whether the driver forwards policy/journal/resume to the campaign."""
+        """Whether the driver forwards ``policy`` to the campaign."""
         return self._has_parameter("policy")
 
     @property
@@ -229,8 +229,6 @@ def run_experiment(
     workers: Optional[int | str] = None,
     store: Optional[Any] = None,
     policy: Optional[Any] = None,
-    journal: Optional[Any] = None,
-    resume: bool = False,
     hosts: Optional[int] = None,
     **kwargs: Any,
 ):
@@ -240,9 +238,9 @@ def run_experiment(
     campaign runner (:attr:`ExperimentSpec.supports_workers`) and ``store``
     (a result-store directory or :class:`repro.results.ResultStore`) to
     drivers that can re-score unchanged grid cells from cache; ``policy``
-    (a :class:`repro.core.campaign.CampaignPolicy`), ``journal`` and
-    ``resume`` reach drivers that expose the campaign's fault-tolerance
-    controls (:attr:`ExperimentSpec.supports_fault_tolerance`); ``hosts``
+    (a :class:`repro.core.campaign.CampaignPolicy`) reaches drivers that
+    expose the campaign's fault-tolerance controls
+    (:attr:`ExperimentSpec.supports_fault_tolerance`); ``hosts``
     reaches drivers that support the lease-coordinated multi-host fan-out
     (:attr:`ExperimentSpec.supports_hosts` -- requires ``store``).  For the
     remaining drivers a non-default value raises so a typo'd campaign
@@ -267,16 +265,11 @@ def run_experiment(
                 f"experiment {experiment_id!r} does not support a result store"
             )
         kwargs["store"] = store
-    if policy is not None or journal is not None or resume:
+    if policy is not None:
         if not spec.supports_fault_tolerance:
             raise ValueError(
                 f"experiment {experiment_id!r} does not support campaign "
-                "fault-tolerance controls (policy/journal/resume)"
+                "fault-tolerance controls (policy)"
             )
-        if policy is not None:
-            kwargs["policy"] = policy
-        if journal is not None:
-            kwargs["journal"] = journal
-        if resume:
-            kwargs["resume"] = resume
+        kwargs["policy"] = policy
     return spec.driver(**kwargs)

@@ -24,7 +24,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Optional, Sequence, Union
 
 if TYPE_CHECKING:
-    from repro.core.journal import CampaignJournal
     from repro.results.store import ResultStore
 
 from repro.core.campaign import CampaignPolicy, Condition, run_campaign
@@ -210,8 +209,6 @@ def run_scenario_sweep(
     store: Union["ResultStore", str, Path, None] = None,
     use_cache: bool = True,
     policy: Optional[CampaignPolicy] = None,
-    journal: Union["CampaignJournal", str, Path, None] = None,
-    resume: bool = False,
     progress: Union[bool, None] = None,
     hosts: Optional[int] = None,
     score_use_case: Optional[str] = None,
@@ -221,11 +218,12 @@ def run_scenario_sweep(
     ``scenarios`` selects by name; ``tag`` selects a whole pack
     (``"paper-baseline"`` / ``"beyond-paper"``); with neither, the full
     registry runs.  Repetition ``i`` of a scenario uses ``seed + i``.
-    ``store``/``use_cache`` make the sweep incremental (see module docs);
-    ``policy``/``journal``/``resume``/``progress`` are the fault-tolerance
-    controls of :func:`repro.core.campaign.run_campaign` (timeouts, retries,
-    quarantine, checkpointed resume, progress/ETA); ``hosts`` fans the sweep
-    out over N lease-coordinated host processes sharing the store.
+    ``store``/``use_cache`` make the sweep incremental (see module docs), so
+    re-running an interrupted sweep against the same store resumes it;
+    ``policy``/``progress`` are the fault-tolerance controls of
+    :func:`repro.core.campaign.run_campaign` (timeouts, retries, quarantine,
+    progress/ETA); ``hosts`` fans the sweep out over N lease-coordinated
+    host processes sharing the store.
 
     When any selected scenario carries a ``workload``, the table grows the
     :data:`WORKLOAD_SWEEP_METRICS` competition columns (share and competitor
@@ -258,8 +256,6 @@ def run_scenario_sweep(
         store=store,
         use_cache=use_cache,
         policy=policy,
-        journal=journal,
-        resume=resume,
         progress=progress,
         hosts=hosts,
     )

@@ -115,8 +115,6 @@ def run_capacity_sweep(
     workers: Optional[int | str] = None,
     store: Union[str, Path, None, object] = None,
     policy: Optional[CampaignPolicy] = None,
-    journal: Union[str, Path, None, object] = None,
-    resume: bool = False,
 ) -> dict[str, FigureSeries]:
     """Figure 1a/1b: median bitrate vs shaped capacity, one series per VCA.
 
@@ -124,9 +122,9 @@ def run_capacity_sweep(
     supervised campaign pool of :func:`repro.core.campaign.run_campaign`;
     the default (serial) produces identical numbers.  ``store`` (a
     :class:`repro.results.ResultStore` or directory path) makes the sweep
-    incremental: unchanged grid cells re-score from cache.  ``policy``
-    tunes timeouts/retries/quarantine and ``journal``/``resume`` checkpoint
-    the sweep for crash recovery.
+    incremental: unchanged grid cells re-score from cache, so re-running an
+    interrupted sweep resumes it.  ``policy`` tunes
+    timeouts/retries/quarantine.
     """
     figure_id = "fig1a" if direction == "up" else "fig1b"
     series: dict[str, FigureSeries] = {
@@ -155,9 +153,7 @@ def run_capacity_sweep(
         for level in levels
         for vca in vcas
     ]
-    results = run_campaign(
-        conditions, workers=workers, store=store, policy=policy, journal=journal, resume=resume
-    )
+    results = run_campaign(conditions, workers=workers, store=store, policy=policy)
     for condition_result, (level, vca) in zip(
         results, ((level, vca) for level in levels for vca in vcas)
     ):
@@ -176,8 +172,6 @@ def run_platform_comparison(
     workers: Optional[int | str] = None,
     store: Union[str, Path, None, object] = None,
     policy: Optional[CampaignPolicy] = None,
-    journal: Union[str, Path, None, object] = None,
-    resume: bool = False,
 ) -> dict[str, FigureSeries]:
     """Figure 1c: native vs Chrome clients under uplink shaping."""
     result = run_capacity_sweep(
@@ -190,8 +184,6 @@ def run_platform_comparison(
         workers=workers,
         store=store,
         policy=policy,
-        journal=journal,
-        resume=resume,
     )
     for series in result.values():
         series.figure_id = "fig1c"

@@ -97,8 +97,7 @@ def flaky_hang(
 
 
 def run_sleepy_campaign(
-    journal_dir: str,
-    store_dir: str | None,
+    store_dir: str,
     count_file: str,
     units: int = 6,
     sleep_s: float = 0.25,
@@ -106,10 +105,10 @@ def run_sleepy_campaign(
 ) -> list[dict[str, float]]:
     """A small pooled campaign of sleepy units (SIGKILL-resume subject).
 
-    The parent test launches this in a subprocess, waits for the journal to
-    record a few completions, SIGKILLs the whole process tree, then resumes
-    in-process and asserts completed units are not re-simulated (via
-    ``count_file``).
+    The parent test launches this in a subprocess, waits for the store to
+    hold a few completions, SIGKILLs the whole process tree, then re-runs
+    the grid in-process against the same store and asserts stored units are
+    not re-simulated (via ``count_file``).
     """
     from repro.core.campaign import Condition, run_campaign
 
@@ -123,17 +122,15 @@ def run_sleepy_campaign(
         )
         for index in range(units)
     ]
-    results = run_campaign(
-        conditions, workers=workers, store=store_dir, journal=journal_dir
-    )
+    results = run_campaign(conditions, workers=workers, store=store_dir)
     return [dict(result.runs[0]) for result in results]
 
 
 def race_claim(lease_root: str, host_id: str, key: str, barrier, queue) -> None:
     """Race one ``LeaseManager.try_claim`` against sibling processes.
 
-    Every racer waits on the shared barrier so the ``O_EXCL`` creates hit
-    the filesystem as close to simultaneously as the scheduler allows, then
+    Every racer waits on the shared barrier so the hard-link claims hit the
+    filesystem as close to simultaneously as the scheduler allows, then
     reports ``(host_id, won)`` on the queue.
     """
     from repro.core.scheduler import LeaseManager

@@ -2,8 +2,8 @@
 
 Covers the lease protocol and the multi-host fan-out end to end:
 
-* lease claim/refresh/release round trips, ``O_EXCL`` contention from
-  racing processes (exactly one winner), torn-record staleness,
+* lease claim/refresh/release round trips, hard-link claim contention
+  from racing processes (exactly one winner), torn-record staleness,
 * stealing an expired lease bumps the fencing counter and the zombie
   owner's late release is suppressed (never clobbers the thief),
 * N-host campaigns merge byte-identically to a fault-free serial run --
@@ -17,7 +17,7 @@ Covers the lease protocol and the multi-host fan-out end to end:
 * quarantine markers share poison-unit knowledge across hosts,
 * same-key ``ResultStore.put`` hammered from several processes is never
   observably torn,
-* the ``*.tmp`` sweeps, journal compaction and the duration-based ETA,
+* the store's ``*.tmp`` sweep and the duration-based ETA,
 * a real-scenario multi-host chaos run at ``REPRO_CHAOS_DURATION``
   seconds (the CI multi-host chaos-smoke entry).
 """
@@ -37,7 +37,6 @@ import pytest
 import _campaign_workers as workers_mod
 from repro.core.campaign import CampaignPolicy, Condition, expand_units, run_campaign
 from repro.core.chaos import ChaosConfig, HostFaultPlan
-from repro.core.journal import CampaignJournal
 from repro.core.scheduler import (
     DistributedCampaignError,
     LeaseConfig,
@@ -162,7 +161,7 @@ class TestLeaseManager:
         assert not manager.is_stale(record, grace_s=60.0)  # clock-skew slack
 
     def test_exclusive_claim_across_processes(self, tmp_path):
-        """N processes race one O_EXCL claim; the filesystem picks one winner."""
+        """N processes race one hard-link claim; the filesystem picks one winner."""
         ctx = multiprocessing.get_context("fork")
         racers = 4
         barrier = ctx.Barrier(racers)
@@ -415,62 +414,6 @@ class TestTmpSweeps:
         assert fresh.exists()  # young tmp may belong to a live writer
         assert reopened.get("ab" + "0" * 62) is not None
 
-    def test_journal_sweeps_stale_tmp_on_start(self, tmp_path):
-        journal = CampaignJournal(tmp_path / "journal")
-        journal.start("camp", total_units=1)
-        journal.close()
-        stale = tmp_path / "journal" / "manifest.json.tmp999"
-        stale.write_text("torn")
-        old = time.time() - 7200.0
-        os.utime(stale, (old, old))
-        again = CampaignJournal(tmp_path / "journal")
-        again.start("camp", total_units=1)
-        again.close()
-        assert again.swept_tmp == 1
-        assert not stale.exists()
-
-
-class TestJournalCompaction:
-    def test_compact_keeps_only_terminal_events(self, tmp_path):
-        journal = CampaignJournal(tmp_path / "journal")
-        journal.start("camp", total_units=2)
-        journal.record_dispatch("0:a#r0", 0)
-        journal.record_failure("0:a#r0", 0, "error", "boom")
-        journal.record_dispatch("0:a#r0", 1)
-        journal.record_ok("0:a#r0", 1, {"metric": 1.0}, elapsed_s=0.25)
-        journal.record_dispatch("1:b#r0", 0)
-        journal.record_quarantined("1:b#r0", 3, ["error"])
-        journal.close()
-        lines_before = (tmp_path / "journal" / "units.jsonl").read_text().splitlines()
-        dropped = journal.compact()
-        lines_after = (tmp_path / "journal" / "units.jsonl").read_text().splitlines()
-        assert dropped == len(lines_before) - len(lines_after)
-        assert len(lines_after) == 2
-        events = [json.loads(line) for line in lines_after]
-        assert [e["event"] for e in events] == ["ok", "quarantined"]
-        assert events[0]["elapsed_s"] == 0.25
-
-    def test_compact_requires_closed_journal(self, tmp_path):
-        journal = CampaignJournal(tmp_path / "journal")
-        journal.start("camp", total_units=1)
-        with pytest.raises(RuntimeError):
-            journal.compact()
-        journal.close()
-        journal.compact()
-
-    def test_resume_from_compacted_journal(self, tmp_path):
-        grid = quick_grid(2, repetitions=1)
-        first = run_campaign(grid, journal=tmp_path / "journal", policy=FAST)
-        # A clean completion auto-compacts: only terminal events remain.
-        lines = (tmp_path / "journal" / "units.jsonl").read_text().splitlines()
-        assert len(lines) == 2
-        assert all(json.loads(line)["event"] == "ok" for line in lines)
-        resumed = run_campaign(
-            grid, journal=tmp_path / "journal", resume=True, policy=FAST
-        )
-        assert encode(resumed) == encode(first)
-        assert resumed.stats.resumed == 2 and resumed.stats.dispatched == 0
-
 
 class TestProgressEta:
     def test_eta_appears_once_a_duration_sample_exists(self):
@@ -481,27 +424,6 @@ class TestProgressEta:
         assert all(s["eta_s"] is not None and s["eta_s"] >= 0.0
                    for s in snapshots[:-1])
         assert snapshots[-1]["eta_s"] is None  # nothing remaining
-
-    def test_eta_seeded_from_journal_durations_on_resume(self, tmp_path):
-        grid = quick_grid(3, repetitions=2)
-
-        def interrupt_after_two(snapshot):
-            if snapshot["done"] == 2:
-                raise KeyboardInterrupt
-
-        with pytest.raises(KeyboardInterrupt):
-            run_campaign(
-                grid, journal=tmp_path / "journal", policy=FAST,
-                progress=interrupt_after_two,
-            )
-        # The journaled ``elapsed_s`` of the two flushed units seeds the
-        # estimate: the resume's first snapshot already carries an ETA.
-        snapshots = []
-        run_campaign(
-            grid, journal=tmp_path / "journal", resume=True, policy=FAST,
-            progress=snapshots.append,
-        )
-        assert snapshots[0]["eta_s"] is not None
 
 
 class TestCampaignd:

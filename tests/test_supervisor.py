@@ -1,4 +1,4 @@
-"""Fault-tolerant campaign execution: the supervised pool and the journal.
+"""Fault-tolerant campaign execution: the supervised pool and store resume.
 
 Covers the supervision layer's guarantees end to end:
 
@@ -6,17 +6,15 @@ Covers the supervision layer's guarantees end to end:
 * per-unit wall-clock timeouts and worker-crash respawn (pool mode),
 * serial and pooled runs of one grid merge byte-identically,
 * graceful interrupt: in-flight units drain, completed units are flushed,
-  no worker processes are leaked on any exit path,
-* the campaign journal: fresh start, resume with zero re-simulation of
-  completed units, torn-tail tolerance, grid-mismatch rejection,
-* a SIGKILLed sweep resumes from the journal (subprocess test),
+  no worker processes are leaked on any exit path, and re-running against
+  the same store resumes with zero re-simulation of completed units,
+* a SIGKILLed sweep resumes from the result store (subprocess test),
 * two concurrent campaigns sharing one result store (no corruption,
   at most one double-execute per key).
 """
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 import os
 import signal
@@ -32,12 +30,12 @@ from repro.core.campaign import (
     CampaignPolicy,
     CampaignUnitError,
     Condition,
+    expand_units,
     run_campaign,
 )
-from repro.core.journal import CampaignJournal, JournalMismatchError
 from repro.core.supervisor import CampaignStats, stable_fraction
 from repro.results import ResultStore
-from repro.results.fingerprint import canonical_json
+from repro.results.fingerprint import canonical_json, code_fingerprint
 
 FAST = CampaignPolicy(backoff_base_s=0.0)  # retries without sleeping
 
@@ -45,6 +43,12 @@ FAST = CampaignPolicy(backoff_base_s=0.0)  # retries without sleeping
 def encode(results) -> bytes:
     """Canonical byte encoding of a campaign's merged metrics."""
     return canonical_json([[dict(run) for run in r.runs] for r in results]).encode()
+
+
+def stored_uids(store: ResultStore, conditions) -> list[str]:
+    """Uids of the grid's units whose store entry reads back."""
+    units, _ = expand_units(conditions, fingerprint=code_fingerprint())
+    return [unit.uid for unit in units if store.get(unit.key) is not None]
 
 
 def quick_grid(n: int = 4, repetitions: int = 2) -> list[Condition]:
@@ -98,8 +102,8 @@ class TestPolicy:
             CampaignPolicy(backoff_base_s=-1.0)
 
     def test_stats_accounting(self):
-        stats = CampaignStats(units=10, completed=4, cache_hits=3, resumed=2, quarantined=1)
-        assert stats.done == 10
+        stats = CampaignStats(units=10, completed=4, cache_hits=3, quarantined=1)
+        assert stats.done == 8
         stats.errors, stats.timeouts, stats.crashes = 1, 2, 3
         assert stats.faults == 6
         assert stats.as_dict()["completed"] == 4
@@ -216,10 +220,11 @@ class TestSupervisedPool:
 
 class TestInterrupt:
     def test_interrupt_drains_flushes_and_resumes(self, tmp_path):
-        """First Ctrl-C: in-flight units finish, completed ones checkpoint,
-        the pool is torn down, and a --resume re-simulates only the rest."""
+        """First Ctrl-C: in-flight units finish, completed ones reach the
+        store, the pool is torn down, and re-running against the same store
+        re-simulates only the rest."""
         count_file = str(tmp_path / "count")
-        journal_dir = tmp_path / "journal"
+        store_dir = tmp_path / "store"
         conditions = [
             Condition(name=f"s{i}", fn=workers_mod.sleepy,
                       params={"sleep_s": 0.2, "count_file": count_file}, seed=i)
@@ -228,7 +233,7 @@ class TestInterrupt:
         seen = []
 
         def interrupt_after_two(snapshot):
-            seen.append(snapshot["done"])
+            seen.append(snapshot["stats"])
             if snapshot["done"] == 2:
                 raise KeyboardInterrupt
 
@@ -236,91 +241,25 @@ class TestInterrupt:
         with pytest.raises(KeyboardInterrupt):
             run_campaign(
                 conditions, workers=2, policy=FAST,
-                journal=journal_dir, progress=interrupt_after_two,
+                store=store_dir, progress=interrupt_after_two,
             )
         deadline = time.monotonic() + 5.0
         while len(multiprocessing.active_children()) > baseline and time.monotonic() < deadline:
             time.sleep(0.05)
         assert len(multiprocessing.active_children()) <= baseline, "orphaned workers"
 
-        journal = CampaignJournal(journal_dir)
-        flushed = journal.replay_completed()
-        assert len(flushed) >= 2, "completed units must be flushed to the journal"
-        events = [json.loads(line) for line in journal.events_path.read_text().splitlines()]
-        assert {"event": "interrupted"} in events
+        assert seen[-1].interrupted, "the interrupt must be recorded in the stats"
+        flushed = stored_uids(ResultStore(store_dir), conditions)
+        assert len(flushed) >= 2, "completed units must be flushed to the store"
 
         executed_before = workers_mod.execution_count(count_file)
-        resumed = run_campaign(
-            conditions, workers=2, policy=FAST, journal=journal_dir, resume=True
-        )
-        assert resumed.stats.resumed == len(flushed)
+        resumed = run_campaign(conditions, workers=2, policy=FAST, store=store_dir)
+        assert resumed.stats.cache_hits == len(flushed)
         assert resumed.stats.dispatched == 6 - len(flushed), "completed units re-simulated"
         assert workers_mod.execution_count(count_file) == executed_before + 6 - len(flushed)
         # The resumed merge is identical to an uninterrupted serial run.
         clean = run_campaign(conditions)
         assert encode(resumed) == encode(clean)
-
-
-class TestJournal:
-    def test_fresh_start_truncates_and_resume_replays(self, tmp_path):
-        journal = CampaignJournal(tmp_path / "j")
-        assert journal.start("cid", total_units=2) == {}
-        journal.record_dispatch("u0", 0)
-        journal.record_ok("u0", 0, {"v": 1.0})
-        journal.close()
-        # Resume against the matching campaign replays the completion.
-        again = CampaignJournal(tmp_path / "j")
-        assert again.start("cid", total_units=2, resume=True) == {"u0": {"v": 1.0}}
-        again.close()
-        # A fresh (non-resume) start truncates the log.
-        fresh = CampaignJournal(tmp_path / "j")
-        assert fresh.start("cid", total_units=2) == {}
-        fresh.close()
-        assert fresh.replay_completed() == {}
-
-    def test_resume_rejects_different_campaign(self, tmp_path):
-        journal = CampaignJournal(tmp_path / "j")
-        journal.start("cid-a", total_units=1)
-        journal.close()
-        with pytest.raises(JournalMismatchError):
-            CampaignJournal(tmp_path / "j").start("cid-b", total_units=1, resume=True)
-
-    def test_resume_without_manifest_starts_fresh(self, tmp_path):
-        journal = CampaignJournal(tmp_path / "never-written")
-        assert journal.start("cid", total_units=1, resume=True) == {}
-        journal.close()
-
-    def test_torn_tail_is_skipped_not_trusted(self, tmp_path):
-        journal = CampaignJournal(tmp_path / "j")
-        journal.start("cid", total_units=3)
-        journal.record_ok("u0", 0, {"v": 1.0})
-        journal.record_ok("u1", 0, {"v": 2.0})
-        journal.close()
-        with open(journal.events_path, "a", encoding="utf-8") as handle:
-            handle.write('{"event": "ok", "unit": "u2", "metrics": {"v"')  # torn write
-        completed = journal.replay_completed()
-        assert completed == {"u0": {"v": 1.0}, "u1": {"v": 2.0}}
-        assert journal.torn_lines == 1
-
-    def test_grid_change_invalidates_resume(self, tmp_path):
-        journal_dir = tmp_path / "journal"
-        run_campaign(quick_grid(n=2), journal=journal_dir)
-        edited = quick_grid(n=2)
-        edited[0] = Condition(
-            name="q0", fn=workers_mod.quick, params={"value": 99.0}, repetitions=2
-        )
-        with pytest.raises(JournalMismatchError):
-            run_campaign(edited, journal=journal_dir, resume=True)
-
-    def test_resume_via_run_campaign_zero_redispatch(self, tmp_path):
-        conditions = quick_grid()
-        journal_dir = tmp_path / "journal"
-        first = run_campaign(conditions, journal=journal_dir)
-        assert first.stats.dispatched == 8
-        second = run_campaign(conditions, journal=journal_dir, resume=True)
-        assert second.stats.resumed == 8
-        assert second.stats.dispatched == 0
-        assert encode(second) == encode(first)
 
 
 def _child_pids(pid: int) -> set[int]:
@@ -348,13 +287,19 @@ def _running(pid: int) -> bool:
 class TestSigkillResume:
     @pytest.mark.skipif(not Path("/proc/self/stat").is_file(), reason="needs Linux /proc")
     def test_sigkilled_sweep_resumes_without_resimulating(self, tmp_path):
-        """SIGKILL the supervisor mid-sweep: its workers must exit, and resume
-        must re-run only the units the journal does not record as completed."""
-        journal_dir = tmp_path / "journal"
+        """SIGKILL the supervisor mid-sweep: its workers must exit, and
+        re-running against the same store must re-run only the units the
+        store does not hold."""
+        store_dir = tmp_path / "store"
         count_file = str(tmp_path / "count")
+        conditions = [
+            Condition(name=f"sleepy-{i}", fn=workers_mod.sleepy,
+                      params={"sleep_s": 0.25, "count_file": count_file}, seed=i)
+            for i in range(6)
+        ]
         code = (
             "import _campaign_workers as w; "
-            f"w.run_sleepy_campaign({str(journal_dir)!r}, None, {count_file!r}, "
+            f"w.run_sleepy_campaign({str(store_dir)!r}, {count_file!r}, "
             "units=6, sleep_s=0.25, workers=2)"
         )
         repo = Path(__file__).resolve().parent.parent
@@ -368,17 +313,18 @@ class TestSigkillResume:
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
             start_new_session=True,
         )
-        journal = CampaignJournal(journal_dir)
+        # Reads only finished ``<key>.json`` entries, never ``*.tmp<pid>``.
+        store = ResultStore(store_dir)
         deadline = time.monotonic() + 30.0
         try:
             while time.monotonic() < deadline:
                 if proc.poll() is not None:
                     pytest.fail("campaign subprocess finished before it could be killed")
-                if journal.events_path.is_file() and len(journal.replay_completed()) >= 2:
+                if len(stored_uids(store, conditions)) >= 2:
                     break
                 time.sleep(0.05)
             else:
-                pytest.fail("journal never recorded two completions")
+                pytest.fail("store never held two completions")
             worker_pids = _child_pids(proc.pid)
             proc.send_signal(signal.SIGKILL)
             proc.wait(timeout=10.0)
@@ -397,7 +343,7 @@ class TestSigkillResume:
                 pass
             proc.wait(timeout=10.0)
 
-        completed = journal.replay_completed()
+        completed = stored_uids(store, conditions)
         assert 2 <= len(completed) < 6, "the kill must land mid-sweep"
         # Workers may have completed their in-flight units before exiting;
         # wait for the execution counter to quiesce before snapshotting it.
@@ -410,20 +356,13 @@ class TestSigkillResume:
                 stable_since = time.monotonic()
             time.sleep(0.05)
 
-        conditions = [
-            Condition(name=f"sleepy-{i}", fn=workers_mod.sleepy,
-                      params={"sleep_s": 0.25, "count_file": count_file}, seed=i)
-            for i in range(6)
-        ]
-        results = run_campaign(
-            conditions, workers=2, policy=FAST, journal=journal_dir, resume=True
-        )
-        assert results.stats.resumed == len(completed)
+        results = run_campaign(conditions, workers=2, policy=FAST, store=store_dir)
+        assert results.stats.cache_hits == len(completed)
         assert results.stats.dispatched == 6 - len(completed)
         assert (
             workers_mod.execution_count(count_file)
             == executed_before + 6 - len(completed)
-        ), "a journal-completed unit was re-simulated"
+        ), "a stored unit was re-simulated"
         assert encode(results) == encode(run_campaign(conditions))
 
 
