@@ -71,9 +71,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional, Sequence, Union
 
-import numpy as np
-
-from repro.core.analysis import RunSummary, aggregate_runs
+from repro.core.analysis import RunSummary, aggregate_runs, exact_mean
 from repro.core.supervisor import (
     CampaignPolicy,
     CampaignStats,
@@ -142,10 +140,6 @@ class Condition:
         return self.seed + repetition
 
 
-#: Below this many values numpy's pairwise sum is one plain loop from ``0.0``.
-_PAIRWISE_BLOCK = 8
-
-
 @dataclass
 class ConditionResult:
     """All repetitions of one condition, in repetition order."""
@@ -160,26 +154,12 @@ class ConditionResult:
     def mean(self, name: str) -> float:
         """Mean of one metric over repetitions (``0.0`` when absent).
 
-        Bit-identical to the ``mean`` of :meth:`summary` (``np.mean``),
-        without the median and CI quantiles that table merges never read.
-        Below eight values numpy's pairwise summation is a plain left-to-right
-        loop from ``0.0``, so short runs sum the same way in Python and skip
-        the array round trip; from eight values on it stays ``np.mean``.
-        The loop starts at ``0.0``, not at the first value, because numpy
-        starts at the identity (a lone ``-0.0`` averages to ``0.0``); and it
-        is not ``sum()``, which from Python 3.12 compensates its rounding
-        and would differ from numpy in the last bit.
+        Bit-identical to the ``mean`` of :meth:`summary` (``np.mean``, via
+        :func:`~repro.core.analysis.exact_mean`), without the median and CI
+        quantiles that table merges never read.
         """
         values = self.metric_values(name)
-        count = len(values)
-        if count == 0:
-            return 0.0
-        if count < _PAIRWISE_BLOCK:
-            total = 0.0
-            for value in values:
-                total += value
-            return total / count
-        return float(np.mean(np.asarray(values, dtype=float)))
+        return exact_mean(values) if values else 0.0
 
     def summary(self, name: str, confidence: float = 0.90) -> RunSummary:
         """Aggregated summary (mean/median/CI) of one metric."""

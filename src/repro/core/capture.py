@@ -9,15 +9,19 @@ computed from (median bitrate, average utilization, time-resolved traces for
 the disruption and competition figures).
 
 The per-packet path is the hottest non-engine code in a run, so
-:class:`FlowSeries` accumulates into a flat array indexed by bin number
-(one integer add per packet, no dict hashing) and the queries
-(:meth:`FlowSeries.timeseries`, :meth:`FlowSeries.total_bytes`) are
-vectorised numpy slices over that array.
+:class:`FlowSeries` accumulates into a flat list indexed by bin number
+(one integer add per packet, no dict hashing).  A scored call reads a few
+dozen bins per window, so the window statistics
+(:meth:`FlowSeries.total_bytes`, :meth:`FlowSeries.mean_mbps`,
+:meth:`FlowSeries.median_mbps`) work on that list in Python and return the
+floats numpy's versions did; :meth:`FlowSeries.timeseries` returns numpy
+arrays for plotting and trace analysis.
 """
 
 from __future__ import annotations
 
 from functools import partial
+from itertools import zip_longest
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional
 
@@ -33,11 +37,10 @@ __all__ = ["PacketCapture", "FlowSeries"]
 class FlowSeries:
     """Binned byte counts for one (flow, direction) pair.
 
-    Bytes are accumulated into ``_bins``, a flat array indexed by bin number
-    (one integer add per packet, grown on demand); the queries
-    (:meth:`timeseries`, :meth:`total_bytes`) are vectorised numpy slices
-    over it.  ``bins`` exposes the legacy sparse-dict view for callers that
-    want ``{bin_index: bytes}``.
+    Bytes are accumulated into ``_bins``, a flat list indexed by bin number
+    (one integer add per packet, grown on demand).  Bin ``i`` starts at
+    ``i * bin_width_s``.  ``bins`` exposes the legacy sparse-dict view for
+    callers that want ``{bin_index: bytes}``.
     """
 
     __slots__ = ("flow_id", "direction", "bin_width_s", "_bins")
@@ -53,7 +56,7 @@ class FlowSeries:
         """Sparse read-only ``{bin_index: byte_count}`` view of the accumulator.
 
         The view is built on access; writes raise instead of vanishing into a
-        throwaway dict (accumulate through :meth:`add` / :meth:`merge`).
+        throwaway dict (accumulate through :meth:`add`).
         """
         return MappingProxyType({index: size for index, size in enumerate(self._bins) if size})
 
@@ -65,16 +68,6 @@ class FlowSeries:
         except IndexError:
             bins.extend([0] * (index + 1 - len(bins)))
             bins[index] += size_bytes
-
-    def merge(self, other: "FlowSeries") -> None:
-        """Add another series' byte counts into this one (same bin width)."""
-        theirs = other._bins
-        mine = self._bins
-        if len(mine) < len(theirs):
-            mine.extend([0] * (len(theirs) - len(mine)))
-        for index, size in enumerate(theirs):
-            if size:
-                mine[index] += size
 
     def timeseries(self, start: float = 0.0, end: Optional[float] = None) -> tuple[np.ndarray, np.ndarray]:
         """Return (bin start times, bitrate in Mbps) over ``[start, end]``."""
@@ -95,12 +88,9 @@ class FlowSeries:
         return times, mbps
 
     def total_bytes(self, start: float = 0.0, end: float = float("inf")) -> int:
-        bins = self._bins
-        if not bins:
-            return 0
-        starts = np.arange(len(bins)) * self.bin_width_s
-        mask = (starts >= start) & (starts < end)
-        return int(np.asarray(bins, dtype=np.int64)[mask].sum())
+        """Bytes in the bins whose start time lies in ``[start, end)``."""
+        width = self.bin_width_s
+        return sum(size for index, size in enumerate(self._bins) if start <= index * width < end)
 
     def mean_mbps(self, start: float, end: float) -> float:
         """Average bitrate over a window (Mbps)."""
@@ -108,11 +98,33 @@ class FlowSeries:
         return self.total_bytes(start, end) * 8 / duration / 1e6
 
     def median_mbps(self, start: float, end: float) -> float:
-        """Median of the per-bin bitrates over a window (Mbps)."""
-        _, series = self.timeseries(start, end)
-        if series.size == 0:
+        """Median of the per-bin bitrates of :meth:`timeseries` over a window (Mbps).
+
+        Counts the same bins as :meth:`timeseries`, ``int(start / w)``
+        through ``int(end / w)`` inclusive, bins outside the capture as
+        empty.  The bitrate ``count * 8 / w / 1e6`` grows with the count, so
+        the middle counts give the middle bitrates, and an even window
+        averages its two middle bitrates as ``(a + b) / 2``: the floats
+        ``np.median`` returns.
+        """
+        bins = self._bins
+        width = self.bin_width_s
+        first = int(start / width)
+        last = int(end / width)
+        if not bins or last < first:
             return 0.0
-        return float(np.median(series))
+        lo = max(first, 0)
+        hi = min(last, len(bins) - 1)
+        counts = sorted(bins[lo : hi + 1]) if hi >= lo else []
+        count = last - first + 1
+        # Bins outside the capture are empty: they sort below every count.
+        counts[:0] = [0] * (count - len(counts))
+        middle = count // 2
+        if count % 2:
+            return counts[middle] * 8 / width / 1e6
+        below = counts[middle - 1] * 8 / width / 1e6
+        above = counts[middle] * 8 / width / 1e6
+        return (below + above) / 2
 
 
 class PacketCapture:
@@ -185,7 +197,14 @@ class PacketCapture:
 
     def flows_at(self, host: str, direction: str) -> list[FlowSeries]:
         """All flow series captured at a host in one direction."""
-        return [s for (h, d, _), s in self._series.items() if h == host and d == direction]
+        return list(self._flows(host, direction).values())
+
+    def _flows(self, host: str, direction: str) -> dict[str, FlowSeries]:
+        """``{flow_id: series}`` of one host and direction, in capture order."""
+        by_direction = self._by_host.get(host)
+        if by_direction is None:
+            return {}
+        return by_direction.get(direction, {})
 
     def aggregate(
         self,
@@ -200,8 +219,11 @@ class PacketCapture:
         the application multiplexes.
         """
         combined = FlowSeries(flow_id=f"{flow_prefix}*", direction=direction, bin_width_s=self.bin_width_s)
-        for (h, d, flow_id), series in self._series.items():
-            if h != host or d != direction or not flow_id.startswith(flow_prefix):
-                continue
-            combined.merge(series)
+        selected = [
+            series._bins
+            for flow_id, series in self._flows(host, direction).items()
+            if flow_id.startswith(flow_prefix)
+        ]
+        # Per-bin integer sums, exact in any order.
+        combined._bins = list(map(sum, zip_longest(*selected, fillvalue=0)))
         return combined

@@ -29,6 +29,7 @@ __all__ = [
     "rolling_median",
     "time_to_recovery",
     "link_share",
+    "rate_share",
     "jains_fairness",
     "tx_loss_rate",
 ]
@@ -119,12 +120,15 @@ def link_share(
     as the denominator is equivalent whenever the link is saturated and keeps
     the metric meaningful when it is not.
     """
-    incumbent = float(np.sum(incumbent_mbps))
-    competitor = float(np.sum(competitor_mbps))
-    total = incumbent + competitor
+    return rate_share(float(np.sum(incumbent_mbps)), float(np.sum(competitor_mbps)))
+
+
+def rate_share(incumbent_mbps: float, competitor_mbps: float) -> float:
+    """:func:`link_share` of two mean rates (``0.0`` when both are idle)."""
+    total = incumbent_mbps + competitor_mbps
     if total <= 0:
         return 0.0
-    return incumbent / total
+    return incumbent_mbps / total
 
 
 def tx_loss_rate(sent_bytes: float, received_bytes: float) -> float:

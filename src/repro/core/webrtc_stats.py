@@ -19,6 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from repro.core.analysis import exact_mean
 from repro.net.simulator import PeriodicTask, Simulator
 
 __all__ = ["StatsSample", "WebRTCStatsCollector"]
@@ -75,9 +76,9 @@ class WebRTCStatsCollector:
         return times, values
 
     def mean(self, key: str, start: float = 0.0, end: float = float("inf")) -> float:
-        """Mean of a metric over a time window."""
+        """Mean of a metric over a time window (``np.mean``, bit for bit)."""
         values = [s.get(key) for s in self.samples if start <= s.timestamp <= end]
-        return float(np.mean(values)) if values else 0.0
+        return exact_mean(values) if values else 0.0
 
     def median(self, key: str, start: float = 0.0, end: float = float("inf")) -> float:
         """Median of a metric over a time window."""

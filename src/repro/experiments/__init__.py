@@ -18,8 +18,20 @@ figures:
 Every driver accepts ``duration_s`` / ``repetitions`` / grid arguments so the
 full paper-scale campaign and the reduced benchmark campaign share the same
 code path.
+
+The registry imports every driver and :mod:`repro.barometer`, so it is
+loaded on first use of one of its names (PEP 562): importing one driver,
+e.g. :mod:`repro.experiments.scenario`, does not import the others.
 """
 
-from repro.experiments.registry import EXPERIMENTS, get_experiment, list_experiments
+from typing import Any
 
 __all__ = ["EXPERIMENTS", "get_experiment", "list_experiments"]
+
+
+def __getattr__(name: str) -> Any:
+    if name in __all__:
+        from repro.experiments import registry
+
+        return getattr(registry, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

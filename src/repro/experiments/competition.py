@@ -38,7 +38,7 @@ from repro.apps.netflix import NetflixPlayer
 from repro.apps.youtube import YouTubePlayer
 from repro.core.analysis import aggregate_runs
 from repro.core.capture import PacketCapture
-from repro.core.metrics import link_share, tx_loss_rate
+from repro.core.metrics import rate_share, tx_loss_rate
 from repro.core.orchestrator import CallOrchestrator
 from repro.core.profiles import static_profile
 from repro.core.results import FigureSeries, TableResult
@@ -109,7 +109,7 @@ class CompetitionRun:
         window = (self.competitor_start_s + 10.0, self.competitor_end_s)
         incumbent = self.capture.aggregate("C1", tx_rx).mean_mbps(*window)
         competitor = self.capture.aggregate("F1", tx_rx).mean_mbps(*window)
-        return link_share(np.array([incumbent]), np.array([competitor]))
+        return rate_share(incumbent, competitor)
 
     def downlink_tx_loss(self, client: str, call_id: str) -> float:
         """Tx-side loss of the relay's forwarded media toward ``client``.

@@ -28,6 +28,7 @@ the run seed, so scenario runs are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, Mapping, Optional, Sequence, Union
 
@@ -36,8 +37,9 @@ import numpy as np
 from repro.apps.iperf import IperfFlow
 from repro.apps.netflix import NetflixPlayer
 from repro.apps.youtube import YouTubePlayer
-from repro.core.capture import PacketCapture
-from repro.core.metrics import link_share, tx_loss_rate
+from repro.core.analysis import exact_mean, exact_percentile
+from repro.core.capture import FlowSeries, PacketCapture
+from repro.core.metrics import rate_share, tx_loss_rate
 from repro.core.orchestrator import CallOrchestrator
 from repro.core.profiles import synthetic_profile
 from repro.media.layout import ViewMode
@@ -521,9 +523,10 @@ class ScenarioRun:
         """
         tx_rx = "tx" if direction == "up" else "rx"
         window = self.workload_window()
-        incumbent = self.capture.aggregate("C1", tx_rx).mean_mbps(*window)
-        competitor = self.capture.aggregate(WORKLOAD_CLIENT, tx_rx).mean_mbps(*window)
-        return link_share(np.array([incumbent]), np.array([competitor]))
+        return rate_share(
+            self.capture.aggregate("C1", tx_rx).mean_mbps(*window),
+            self.capture.aggregate(WORKLOAD_CLIENT, tx_rx).mean_mbps(*window),
+        )
 
     def relay_tx_loss(self, server: str, client: str, call_id: str) -> float:
         """Tx-side loss of a relay's forwarded media toward ``client``.
@@ -560,11 +563,13 @@ class ScenarioRun:
         if stats is None:
             return 0
         start, end = self.start_s + 5.0, self.end_s
-        times, values = stats.series("target_bitrate_bps")
         switches = 0
         previous: Optional[float] = None
-        for when, value in zip(times, values):
-            if when < start or when > end or value <= 0.0:
+        for sample in stats.samples:
+            if sample.timestamp < start or sample.timestamp > end:
+                continue
+            value = sample.get("target_bitrate_bps")
+            if value <= 0.0:
                 continue
             if previous is not None and abs(value - previous) > RATE_SWITCH_THRESHOLD * previous:
                 switches += 1
@@ -585,11 +590,9 @@ class ScenarioRun:
         window = self.steady_window()
         up = self.capture.aggregate("C1", "tx")
         down = self.capture.aggregate("C1", "rx")
-        delays = [
-            delay
-            for samples in self.queue_delay_samples.values()
-            for _, delay in samples
-        ]
+        delays: list[float] = []
+        for samples in self.queue_delay_samples.values():
+            delays.extend(map(itemgetter(1), samples))
         # Loss/drop counters aggregate over every shaped direction, so a
         # "both"-direction scenario reports downlink impairments too; the
         # ratio is LinkStats.tx_loss_rate generalised to summed counters.
@@ -610,26 +613,29 @@ class ScenarioRun:
             )),
             "aqm_drops": float(sum(s.packets_dropped_aqm for s in link_stats)),
             "random_losses": float(sum(s.packets_lost_random for s in link_stats)),
-            "mean_queue_delay_s": float(np.mean(delays)) if delays else 0.0,
-            "p95_queue_delay_s": float(np.percentile(delays, 95)) if delays else 0.0,
+            "mean_queue_delay_s": exact_mean(delays) if delays else 0.0,
+            "p95_queue_delay_s": exact_percentile(delays, 95) if delays else 0.0,
         }
         if self.plan is not None:
             payload.update(self._cascade_metrics())
         if self.workload_start_s is not None:
-            payload.update(self._workload_metrics())
+            payload.update(self._workload_metrics(up, down))
         return payload
 
-    def _workload_metrics(self) -> dict[str, float]:
-        """Competition columns of a workload run (see :meth:`metrics`)."""
+    def _workload_metrics(self, up: FlowSeries, down: FlowSeries) -> dict[str, float]:
+        """Competition columns of a workload run (see :meth:`metrics`).
+
+        ``up`` and ``down`` are C1's aggregated tx and rx series.
+        """
         assert self.spec.workload is not None
         window = self.workload_window()
-        competitor_tx = self.capture.aggregate(WORKLOAD_CLIENT, "tx")
-        competitor_rx = self.capture.aggregate(WORKLOAD_CLIENT, "rx")
+        competitor_up = self.capture.aggregate(WORKLOAD_CLIENT, "tx").mean_mbps(*window)
+        competitor_down = self.capture.aggregate(WORKLOAD_CLIENT, "rx").mean_mbps(*window)
         payload = {
-            "share_up": self.share("up"),
-            "share_down": self.share("down"),
-            "competitor_up_mbps": competitor_tx.mean_mbps(*window),
-            "competitor_down_mbps": competitor_rx.mean_mbps(*window),
+            "share_up": rate_share(up.mean_mbps(*window), competitor_up),
+            "share_down": rate_share(down.mean_mbps(*window), competitor_down),
+            "competitor_up_mbps": competitor_up,
+            "competitor_down_mbps": competitor_down,
         }
         if self.plan is None:
             payload["incumbent_tx_loss_rate"] = self.relay_tx_loss(
@@ -656,7 +662,7 @@ class ScenarioRun:
         region_ratios: list[float] = []
         for index, region in enumerate(self.plan.regions):
             ratios = [self.freeze_ratio(name) for name in region.clients]
-            ratio = float(np.mean(ratios)) if ratios else 0.0
+            ratio = exact_mean(ratios) if ratios else 0.0
             payload[f"cascade_freeze_ratio_R{index}"] = ratio
             region_ratios.append(ratio)
         if len(region_ratios) > 1:

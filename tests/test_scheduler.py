@@ -429,7 +429,8 @@ class TestProgressEta:
 class TestCampaignd:
     def test_campaignd_worker_drains_then_merges(self, tmp_path):
         """Two sequential campaignd runs: the second is pure merge."""
-        env = {**os.environ, "PYTHONPATH": "src"}
+        repo = Path(__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": str(repo / "src")}
         base = [
             sys.executable, "-m", "repro.campaignd",
             "--store", str(tmp_path / "store"),
@@ -439,14 +440,14 @@ class TestCampaignd:
         ]
         first = subprocess.run(
             base + ["--host-id", "w1", "--json", str(tmp_path / "w1.json")],
-            cwd="/root/repo", env=env, capture_output=True, text=True, timeout=300,
+            cwd=str(repo), env=env, capture_output=True, text=True, timeout=300,
         )
         assert first.returncode == 0, first.stderr
         report = json.loads((tmp_path / "w1.json").read_text())
         assert report["host"]["executed"] == 1 and report["host"]["host"] == "w1"
         second = subprocess.run(
             base + ["--host-id", "w2", "--json", str(tmp_path / "w2.json")],
-            cwd="/root/repo", env=env, capture_output=True, text=True, timeout=300,
+            cwd=str(repo), env=env, capture_output=True, text=True, timeout=300,
         )
         assert second.returncode == 0, second.stderr
         report2 = json.loads((tmp_path / "w2.json").read_text())
