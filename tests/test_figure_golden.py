@@ -1,11 +1,11 @@
-"""Golden figure values: the Section 3, 4 and 6 drivers vs committed results.
+"""Golden figure values: the Section 3-6 drivers vs committed results.
 
 Each cell runs one paper driver -- Table 2, Figures 1a/1b/1c, 2, 3, 4a/4b,
-5a/5b, 6 and 15a/b/c, plus the broadband-planning example's grid cell -- on
-a reduced grid (one or two repetitions and levels, 15-20 s calls, a
-disruption placed inside the call) and pins the sha256 of the canonical
-JSON of everything the driver returns: every x, y and CI value, series
-name, label and table row.  Any change that moves one figure value, however
+5a/5b, 6, 8-14 and 15a/b/c, plus the broadband-planning example's grid
+cell -- on a reduced grid (one or two repetitions and levels, 15-20 s calls,
+a disruption placed inside the call, a 15 s competitor window) and pins the
+sha256 of the canonical JSON of everything the driver returns: every x, y
+and CI value, series name, label and table row.  Any change that moves one figure value, however
 little, shows here; the y-values are kept in clear for a readable diff.
 
 Re-record (only when results are meant to change)::
@@ -25,6 +25,14 @@ from pathlib import Path
 import pytest
 
 from repro.core.results import FigureSeries, TableResult
+from repro.experiments.competition import (
+    run_pair_timeseries,
+    run_self_competition_timeseries,
+    run_vca_vs_streaming,
+    run_vca_vs_tcp,
+    run_vca_vs_vca,
+    run_zoom_burst_trace,
+)
 from repro.experiments.disruption import (
     run_disruption_timeseries,
     run_remote_sender_response,
@@ -47,6 +55,8 @@ SHORT_S = 15.0
 DISRUPTED_S = 20.0
 DROP = {"drop_at_s": 8.0, "drop_duration_s": 5.0}
 ONE = {"repetitions": 1, "seed": SEED}
+#: Section 5 cells: a 15 s competitor window inside the paper's timeline.
+COMPETITOR = {"competitor_duration_s": SHORT_S, "seed": SEED}
 
 
 def _broadband_planning() -> list[dict[str, float]]:
@@ -99,6 +109,21 @@ CELLS = {
     "fig6": lambda: run_remote_sender_response(
         vcas=("meet", "teams"), duration_s=DISRUPTED_S, **ONE, **DROP
     ),
+    "fig8": lambda: run_vca_vs_vca(
+        "up", 0.5, incumbents=("zoom", "meet"), competitors=("meet", "zoom"),
+        repetitions=1, **COMPETITOR
+    ),
+    "fig9": lambda: run_self_competition_timeseries(
+        vcas=("zoom", "meet"), capacity_mbps=0.5, **COMPETITOR
+    ),
+    "fig10": lambda: run_vca_vs_vca(
+        "down", 0.5, incumbents=("teams",), competitors=("zoom", "meet"),
+        repetitions=1, **COMPETITOR
+    ),
+    "fig11": lambda: run_pair_timeseries("teams", "zoom", 1.0, **COMPETITOR),
+    "fig12": lambda: run_vca_vs_tcp(2.0, vcas=("zoom", "teams"), repetitions=1, **COMPETITOR),
+    "fig13": lambda: run_zoom_burst_trace(2.0, **COMPETITOR),
+    "fig14": lambda: run_vca_vs_streaming("zoom", "netflix", 0.5, **COMPETITOR),
     "fig15ab": lambda: run_participant_sweep(
         "gallery", vcas=("zoom", "meet", "teams"), participant_counts=(2, 5),
         duration_s=SHORT_S, **ONE
