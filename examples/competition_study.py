@@ -9,16 +9,21 @@ share of the link.
 Run with:  python examples/competition_study.py
 """
 
-from repro.experiments.competition import run_competition
+from repro.experiments.competition import workload_scenario_spec
+from repro.netem.scenarios import WORKLOAD_CLIENT, run_scenario
 
 
 def main() -> None:
     capacity_mbps = 2.0
     for vca in ("zoom", "teams"):
-        run = run_competition(vca, "iperf-down", capacity_mbps, competitor_duration_s=120.0, seed=3)
-        window = (run.competitor_start_s + 10.0, run.competitor_end_s)
+        spec = workload_scenario_spec(
+            vca, "tcp_bulk", {"flows": 1, "direction": "down"}, capacity_mbps,
+            competitor_duration_s=120.0,
+        )
+        run = run_scenario(spec, seed=3, collect_stats=False)
+        window = run.workload_window()
         vca_down = run.capture.aggregate("C1", "rx").mean_mbps(*window)
-        tcp_down = run.capture.aggregate("F1", "rx").mean_mbps(*window)
+        tcp_down = run.capture.aggregate(WORKLOAD_CLIENT, "rx").mean_mbps(*window)
         print(f"{vca:6s} vs TCP download on a {capacity_mbps} Mbps downlink:")
         print(f"   {vca:6s}: {vca_down:.2f} Mbps   TCP: {tcp_down:.2f} Mbps   "
               f"call share: {run.share('down'):.0%}")

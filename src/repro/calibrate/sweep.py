@@ -4,7 +4,10 @@ One *candidate* is a set of overrides on :class:`CompetitionConstants`.
 Evaluating a candidate runs every scenario behind the competition figure
 targets (fig8 uplink pairs, the fig10 Teams-vs-Zoom downlink pair, the fig12
 TCP pairs, fig14 Zoom-vs-Netflix) with the candidate activated, and returns
-the named share metrics the targets score.  The sweep fans candidates ×
+the named share metrics the targets score.  Each scenario is the Section 5
+workload spec the figure drivers run
+(:func:`repro.experiments.competition.workload_scenario_spec`), so the
+constants are scored on the same shared access link the figures use.  The sweep fans candidates ×
 repetitions over :func:`repro.core.campaign.run_campaign`'s process pool --
 repetition ``i`` always runs with ``seed + i`` -- picks the winner by
 *maximin margin* (largest worst-case margin across targets and repetitions,
@@ -73,66 +76,52 @@ def evaluate_candidate(
     # Imported here, not at module top: the experiment drivers import the VCA
     # layer, which imports repro.calibrate.constants -- a top-level import
     # would cycle during package initialisation.
-    from repro.experiments.competition import (
-        COMPETITOR_START_S,
-        run_competition,
-        run_vca_vs_streaming,
-    )
+    from repro.experiments.competition import COMPETITOR_START_S, workload_scenario_spec
+    from repro.netem.scenarios import WORKLOAD_CLIENT, WORKLOAD_SERVER, run_scenario
 
     duration = _effective_duration(competitor_duration_s)
     candidate = COMMITTED_CONSTANTS.replace(**dict(overrides)) if overrides else COMMITTED_CONSTANTS
     previous = set_active_constants(candidate)
     try:
-        def share(incumbent: str, competitor: str, direction: str, capacity_mbps: float) -> float:
-            run = run_competition(
-                incumbent,
-                competitor,
-                capacity_mbps,
-                competitor_duration_s=duration,
-                seed=seed,
-            )
-            return run.share(direction)
+        def run(incumbent: str, kind: str, params: dict[str, Any], capacity_mbps: float):
+            spec = workload_scenario_spec(incumbent, kind, params, capacity_mbps, duration)
+            return run_scenario(spec, seed=seed, collect_stats=False)
 
         # The fig10 cell also records Zoom's tx-side downlink loss (relay tx
         # vs client rx), the "floods through sustained 40%+ loss" caveat:
         # the shed constants bound it from above, the paper's measured
         # aggressiveness bounds it from below.
-        fig10_run = run_competition(
-            "teams",
-            "zoom",
-            0.5,
-            competitor_duration_s=duration,
-            seed=seed,
-            capture_servers=True,
-        )
+        fig10_run = run("teams", "vca", {"app": "zoom"}, 0.5)
+        up, down = {"flows": 1, "direction": "up"}, {"flows": 1, "direction": "down"}
         metrics: dict[str, float] = {
-            "fig8_zoom_vs_meet_up": share("zoom", "meet", "up", 0.5),
-            "fig8_meet_vs_zoom_up": share("meet", "zoom", "up", 0.5),
+            "fig8_zoom_vs_meet_up": run("zoom", "vca", {"app": "meet"}, 0.5).share("up"),
+            "fig8_meet_vs_zoom_up": run("meet", "vca", {"app": "zoom"}, 0.5).share("up"),
             "fig10_teams_vs_zoom_down": fig10_run.share("down"),
-            "fig10_zoom_tx_loss": fig10_run.downlink_tx_loss("F1", "competitor"),
-            "fig12_teams_down_share": share("teams", "iperf-down", "down", 2.0),
-            "fig12_teams_up_share": share("teams", "iperf-up", "up", 2.0),
-            "fig12_zoom_down_share": share("zoom", "iperf-down", "down", 2.0),
+            "fig10_zoom_tx_loss": fig10_run.relay_tx_loss(
+                WORKLOAD_SERVER, WORKLOAD_CLIENT, "competitor"
+            ),
+            "fig12_teams_down_share": run("teams", "tcp_bulk", down, 2.0).share("down"),
+            "fig12_teams_up_share": run("teams", "tcp_bulk", up, 2.0).share("up"),
+            "fig12_zoom_down_share": run("zoom", "tcp_bulk", down, 2.0).share("down"),
         }
         metrics["fig12_zoom_down_minus_teams_down"] = (
             metrics["fig12_zoom_down_share"] - metrics["fig12_teams_down_share"]
         )
 
-        series = run_vca_vs_streaming(
-            vca="zoom",
-            app="netflix",
-            capacity_mbps=0.5,
-            competitor_duration_s=duration,
-            seed=seed,
-        )
+        # Fig 14 scores the mean of the per-second downstream bins inside
+        # the competition window, as read off the figure's traces.
+        fig14_run = run("zoom", "streaming", {"app": "netflix"}, 0.5)
         window = (COMPETITOR_START_S + 13.0, COMPETITOR_START_S + duration - 2.0)
 
-        def mean_mbps(figure) -> float:
-            values = [y for x, y in zip(figure.x, figure.y) if window[0] <= x <= window[1]]
+        def mean_mbps(host: str) -> float:
+            values = [
+                float(y) for x, y in zip(*fig14_run.bitrate_series("rx", host))
+                if window[0] <= x <= window[1]
+            ]
             return sum(values) / max(len(values), 1)
 
-        metrics["fig14_zoom_mbps"] = mean_mbps(series["zoom"])
-        metrics["fig14_netflix_mbps"] = mean_mbps(series["netflix"])
+        metrics["fig14_zoom_mbps"] = mean_mbps("C1")
+        metrics["fig14_netflix_mbps"] = mean_mbps(WORKLOAD_CLIENT)
         metrics["fig14_zoom_minus_netflix_mbps"] = (
             metrics["fig14_zoom_mbps"] - metrics["fig14_netflix_mbps"]
         )

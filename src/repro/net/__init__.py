@@ -13,9 +13,10 @@ provides a discrete-event, packet-level emulator with:
   equivalent of ``tc`` reconfigurations during an experiment,
 * :class:`~repro.net.node.Host` -- an endpoint that applications attach to,
 * :class:`~repro.net.router.Router` -- packet forwarding between links,
-* :class:`~repro.net.topology` -- canonical topologies used by the paper's
-  experiments (access-link, relay-server and shared-bottleneck competition
-  topologies).
+* :mod:`~repro.net.topology` -- canonical topologies used by the paper's
+  experiments: the access-link topology (whose shaped access link is also
+  the shared bottleneck of the competition experiments) and the cascaded
+  SFU topology.
 """
 
 from repro.net.link import Link, LinkStats
@@ -24,12 +25,7 @@ from repro.net.packet import Packet, PacketKind
 from repro.net.router import Router
 from repro.net.shaper import BandwidthProfile, LinkShaper
 from repro.net.simulator import Simulator
-from repro.net.topology import (
-    AccessTopology,
-    CompetitionTopology,
-    build_access_topology,
-    build_competition_topology,
-)
+from repro.net.topology import AccessTopology, build_access_topology
 
 __all__ = [
     "Simulator",
@@ -42,7 +38,5 @@ __all__ = [
     "Host",
     "Router",
     "AccessTopology",
-    "CompetitionTopology",
     "build_access_topology",
-    "build_competition_topology",
 ]

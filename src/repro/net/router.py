@@ -1,4 +1,4 @@
-"""Packet forwarding elements: the emulated home router, switch and WAN core.
+"""Packet forwarding elements: the emulated home router, LAN demux and WAN core.
 
 The paper's findings are entirely driven by the *shaped access link*; every
 other hop in their testbed (the campus network, the VCA provider's data
@@ -6,7 +6,7 @@ centre) is effectively unconstrained.  The :class:`Router` therefore supports
 two kinds of forwarding entries:
 
 * a **link route**, which hands the packet to a :class:`~repro.net.link.Link`
-  (used for the shaped access / bottleneck links where queueing matters), and
+  (used for the shaped access links where queueing matters), and
 * a **delay route**, which delivers the packet to the next node after a fixed
   propagation delay without serialization or queueing (used for the
   unconstrained WAN path, keeping the event count low so large parameter
@@ -410,12 +410,6 @@ class Router:
         batch = self._entry_dispatch_batch(entry, receiver_batch)
         if batch is not None:
             self._dispatch_batch[dst] = batch
-
-    def set_default_link(self, link: Link) -> None:
-        """Default route over a link (e.g. 'everything else goes upstream')."""
-        self._default = ForwardingEntry(link=link)
-        self._default_dispatch = self._entry_dispatch(self._default)
-        self._default_dispatch_batch = link.send_batch
 
     def set_default_delay_route(
         self,

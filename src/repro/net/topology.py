@@ -6,13 +6,13 @@ Two layouts cover every experiment in the paper (see Figure 7 of the paper):
   shaped access link to its home router; every other participant (``C2``,
   ``C3`` ... and the VCA media server) is reachable over an unconstrained WAN
   path.  This is the layout of the static-shaping (Section 3), disruption
-  (Section 4) and call-modality (Section 6) experiments.
+  (Section 4) and call-modality (Section 6) experiments.  For the Section 5
+  competition experiments a competing client (``F1``) is homed behind the
+  same shaped access link, which becomes the shared bottleneck; its
+  counterparties (``F2``, iPerf/CDN servers) are unconstrained.
 
-* **Competition topology** -- the measured client ``C1`` and the
-  competing-flow client ``F1`` share a switch; the switch--router link is the
-  shaped bottleneck.  Their counterparties (``C2``, ``F2``, iPerf/CDN
-  servers) are unconstrained.  This is the layout of the Section 5
-  competition experiments.
+* **Cascade topology** -- regional access islands around their own SFU
+  nodes, joined by shapeable inter-region trunks (beyond the paper).
 
 Only the shaped links are modelled with queues and serialization; the
 unconstrained WAN path is a pure propagation delay, which keeps event counts
@@ -33,10 +33,8 @@ from repro.net.simulator import Simulator
 __all__ = [
     "AccessTopology",
     "CascadeTopology",
-    "CompetitionTopology",
     "build_access_topology",
     "build_cascade_topology",
-    "build_competition_topology",
 ]
 
 #: One-way propagation delay between a home router and the VCA media server.
@@ -98,53 +96,6 @@ class AccessTopology:
         if direction not in ("up", "down"):
             raise ValueError(f"impair takes one direction ('up'/'down'), got {direction!r}")
         link = self.uplink if direction == "up" else self.downlink
-        link.configure_impairments(loss_model=loss_model, jitter_model=jitter_model, aqm=aqm)
-
-
-@dataclass
-class CompetitionTopology:
-    """Topology where ``C1`` and ``F1`` share a shaped bottleneck link."""
-
-    sim: Simulator
-    hosts: dict[str, Host]
-    switch: Router
-    router: Router
-    core: Router
-    bottleneck_up: Link
-    bottleneck_down: Link
-    local_clients: tuple[str, ...]
-    shapers: list[LinkShaper] = field(default_factory=list)
-
-    def host(self, name: str) -> Host:
-        """Look up a host by name."""
-        return self.hosts[name]
-
-    def shape(
-        self,
-        up_profile: Optional[BandwidthProfile] = None,
-        down_profile: Optional[BandwidthProfile] = None,
-    ) -> None:
-        """Apply bandwidth profiles to the shared bottleneck link."""
-        if up_profile is not None:
-            shaper = LinkShaper(self.sim, self.bottleneck_up, up_profile)
-            shaper.apply()
-            self.shapers.append(shaper)
-        if down_profile is not None:
-            shaper = LinkShaper(self.sim, self.bottleneck_down, down_profile)
-            shaper.apply()
-            self.shapers.append(shaper)
-
-    def impair(self, direction: str, loss_model=None, jitter_model=None, aqm=None) -> None:
-        """Declare the complete impairment state of one bottleneck direction.
-
-        Every call replaces all three policies of that direction (omitted
-        ones are cleared); for partial updates use
-        :meth:`~repro.net.link.Link.configure_impairments` directly.
-        Policies are stateful; use a fresh instance per direction.
-        """
-        if direction not in ("up", "down"):
-            raise ValueError(f"impair takes one direction ('up'/'down'), got {direction!r}")
-        link = self.bottleneck_up if direction == "up" else self.bottleneck_down
         link.configure_impairments(loss_model=loss_model, jitter_model=jitter_model, aqm=aqm)
 
 
@@ -569,60 +520,3 @@ def build_cascade_topology(
         trunk_links=trunk_links,
     )
 
-
-def build_competition_topology(
-    sim: Simulator,
-    local_clients: Sequence[str] = ("C1", "F1"),
-    remote_names: Sequence[str] = ("C2", "F2", "S1", "S2"),
-    wan_delay_s: float = DEFAULT_WAN_DELAY_S,
-    lan_delay_s: float = DEFAULT_LAN_DELAY_S,
-    queue_bytes: int = DEFAULT_QUEUE_BYTES,
-) -> CompetitionTopology:
-    """Build the shared-bottleneck topology of the competition experiments.
-
-    ``local_clients`` (typically C1 and F1) hang off a switch; the
-    switch--router link is the shared bottleneck whose capacity is set with
-    :meth:`CompetitionTopology.shape`.  ``remote_names`` are counterparties
-    and servers reachable over the unconstrained WAN.
-    """
-    hosts: dict[str, Host] = {}
-    switch = Router(sim, "switch")
-    router = Router(sim, "router")
-    core = Router(sim, "core")
-
-    bottleneck_up = Link(sim, "bottleneck-up", UNCONSTRAINED_BPS, DEFAULT_ACCESS_DELAY_S, queue_bytes)
-    bottleneck_down = Link(sim, "bottleneck-down", UNCONSTRAINED_BPS, DEFAULT_ACCESS_DELAY_S, queue_bytes)
-    bottleneck_up.connect(router.receive)
-    bottleneck_down.connect(switch.receive)
-
-    for name in local_clients:
-        host = Host(sim, name)
-        hosts[name] = host
-        pipe = DelayPipe(sim, switch.receive, lan_delay_s, receiver_batch=switch.receive_batch)
-        host.set_egress(pipe.send, batch=pipe.send_batch)
-        switch.add_delay_route(name, host.receive, lan_delay_s, receiver_batch=host.receive_batch)
-        router.add_link_route(name, bottleneck_down)
-
-    switch.set_default_link(bottleneck_up)
-    router.set_default_delay_route(core.receive, wan_delay_s, receiver_batch=core.receive_batch)
-
-    for name in remote_names:
-        host = Host(sim, name)
-        hosts[name] = host
-        pipe = DelayPipe(sim, core.receive, lan_delay_s, receiver_batch=core.receive_batch)
-        host.set_egress(pipe.send, batch=pipe.send_batch)
-        core.add_delay_route(name, host.receive, lan_delay_s, receiver_batch=host.receive_batch)
-
-    for name in local_clients:
-        core.add_delay_route(name, router.receive, wan_delay_s, receiver_batch=router.receive_batch)
-
-    return CompetitionTopology(
-        sim=sim,
-        hosts=hosts,
-        switch=switch,
-        router=router,
-        core=core,
-        bottleneck_up=bottleneck_up,
-        bottleneck_down=bottleneck_down,
-        local_clients=tuple(local_clients),
-    )

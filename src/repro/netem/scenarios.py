@@ -82,8 +82,9 @@ WARMUP_S = 12.0
 _PROFILE_SEED = 7919
 _LOSS_SEED = 104_729
 _JITTER_SEED = 1_299_709
-#: Seed offset of a competing workload VCA call (mirrors the legacy
-#: competition harness, whose second call always ran on ``seed + 500``).
+#: Seed offset of a competing workload VCA call: a run on seed ``s`` seeds
+#: its competitor call with ``s + 500``, so the two calls never draw from
+#: the same random streams.
 _WORKLOAD_SEED = 500
 #: Seed offsets of the per-trunk stochastic roles (cascade scenarios).  Each
 #: directed trunk adds its index on top, so two trunks of one run never share
@@ -505,8 +506,9 @@ class ScenarioRun:
         """The steady competition window of a workload run.
 
         Starts ``min(10 s, a third of the workload)`` after the workload does
-        (the legacy harness's flat 10 s lead-in, capped so reduced-duration
-        runs keep a non-empty window) and ends when the workload stops.
+        and ends when the workload stops: the 10 s lead-in lets the two
+        applications settle before their shares are scored, and the cap
+        keeps the window non-empty for reduced-duration runs.
         """
         if self.workload_start_s is None or self.workload_end_s is None:
             raise ValueError("scenario has no workload; no competition window")

@@ -13,12 +13,13 @@ from repro.core.capture import PacketCapture
 from repro.net.packet import PacketKind
 from repro.net.shaper import BandwidthProfile
 from repro.net.simulator import Simulator
-from repro.net.topology import build_competition_topology
+from repro.net.topology import build_access_topology
 
 
 def make_testbed(capacity_mbps=2.0, seed=0):
+    """F1 behind a shaped access link, its server S2 unconstrained and remote."""
     sim = Simulator(seed=seed)
-    topo = build_competition_topology(sim)
+    topo = build_access_topology(sim, extra_server_names=("S2",), local_client_names=("F1",))
     topo.shape(
         up_profile=BandwidthProfile.constant(capacity_mbps * 1e6),
         down_profile=BandwidthProfile.constant(capacity_mbps * 1e6),

@@ -5,9 +5,9 @@ competition constants satisfy every recorded figure target at once.  A
 change that fixes one figure and silently breaks another fails here, in
 tier-1, not two benchmarks later.
 
-The joint scenario evaluation runs eight reduced competition experiments
-(~13 s of wall clock); ``REPRO_CALIBRATION_DURATION`` scales the competitor
-window if a longer check is wanted locally.
+The joint scenario evaluation runs seven reduced competition experiments
+(about 6 s of wall clock on a 2-vCPU host); ``REPRO_CALIBRATION_DURATION``
+scales the competitor window if a longer check is wanted locally.
 """
 
 from __future__ import annotations
@@ -26,6 +26,8 @@ from repro.calibrate import (
     set_active_constants,
 )
 from repro.calibrate.sweep import verify_committed, write_calibration_report
+from repro.experiments.competition import workload_scenario_spec
+from repro.netem.scenarios import WORKLOAD_CLIENT, WORKLOAD_SERVER, run_scenario
 
 #: Competitor window of the tier-1 joint check (seconds).  30 s is the
 #: shortest window at which the competition equilibria are established
@@ -169,21 +171,18 @@ class TestRelayTxSideLoss:
     """
 
     def test_zoom_tx_loss_under_competition_floor_is_bounded(self):
-        from repro.experiments.competition import run_competition
-
         band = {
             t.op: t.threshold
             for t in FIGURE_TARGETS
             if t.metric == "fig10_zoom_tx_loss"
         }
         assert set(band) == {"gt", "lt"}
-        run = run_competition(
-            "teams", "zoom", capacity_mbps=0.5,
-            competitor_duration_s=CALIBRATION_DURATION_S,
-            seed=0, capture_servers=True,
+        spec = workload_scenario_spec(
+            "teams", "vca", {"app": "zoom"}, 0.5, CALIBRATION_DURATION_S
         )
-        zoom_loss = run.downlink_tx_loss("F1", "competitor")
-        teams_loss = run.downlink_tx_loss("C1", "incumbent")
+        run = run_scenario(spec, seed=0, collect_stats=False)
+        zoom_loss = run.relay_tx_loss(WORKLOAD_SERVER, WORKLOAD_CLIENT, "competitor")
+        teams_loss = run.relay_tx_loss("S", "C1", run.call.config.call_id)
         print(
             f"\n[recorded] tx-side downlink loss at 0.5 Mbps floor: "
             f"zoom={zoom_loss:.3f} teams={teams_loss:.3f} "

@@ -6,7 +6,7 @@ import pytest
 
 from repro.experiments import EXPERIMENTS, get_experiment, list_experiments
 from repro.experiments.registry import run_experiment
-from repro.experiments.competition import run_competition, run_vca_vs_vca
+from repro.experiments.competition import run_vca_vs_vca, workload_scenario_spec
 from repro.experiments.disruption import run_disruption_timeseries, run_ttr_sweep
 from repro.experiments.modality import run_participant_sweep
 from repro.experiments.static import (
@@ -15,6 +15,7 @@ from repro.experiments.static import (
     run_unconstrained_utilization,
     run_video_freezes,
 )
+from repro.netem.scenarios import run_scenario
 
 
 class TestRegistry:
@@ -144,7 +145,8 @@ class TestDisruptionDrivers:
 
 class TestCompetitionDrivers:
     def test_zoom_beats_meet_on_uplink(self):
-        run = run_competition("zoom", "meet", 0.5, competitor_duration_s=60, seed=2)
+        spec = workload_scenario_spec("zoom", "vca", {"app": "meet"}, 0.5, 60)
+        run = run_scenario(spec, seed=2, collect_stats=False)
         assert run.share("up") > 0.55
 
     def test_table_driver_shapes(self):
@@ -160,7 +162,10 @@ class TestCompetitionDrivers:
         assert 0.0 <= table.rows[0][2] <= 1.0
 
     def test_teams_passive_against_tcp(self):
-        run = run_competition("teams", "iperf-down", 2.0, competitor_duration_s=60, seed=1)
+        spec = workload_scenario_spec(
+            "teams", "tcp_bulk", {"flows": 1, "direction": "down"}, 2.0, 60
+        )
+        run = run_scenario(spec, seed=1, collect_stats=False)
         assert run.share("down") < 0.5
 
 

@@ -17,7 +17,6 @@ from repro.net.topology import (
     DEFAULT_LAN_DELAY_S,
     DEFAULT_WAN_DELAY_S,
     build_access_topology,
-    build_competition_topology,
 )
 
 
@@ -800,28 +799,32 @@ class TestTopologies:
         topo = build_access_topology(sim, client_names=("C1", "C2", "C3", "C4"))
         assert set(topo.hosts) == {"C1", "C2", "C3", "C4", "S"}
 
-    def test_competition_topology_shares_bottleneck(self):
+    def test_access_topology_local_client_shares_bottleneck(self):
         sim = Simulator()
-        topo = build_competition_topology(sim)
+        topo = build_access_topology(
+            sim, extra_server_names=("S2",), local_client_names=("F1",)
+        )
         topo.shape(up_profile=BandwidthProfile.constant(1e6), down_profile=BandwidthProfile.constant(1e6))
         received = []
-        topo.host("S1").register_flow("a", lambda p: received.append("C1"))
+        topo.host("S").register_flow("a", lambda p: received.append("C1"))
         topo.host("S2").register_flow("b", lambda p: received.append("F1"))
-        topo.host("C1").send(make_packet(flow="a", src="C1", dst="S1"))
+        topo.host("C1").send(make_packet(flow="a", src="C1", dst="S"))
         topo.host("F1").send(make_packet(flow="b", src="F1", dst="S2"))
         sim.run(until=1.0)
         assert sorted(received) == ["C1", "F1"]
-        assert topo.bottleneck_up.stats.packets_sent == 2
+        assert topo.uplink.stats.packets_sent == 2
 
-    def test_competition_topology_downstream_path(self):
+    def test_access_topology_local_client_downstream_path(self):
         sim = Simulator()
-        topo = build_competition_topology(sim)
+        topo = build_access_topology(
+            sim, extra_server_names=("S2",), local_client_names=("F1",)
+        )
         received = []
         topo.host("F1").register_flow("d", lambda p: received.append(p))
         topo.host("S2").send(make_packet(flow="d", src="S2", dst="F1"))
         sim.run(until=1.0)
         assert len(received) == 1
-        assert topo.bottleneck_down.stats.packets_sent == 1
+        assert topo.downlink.stats.packets_sent == 1
 
     def test_negative_delays_rejected(self):
         sim = Simulator()

@@ -1,4 +1,4 @@
-"""The scenario ``workload`` axis: grammar, keys, byte-identity, adapters.
+"""The scenario ``workload`` axis: grammar, keys, byte-identity, Section 5 drivers.
 
 Pins the API-redesign contract of the cross-traffic axis:
 
@@ -11,8 +11,8 @@ Pins the API-redesign contract of the cross-traffic axis:
   one canonical no-workload spelling,
 * compiled workloads share the measured client's access link and report
   the competition metric columns,
-* the deprecated ``run_vca_vs_*`` drivers are byte-identical adapters over
-  the workload-scenario path.
+* the Section 5 ``run_vca_vs_*`` drivers report exactly what a direct
+  ``run_scenario`` of their workload spec measures.
 """
 
 from __future__ import annotations
@@ -296,15 +296,14 @@ class TestAdapterEquivalence:
     DURATION = 6.0
 
     def test_vca_adapter_matches_workload_scenario_path(self):
-        with pytest.warns(DeprecationWarning):
-            table = run_vca_vs_vca(
-                direction="down",
-                incumbents=("teams",),
-                competitors=("zoom",),
-                repetitions=1,
-                competitor_duration_s=self.DURATION,
-                seed=3,
-            )
+        table = run_vca_vs_vca(
+            direction="down",
+            incumbents=("teams",),
+            competitors=("zoom",),
+            repetitions=1,
+            competitor_duration_s=self.DURATION,
+            seed=3,
+        )
         assert isinstance(table, TableResult)
         spec = workload_scenario_spec(
             "teams", "vca", {"app": "zoom"}, 0.5, self.DURATION
@@ -315,10 +314,9 @@ class TestAdapterEquivalence:
         assert row["incumbent_share"] == run.share("down")
 
     def test_streaming_adapter_matches_workload_scenario_path(self):
-        with pytest.warns(DeprecationWarning):
-            out = run_vca_vs_streaming(
-                "zoom", "netflix", 0.5, competitor_duration_s=self.DURATION, seed=1
-            )
+        out = run_vca_vs_streaming(
+            "zoom", "netflix", 0.5, competitor_duration_s=self.DURATION, seed=1
+        )
         spec = workload_scenario_spec(
             "zoom", "streaming", {"app": "netflix"}, 0.5, self.DURATION
         )
