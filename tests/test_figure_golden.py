@@ -5,8 +5,9 @@ Each cell runs one paper driver -- Table 2, Figures 1a/1b/1c, 2, 3, 4a/4b,
 cell -- on a reduced grid (one or two repetitions and levels, 15-20 s calls,
 a disruption placed inside the call, a 15 s competitor window) and pins the
 sha256 of the canonical JSON of everything the driver returns: every x, y
-and CI value, series name, label and table row.  Any change that moves one figure value, however
-little, shows here; the y-values are kept in clear for a readable diff.
+and CI value, series name, label and table row.  Any change that moves one
+figure value, however little, shows here; the y-values are kept in clear
+for a readable diff.
 
 Re-record (only when results are meant to change)::
 
