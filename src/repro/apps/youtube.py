@@ -16,7 +16,7 @@ from repro.apps.abr import AbrConfig, AbrPlayer
 from repro.apps.tcp import TcpConnection
 from repro.cc.quic_cc import QuicCubicState
 from repro.net.node import Host
-from repro.net.packet import PacketKind
+from repro.net.packet import QUIC_ACK, QUIC_DATA
 from repro.net.simulator import Simulator
 
 __all__ = ["YouTubePlayer"]
@@ -43,8 +43,8 @@ class YouTubePlayer(AbrPlayer):
             receiver=client,
             flow_id=flow_id,
             cubic=QuicCubicState(),
-            data_kind=PacketKind.QUIC_DATA,
-            ack_kind=PacketKind.QUIC_ACK,
+            data_kind=QUIC_DATA,
+            ack_kind=QUIC_ACK,
         )
 
     def _download_chunk(self, chunk_bytes: int, on_complete) -> None:

@@ -61,8 +61,10 @@ class TalkingHeadSource:
         # The clamps are written out with min's and max's rule (keep the
         # first argument unless the second is strictly beyond it): this runs
         # once per encoded frame, and np.clip or the builtins cost more than
-        # the AR update itself.  ``normal`` returns a Python float, so the
-        # update is the same IEEE arithmetic on plain floats.
+        # the AR update itself.  The innovation is ``normal(0, drift * scale)``
+        # written out: numpy computes that as ``0.0 + sd * z`` from one
+        # ``standard_normal()`` draw, so this gives the same doubles without
+        # the call's argument checks.
         dt = now - self._last_time
         if 0.0 > dt:
             dt = 0.0
@@ -72,7 +74,7 @@ class TalkingHeadSource:
         scale = dt * self.base_fps
         if 1.0 < scale:
             scale = 1.0
-        state = 1.0 + 0.95 * (self._state - 1.0) + self._rng.normal(0.0, self._drift * scale)
+        state = 1.0 + 0.95 * (self._state - 1.0) + self._drift * scale * self._rng.standard_normal()
         if 0.7 > state:
             state = 0.7
         if 1.4 < state:

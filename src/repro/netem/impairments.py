@@ -24,6 +24,16 @@ with the simulator RNG: an impaired run does not depend on how many draws
 other consumers take from the shared RNG.  Without a seed the policy draws
 from the RNG the link passes in (the simulator's), matching the old
 ``loss_rate`` behaviour.
+
+A private generator is read in blocks: ``random(n)`` and
+``standard_normal(n)`` fill an array with the same doubles, in the same
+order, as ``n`` scalar calls.  A scalar call costs 0.5-0.9 us on CPython
+3.11, while a 256-value block with ``tolist()`` costs 20-40 ns per value.
+The policy hands out the block's values one by one and refills when it
+runs dry, so every sampled sequence is the scalar sequence bit for bit.
+A policy without a seed draws one scalar per value from the generator it
+is given, because other consumers share that generator and their draws
+must interleave exactly as before.
 """
 
 from __future__ import annotations
@@ -34,6 +44,10 @@ from typing import Optional
 import numpy as np
 
 __all__ = ["IidLoss", "GilbertElliottLoss", "DelayJitter"]
+
+#: Values drawn per refill of a private stream's buffer.  Even, so a
+#: Gilbert-Elliott packet's two draws always come from one block.
+_BLOCK = 256
 
 
 def _check_probability(name: str, value: float) -> float:
@@ -99,7 +113,16 @@ class GilbertElliottLoss:
     when the policy shares the simulator RNG with other consumers.
     """
 
-    __slots__ = ("p_good_to_bad", "p_bad_to_good", "loss_good", "loss_bad", "_bad", "_rng", "_seed")
+    __slots__ = (
+        "p_good_to_bad",
+        "p_bad_to_good",
+        "loss_good",
+        "loss_bad",
+        "_bad",
+        "_rng",
+        "_seed",
+        "_buffer",
+    )
 
     def __init__(
         self,
@@ -116,6 +139,8 @@ class GilbertElliottLoss:
         self._bad = False
         self._seed = seed
         self._rng = None if seed is None else np.random.default_rng(seed)
+        #: Unread values of the private stream, next value last.
+        self._buffer: list[float] = []
 
     @classmethod
     def from_mean_loss(
@@ -164,13 +189,21 @@ class GilbertElliottLoss:
     def reset(self) -> None:
         """Return to the good state and restart the private RNG stream."""
         self._bad = False
+        self._buffer = []
         if self._seed is not None:
             self._rng = np.random.default_rng(self._seed)
 
     def sample(self, rng: np.random.Generator) -> bool:
-        r = self._rng if self._rng is not None else rng
-        loss_draw = r.random()
-        transition_draw = r.random()
+        if self._rng is None:
+            loss_draw = rng.random()
+            transition_draw = rng.random()
+        else:
+            buffer = self._buffer
+            if not buffer:
+                buffer = self._buffer = self._rng.random(_BLOCK).tolist()
+                buffer.reverse()
+            loss_draw = buffer.pop()
+            transition_draw = buffer.pop()
         lost = loss_draw < (self.loss_bad if self._bad else self.loss_good)
         if self._bad:
             if transition_draw < self.p_bad_to_good:
@@ -201,7 +234,7 @@ class DelayJitter:
     ``reorder``).
     """
 
-    __slots__ = ("mean_s", "std_s", "rho", "_innovation_std", "_value", "_rng", "_seed")
+    __slots__ = ("mean_s", "std_s", "rho", "_innovation_std", "_value", "_rng", "_seed", "_buffer")
 
     def __init__(
         self,
@@ -223,15 +256,24 @@ class DelayJitter:
         self._value = self.mean_s
         self._seed = seed
         self._rng = None if seed is None else np.random.default_rng(seed)
+        #: Unread values of the private stream, next value last.
+        self._buffer: list[float] = []
 
     def reset(self) -> None:
         self._value = self.mean_s
+        self._buffer = []
         if self._seed is not None:
             self._rng = np.random.default_rng(self._seed)
 
     def sample(self, rng: np.random.Generator) -> float:
-        r = self._rng if self._rng is not None else rng
-        noise = r.standard_normal()
+        if self._rng is None:
+            noise = rng.standard_normal()
+        else:
+            buffer = self._buffer
+            if not buffer:
+                buffer = self._buffer = self._rng.standard_normal(_BLOCK).tolist()
+                buffer.reverse()
+            noise = buffer.pop()
         if self.rho > 0.0:
             self._value = (
                 self.mean_s

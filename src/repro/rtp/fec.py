@@ -21,7 +21,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from repro.net.packet import RTP_HEADER_BYTES, UDP_IP_HEADER_BYTES, Packet, PacketKind
+from repro.net.packet import FEC, RTP_HEADER_BYTES, UDP_IP_HEADER_BYTES, Packet
 
 __all__ = ["FecGenerator"]
 
@@ -48,19 +48,30 @@ class FecGenerator:
             return []
         count = max(int(math.ceil(len(media_packets) * ratio)), 1)
         group = next(self._group_ids)
-        mean_size = sum(p.size_bytes for p in media_packets) / len(media_packets)
-        size = max(int(mean_size), RTP_HEADER_BYTES + UDP_IP_HEADER_BYTES + 64)
-        covered = [p.seq for p in media_packets]
-        return [
-            Packet(
-                size_bytes=size,
-                flow_id=self.flow_id,
-                src=self.src,
-                dst=self.dst,
-                kind=PacketKind.FEC,
-                seq=next(self._seq),
-                created_at=now,
-                meta={"fec_group": group, "covers": covered, "repair_index": index},
-            )
-            for index in range(count)
-        ]
+        total = 0
+        covered = []
+        for p in media_packets:
+            total += p.size_bytes
+            covered.append(p.seq)
+        size = max(int(total / len(media_packets)), RTP_HEADER_BYTES + UDP_IP_HEADER_BYTES + 64)
+        # Built the way Packetizer.packetize does, skipping __init__ (the
+        # size is at least the floor above, so its check could never fire).
+        flow_id = self.flow_id
+        src = self.src
+        dst = self.dst
+        seq = self._seq
+        repairs: list[Packet] = []
+        for index in range(count):
+            packet: Packet = object.__new__(Packet)
+            packet.size_bytes = size
+            packet.flow_id = flow_id
+            packet.src = src
+            packet.dst = dst
+            packet.kind = FEC
+            packet.seq = next(seq)
+            packet.created_at = now
+            packet._meta = {"fec_group": group, "covers": covered, "repair_index": index}
+            packet._packet_id = None
+            packet.queueing_delay = 0.0
+            repairs.append(packet)
+        return repairs

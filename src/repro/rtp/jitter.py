@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 from repro.cc.base import FeedbackReport
 from repro.media.quality import FreezeTracker
-from repro.net.packet import Packet, PacketKind
+from repro.net.packet import FEC, RTP_VIDEO, Packet
 from repro.net.simulator import Simulator
 
 __all__ = ["ReceiverConfig", "StreamMeter", "StreamReceiver"]
@@ -107,7 +107,7 @@ class StreamMeter:
     def on_packet(self, packet: Packet) -> None:
         """Meter one arriving packet of this stream."""
         self._interval_bytes += packet.size_bytes
-        if packet.kind is not PacketKind.RTP_VIDEO:
+        if packet.kind is not RTP_VIDEO:
             return
         self._interval_video_packets += 1
         seq = packet.seq
@@ -137,7 +137,7 @@ class StreamMeter:
         now = self.sim._now
         w = self._delay_weight
         one_minus_w = self._delay_keep
-        video_kind = PacketKind.RTP_VIDEO
+        video_kind = RTP_VIDEO
         total_bytes = 0
         video_packets = 0
         highest = self._highest_seq
@@ -287,8 +287,8 @@ class StreamReceiver(StreamMeter):
         self._interval_bytes += size
 
         kind = packet.kind
-        if kind is not PacketKind.RTP_VIDEO:
-            if kind is PacketKind.FEC:
+        if kind is not RTP_VIDEO:
+            if kind is FEC:
                 self._fec_credits += 1
             return
 
@@ -365,8 +365,8 @@ class StreamReceiver(StreamMeter):
         w = self._delay_weight
         one_minus_w = self._delay_keep
         pending = self._pending
-        video_kind = PacketKind.RTP_VIDEO
-        fec_kind = PacketKind.FEC
+        video_kind = RTP_VIDEO
+        fec_kind = FEC
         total_bytes = 0
         video_packets = 0
         highest = self._highest_seq

@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.cc.base import FeedbackReport
-from repro.net.packet import UDP_IP_HEADER_BYTES, Packet, PacketKind
+from repro.net.packet import RTCP, UDP_IP_HEADER_BYTES, Packet
 
 __all__ = [
     "RTCP_REPORT_BYTES",
@@ -52,7 +52,7 @@ def make_report_packet(
     packet.flow_id = flow_id
     packet.src = src
     packet.dst = dst
-    packet.kind = PacketKind.RTCP
+    packet.kind = RTCP
     packet.seq = 0
     packet.created_at = now
     packet._meta = {"rtcp": "report", "report": report}
@@ -63,15 +63,7 @@ def make_report_packet(
 
 def make_fir_packet(flow_id: str, src: str, dst: str, now: float, layer: str = "main") -> Packet:
     """Build an RTCP Full Intra Request for a stream (optionally one layer)."""
-    return Packet(
-        size_bytes=RTCP_FIR_BYTES,
-        flow_id=flow_id,
-        src=src,
-        dst=dst,
-        kind=PacketKind.RTCP,
-        created_at=now,
-        meta={"rtcp": "fir", "layer": layer},
-    )
+    return Packet(RTCP_FIR_BYTES, flow_id, src, dst, RTCP, 0, now, {"rtcp": "fir", "layer": layer})
 
 
 # These read ``Packet._meta`` directly: the lazy ``meta`` property costs a
@@ -79,13 +71,13 @@ def make_fir_packet(flow_id: str, src: str, dst: str, now: float, layer: str = "
 def is_report(packet: Packet) -> bool:
     """True if the packet is an RTCP receiver report."""
     meta = packet._meta
-    return packet.kind is PacketKind.RTCP and meta is not None and meta.get("rtcp") == "report"
+    return packet.kind is RTCP and meta is not None and meta.get("rtcp") == "report"
 
 
 def is_fir(packet: Packet) -> bool:
     """True if the packet is an RTCP Full Intra Request."""
     meta = packet._meta
-    return packet.kind is PacketKind.RTCP and meta is not None and meta.get("rtcp") == "fir"
+    return packet.kind is RTCP and meta is not None and meta.get("rtcp") == "fir"
 
 
 def extract_report(packet: Packet) -> Optional[FeedbackReport]:

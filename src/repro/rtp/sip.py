@@ -15,7 +15,7 @@ from enum import Enum
 from typing import Any
 
 from repro.net.node import Host
-from repro.net.packet import UDP_IP_HEADER_BYTES, Packet, PacketKind
+from repro.net.packet import SIGNALING, UDP_IP_HEADER_BYTES, Packet
 
 __all__ = ["SignalKind", "SignalingMessage", "send_signal", "SIGNALING_FLOW"]
 
@@ -53,7 +53,7 @@ def send_signal(host: Host, dst: str, message: SignalingMessage, flow_id: str = 
         flow_id=flow_id,
         src=host.name,
         dst=dst,
-        kind=PacketKind.SIGNALING,
+        kind=SIGNALING,
         meta={"signal": message},
     )
     host.send(packet)
@@ -61,7 +61,7 @@ def send_signal(host: Host, dst: str, message: SignalingMessage, flow_id: str = 
 
 def extract_signal(packet: Packet) -> SignalingMessage | None:
     """Return the embedded signalling message, if any."""
-    if packet.kind is not PacketKind.SIGNALING:
+    if packet.kind is not SIGNALING:
         return None
     message = packet.meta.get("signal")
     return message if isinstance(message, SignalingMessage) else None

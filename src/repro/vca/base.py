@@ -26,7 +26,7 @@ from repro.media.codec import CodecModel, Resolution
 from repro.media.layout import LayoutSpec, ViewMode, layout_for
 from repro.media.source import TalkingHeadSource
 from repro.net.node import Host
-from repro.net.packet import Packet, PacketKind
+from repro.net.packet import SIGNALING, Packet
 from repro.net.simulator import PeriodicTask, Simulator
 from repro.rtp.jitter import ReceiverConfig, StreamReceiver
 from repro.rtp.rtcp import make_fir_packet, make_report_packet
@@ -363,7 +363,7 @@ class VCAClient:
     # ------------------------------------------------------------- plumbing
     def _on_unclassified_packet(self, packet: Packet) -> None:
         """Handle signalling addressed to this client; ignore everything else."""
-        if packet.kind is not PacketKind.SIGNALING:
+        if packet.kind is not SIGNALING:
             return
         from repro.rtp.sip import extract_signal  # local import avoids cycle at module load
 

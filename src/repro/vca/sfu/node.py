@@ -29,7 +29,7 @@ from repro.cc.base import FeedbackReport
 from repro.cc.gcc import GCCController
 from repro.media.codec import Resolution
 from repro.net.node import Host
-from repro.net.packet import Packet, PacketKind
+from repro.net.packet import FEC, RTCP, RTP_AUDIO, RTP_VIDEO, SIGNALING, Packet
 from repro.net.simulator import PeriodicTask, Simulator
 from repro.rtp.jitter import StreamMeter
 from repro.rtp.rtcp import make_fir_packet, make_report_packet
@@ -55,7 +55,7 @@ _SVC_LAYER_ORDER = SVC_LAYER_ORDER
 _SIMULCAST_ORDER = SIMULCAST_ORDER
 #: The kinds forwarded as media.  A tuple, not a set: ``in`` matches the
 #: enum members by identity, where hashing one is a Python-level call.
-_MEDIA_KINDS = (PacketKind.RTP_VIDEO, PacketKind.RTP_AUDIO, PacketKind.FEC)
+_MEDIA_KINDS = (RTP_VIDEO, RTP_AUDIO, FEC)
 
 
 def trunk_flow(call_id: str, src_node: str, dst_node: str, sender: str) -> str:
@@ -219,9 +219,9 @@ class SfuNode:
         kind = packet.kind
         if kind in _MEDIA_KINDS:
             self._on_media_packet(packet)
-        elif kind is PacketKind.RTCP:
+        elif kind is RTCP:
             self._on_rtcp(packet)
-        elif kind is PacketKind.SIGNALING:
+        elif kind is SIGNALING:
             self._on_signal(packet)
 
     # ------------------------------------------------------------ signalling
@@ -440,7 +440,7 @@ class SfuNode:
         # Packet.copy_for_forwarding is inlined in both receiver loops below
         # and in the run loop: they make nearly every copy of a call, the
         # most frequent allocation it has.
-        if kind is PacketKind.RTP_AUDIO:
+        if kind is RTP_AUDIO:
             for receiver, flow_id in self._audio_plan(state):
                 forwarded = new_packet(Packet)
                 forwarded.size_bytes = size
@@ -462,7 +462,7 @@ class SfuNode:
             self.host.send_forwarded_trains(outbound)
             return
         layer = meta.get("layer", "main") if meta is not None else "main"
-        is_video = kind is PacketKind.RTP_VIDEO
+        is_video = kind is RTP_VIDEO
         if is_video:
             layer_bytes = state.layer_bytes
             layer_bytes[layer] = layer_bytes.get(layer, 0) + size
@@ -505,7 +505,7 @@ class SfuNode:
                     flow_id,
                     host_name,
                     receiver,
-                    PacketKind.FEC,
+                    FEC,
                     1_000_000 + seq,
                     self.sim._now,
                     {"fec_group": fec_group},
@@ -563,8 +563,8 @@ class SfuNode:
         layer_bytes = state.layer_bytes
         server_fec = self.profile.server_fec_ratio
         fec_rng = self.sim.rng if server_fec > 0 else None
-        rtp_video = PacketKind.RTP_VIDEO
-        rtp_audio = PacketKind.RTP_AUDIO
+        rtp_video = RTP_VIDEO
+        rtp_audio = RTP_AUDIO
         now = self.sim._now
         bytes_forwarded = 0
         trunk_bytes = 0
@@ -662,7 +662,7 @@ class SfuNode:
                                     flow_id,
                                     host_name,
                                     receiver,
-                                    PacketKind.FEC,
+                                    FEC,
                                     1_000_000 + packet.seq,
                                     now,
                                     {"fec_group": fec_group},
@@ -1054,7 +1054,7 @@ class SfuNode:
                     flow_id=flow,
                     src=self.host.name,
                     dst=receiver_name,
-                    kind=PacketKind.FEC,
+                    kind=FEC,
                     seq=5_000_000 + index,
                     created_at=now,
                     meta={"probe": True},

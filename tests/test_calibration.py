@@ -7,13 +7,16 @@ tier-1, not two benchmarks later.
 
 The joint scenario evaluation runs seven reduced competition experiments
 (about 6 s of wall clock on a 2-vCPU host); ``REPRO_CALIBRATION_DURATION``
-scales the competitor window if a longer check is wanted locally.
+scales the competitor window if a longer check is wanted locally.  The
+committed ``CALIBRATION.json`` is re-run at its own recorded setting
+(60 s, seed 0; about 9 s) and must match a fresh run exactly.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +36,8 @@ from repro.netem.scenarios import WORKLOAD_CLIENT, WORKLOAD_SERVER, run_scenario
 #: shortest window at which the competition equilibria are established
 #: (Zoom needs ~20 s to displace an incumbent Meet call on the uplink).
 CALIBRATION_DURATION_S = float(os.environ.get("REPRO_CALIBRATION_DURATION", "30"))
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestConstants:
@@ -152,6 +157,23 @@ class TestJointCalibration:
     def test_report_writer_round_trips(self, tmp_path):
         path = write_calibration_report({"mode": "test", "x": 1.5}, tmp_path / "r.json")
         assert json.loads(path.read_text()) == {"mode": "test", "x": 1.5}
+
+
+class TestCommittedReport:
+    def test_committed_report_matches_a_fresh_run(self):
+        """``CALIBRATION.json`` is what ``verify_committed`` gives today, exactly.
+
+        Re-runs the committed report's own setting (60 s, seed 0) and
+        requires every metric and margin to equal the file's, so the file
+        cannot drift from the code silently.  If a model change moves them
+        on purpose, regenerate the file with ``python
+        examples/calibrate_competition.py --verify --duration 60 --seed 0``
+        and record each margin's old and new value.
+        """
+        committed = json.loads((REPO_ROOT / "CALIBRATION.json").read_text())
+        fresh = verify_committed(**committed["settings"])
+        assert fresh["metrics"] == committed["metrics"]
+        assert fresh["margins"] == committed["margins"]
 
 
 class TestRelayTxSideLoss:

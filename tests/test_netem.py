@@ -23,6 +23,7 @@ from repro.net.link import Link
 from repro.net.packet import Packet
 from repro.net.shaper import BandwidthProfile, LinkShaper
 from repro.net.simulator import Simulator
+from repro.netem import impairments
 from repro.netem.aqm import CoDelQueue
 from repro.netem.impairments import DelayJitter, GilbertElliottLoss, IidLoss
 from repro.netem.scenarios import (
@@ -155,6 +156,78 @@ class TestImpairmentModels:
             DelayJitter(mean_s=-0.01, std_s=0.001)
         with pytest.raises(ValueError):
             DelayJitter(mean_s=0.01, std_s=0.001, rho=1.0)
+
+
+def _ge_reference(model: GilbertElliottLoss, rng: np.random.Generator, count: int) -> list[bool]:
+    """The Gilbert-Elliott chain drawn one scalar at a time (loss, then transition)."""
+    bad = False
+    out = []
+    for _ in range(count):
+        loss_draw = rng.random()
+        transition_draw = rng.random()
+        out.append(loss_draw < (model.loss_bad if bad else model.loss_good))
+        if bad:
+            bad = not transition_draw < model.p_bad_to_good
+        else:
+            bad = transition_draw < model.p_good_to_bad
+    return out
+
+
+def _jitter_reference(model: DelayJitter, rng: np.random.Generator, count: int) -> list[float]:
+    """The jitter process drawn one ``standard_normal()`` scalar at a time."""
+    value = model.mean_s
+    out = []
+    for _ in range(count):
+        noise = rng.standard_normal()
+        if model.rho > 0.0:
+            value = model.mean_s + model.rho * (value - model.mean_s) + model._innovation_std * noise
+            out.append(max(value, 0.0))
+        else:
+            out.append(max(model.mean_s + model.std_s * noise, 0.0))
+    return out
+
+
+class TestBlockDraws:
+    """A seeded policy reads its private stream in blocks, bit for bit the scalar stream."""
+
+    #: Samples per check: more than two refills of the buffer for both
+    #: policies (a Gilbert-Elliott packet takes two values).
+    COUNT = 3 * impairments._BLOCK + 17
+
+    @staticmethod
+    def _policies(seed):
+        return [
+            # Both states lossy, fast transitions: every draw moves the output.
+            (GilbertElliottLoss(0.3, 0.4, loss_good=0.2, loss_bad=0.7, seed=seed), _ge_reference),
+            (GilbertElliottLoss.from_mean_loss(0.05, mean_burst_packets=6, seed=seed), _ge_reference),
+            (DelayJitter(mean_s=0.004, std_s=0.003, rho=0.0, seed=seed), _jitter_reference),
+            (DelayJitter(mean_s=0.004, std_s=0.003, rho=0.8, seed=seed), _jitter_reference),
+        ]
+
+    @pytest.mark.parametrize("seed", [0, 7, 21])
+    def test_seeded_block_draws_equal_scalar_draws(self, seed):
+        for policy, reference in self._policies(seed):
+            expected = reference(policy, np.random.default_rng(seed), self.COUNT)
+            assert [policy.sample(None) for _ in range(self.COUNT)] == expected
+            # Reset mid-block: the buffered values must not leak past it.
+            for _ in range(101):
+                policy.sample(None)
+            policy.reset()
+            assert [policy.sample(None) for _ in range(self.COUNT)] == expected
+
+    def test_unseeded_policy_draws_one_scalar_per_value(self):
+        twin_draws = {GilbertElliottLoss: ("random", "random"), DelayJitter: ("standard_normal",)}
+        for policy, reference in self._policies(None):
+            rng = np.random.default_rng(11)
+            twin = np.random.default_rng(11)
+            expected = reference(policy, np.random.default_rng(11), 600)
+            got = []
+            for _ in range(600):
+                got.append(policy.sample(rng))
+                for method in twin_draws[type(policy)]:
+                    getattr(twin, method)()
+                assert rng.bit_generator.state == twin.bit_generator.state
+            assert got == expected
 
 
 class TestLinkImpairments:
