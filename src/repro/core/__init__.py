@@ -4,8 +4,9 @@ This package contains everything the authors' experiment scripts did around
 the applications themselves: applying bandwidth profiles, capturing traffic,
 scraping per-second WebRTC statistics, computing the paper's metrics (median
 bitrate, utilization, time-to-recovery, freeze ratio, link share), automating
-calls, and aggregating repeated runs into the tables and figures of the
-evaluation.
+calls, and running every figure's seeded repetitions as a campaign
+(:mod:`repro.core.campaign`) whose per-condition runs are aggregated into the
+tables and figures of the evaluation.
 
 The modules here are application-agnostic: they operate on flows, packets and
 generic call handles, never on a specific VCA model (those live in
@@ -15,7 +16,6 @@ application model a user plugs in.
 
 from repro.core.analysis import aggregate_runs, confidence_interval, summarize_series
 from repro.core.capture import FlowSeries, PacketCapture
-from repro.core.experiment import ExperimentConfig, ExperimentResult, ExperimentRunner
 from repro.core.metrics import (
     bitrate_timeseries,
     jains_fairness,
@@ -41,9 +41,6 @@ __all__ = [
     "FlowSeries",
     "WebRTCStatsCollector",
     "StatsSample",
-    "ExperimentConfig",
-    "ExperimentResult",
-    "ExperimentRunner",
     "CallOrchestrator",
     "ScheduledAction",
     "median_bitrate_mbps",

@@ -12,12 +12,12 @@ per-condition results.
 Determinism
 -----------
 
-Repetition ``i`` of a condition always runs with ``condition.seed + i`` --
-the same rule the serial drivers have always used -- and results are keyed
-by ``(condition, repetition)`` rather than completion order, so a parallel
-run merges to *exactly* the same :class:`ConditionResult` list as a serial
-run of the same grid (this is covered by an equivalence test), regardless of
-retries, worker crashes or resume.
+Repetition ``i`` of a condition always runs with ``condition.seed + i``,
+and results are keyed by ``(condition, repetition)`` rather than completion
+order, so a parallel run merges to *exactly* the same
+:class:`ConditionResult` list as a serial run of the same grid (this is
+covered by an equivalence test), regardless of retries, worker crashes or
+resume.
 
 Work units must be picklable: ``Condition.fn`` has to be a module-level
 callable (not a lambda or closure) taking ``seed`` plus the condition's

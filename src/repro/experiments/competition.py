@@ -24,23 +24,16 @@ every netem condition and cache through the result store.
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Sequence
-
-import numpy as np
+from typing import Any, Mapping, Optional, Sequence
 
 from repro.apps.netflix import NetflixPlayer
-from repro.core.analysis import aggregate_runs
+from repro.core.campaign import Condition, ConditionResult, run_campaign
 from repro.core.results import FigureSeries, TableResult
-from repro.netem.scenarios import (
-    CALL_START_S,
-    WORKLOAD_CLIENT,
-    ScenarioRun,
-    ScenarioSpec,
-    run_scenario,
-)
-from repro.experiments.static import DEFAULT_VCAS
+from repro.netem.scenarios import CALL_START_S, WORKLOAD_CLIENT, ScenarioSpec, run_scenario
+from repro.experiments.static import DEFAULT_VCAS, check_direction
 
 __all__ = [
+    "measure_competition_point",
     "run_vca_vs_vca",
     "run_self_competition_timeseries",
     "run_pair_timeseries",
@@ -56,6 +49,9 @@ __all__ = [
 COMPETITOR_START_S = 32.0
 COMPETITOR_DURATION_S = 120.0
 TAIL_S = 60.0
+
+#: The traced (tx_rx, host) pairs: the incumbent C1 and the competitor F1.
+_TRACES = tuple((tx_rx, host) for tx_rx in ("tx", "rx") for host in ("C1", WORKLOAD_CLIENT))
 
 
 def workload_scenario_spec(
@@ -93,25 +89,77 @@ def workload_scenario_spec(
     )
 
 
-def _run_workload(
+def measure_competition_point(
     incumbent_vca: str,
     workload_kind: str,
     workload_params: Mapping[str, Any],
     capacity_mbps: float,
     competitor_duration_s: float,
-    seed: int,
-) -> ScenarioRun:
+    duration_s: Optional[float] = None,
+    seed: int = 0,
+) -> dict[str, Any]:
+    """One repetition of one Section 5 cell (campaign work unit).
+
+    Runs :func:`workload_scenario_spec` for ``duration_s`` (the spec's own
+    call length by default) and returns C1's link shares (``share_up``,
+    ``share_down``), the per-second ``[times, mbps]`` trace of each
+    ``"{tx_rx}:{host}"`` of C1 and the competitor F1, and -- against
+    Netflix -- the player's ``[time, connections]`` log, the number of
+    connections it opened and the workload's end time.
+    """
     spec = workload_scenario_spec(
         incumbent_vca, workload_kind, workload_params, capacity_mbps, competitor_duration_s
     )
     # The drivers only read packet captures, never per-second stats.
-    return run_scenario(spec, seed=seed, collect_stats=False)
+    run = run_scenario(spec, seed=seed, duration_s=duration_s, collect_stats=False)
+    metrics: dict[str, Any] = {"share_up": run.share("up"), "share_down": run.share("down")}
+    for tx_rx, host in _TRACES:
+        times, mbps = run.bitrate_series(tx_rx, host)
+        metrics[f"{tx_rx}:{host}"] = [times.tolist(), mbps.tolist()]
+    player = run.workload_apps[0] if run.workload_apps else None
+    if isinstance(player, NetflixPlayer):
+        metrics["connection_log"] = [[t, count] for t, count in player.connection_log]
+        metrics["connections_opened"] = player.connections_opened
+        metrics["workload_end_s"] = run.workload_end_s
+    return metrics
+
+
+def _run_workloads(
+    cells: Sequence[tuple[str, str, Mapping[str, Any]]],
+    capacity_mbps: float,
+    competitor_duration_s: float,
+    repetitions: int,
+    seed: int,
+    **campaign: Any,
+) -> list[ConditionResult]:
+    """The campaign of ``(incumbent, workload_kind, workload_params)`` cells."""
+    conditions = []
+    for incumbent, kind, params in cells:
+        spec = workload_scenario_spec(incumbent, kind, params, capacity_mbps, competitor_duration_s)
+        conditions.append(
+            Condition(
+                name=spec.name,
+                fn=measure_competition_point,
+                params={
+                    "incumbent_vca": incumbent,
+                    "workload_kind": kind,
+                    "workload_params": dict(params),
+                    "capacity_mbps": capacity_mbps,
+                    "competitor_duration_s": competitor_duration_s,
+                    # The call's length, from which the campaign budgets the unit.
+                    "duration_s": spec.duration_s,
+                },
+                repetitions=repetitions,
+                seed=seed,
+            )
+        )
+    return run_campaign(conditions, **campaign)
 
 
 def _trace(
-    figure_id: str, name: str, y_label: str, data: tuple[np.ndarray, np.ndarray]
+    figure_id: str, name: str, y_label: str, data: Sequence[Sequence[float]]
 ) -> FigureSeries:
-    """A per-second bitrate trace as a figure series."""
+    """A per-second ``[times, mbps]`` bitrate trace as a figure series."""
     figure = FigureSeries(figure_id, name, "time (s)", y_label)
     for t, value in zip(*data):
         figure.add_point(float(t), float(value))
@@ -126,33 +174,28 @@ def run_vca_vs_vca(
     repetitions: int = 3,
     competitor_duration_s: float = COMPETITOR_DURATION_S,
     seed: int = 0,
+    **campaign: Any,
 ) -> TableResult:
     """Figures 8 / 10: link share of each incumbent against each competitor.
 
     Shares are :meth:`ScenarioRun.share` over the competition window, which
     starts ``min(10 s, duration / 3)`` after the competitor does.
     """
+    check_direction(direction)
     figure_id = "fig8" if direction == "up" else "fig10"
     table = TableResult(
         table_id=figure_id,
         title=f"{figure_id}: incumbent share of the {direction}link at {capacity_mbps} Mbps",
         columns=("incumbent", "competitor", "incumbent_share", "share_ci_low", "share_ci_high"),
     )
-    for incumbent in incumbents:
-        for competitor in competitors:
-            shares = []
-            for repetition in range(repetitions):
-                run = _run_workload(
-                    incumbent,
-                    "vca",
-                    {"app": competitor},
-                    capacity_mbps,
-                    competitor_duration_s,
-                    seed + repetition,
-                )
-                shares.append(run.share(direction))
-            summary = aggregate_runs(shares)
-            table.add_row(incumbent, competitor, summary.mean, summary.ci_low, summary.ci_high)
+    pairs = [(incumbent, competitor) for incumbent in incumbents for competitor in competitors]
+    results = _run_workloads(
+        [(incumbent, "vca", {"app": competitor}) for incumbent, competitor in pairs],
+        capacity_mbps, competitor_duration_s, repetitions, seed, **campaign,
+    )
+    for (incumbent, competitor), result in zip(pairs, results):
+        summary = result.summary(f"share_{direction}")
+        table.add_row(incumbent, competitor, summary.mean, summary.ci_low, summary.ci_high)
     return table
 
 
@@ -161,18 +204,22 @@ def run_self_competition_timeseries(
     capacity_mbps: float = 0.5,
     competitor_duration_s: float = COMPETITOR_DURATION_S,
     seed: int = 0,
+    **campaign: Any,
 ) -> dict[str, dict[str, FigureSeries]]:
     """Figure 9: upstream traces of two same-VCA calls sharing a 0.5 Mbps link."""
-    out: dict[str, dict[str, FigureSeries]] = {}
-    for vca in vcas:
-        run = _run_workload(vca, "vca", {"app": vca}, capacity_mbps, competitor_duration_s, seed)
-        out[vca] = {
+    results = _run_workloads(
+        [(vca, "vca", {"app": vca}) for vca in vcas],
+        capacity_mbps, competitor_duration_s, 1, seed, **campaign,
+    )
+    return {
+        vca: {
             label: _trace(
-                "fig9", f"{vca}-{label}", "upstream bitrate (Mbps)", run.bitrate_series("tx", host)
+                "fig9", f"{vca}-{label}", "upstream bitrate (Mbps)", result.runs[0][f"tx:{host}"]
             )
             for label, host in (("incumbent", "C1"), ("competitor", WORKLOAD_CLIENT))
         }
-    return out
+        for vca, result in zip(vcas, results)
+    }
 
 
 def run_pair_timeseries(
@@ -181,26 +228,29 @@ def run_pair_timeseries(
     capacity_mbps: float = 1.0,
     competitor_duration_s: float = COMPETITOR_DURATION_S,
     seed: int = 0,
+    **campaign: Any,
 ) -> dict[str, dict[str, FigureSeries]]:
     """Figure 11: Teams (incumbent) vs Zoom traces in both directions."""
-    run = _run_workload(
-        incumbent, "vca", {"app": competitor}, capacity_mbps, competitor_duration_s, seed
+    (result,) = _run_workloads(
+        [(incumbent, "vca", {"app": competitor})],
+        capacity_mbps, competitor_duration_s, 1, seed, **campaign,
     )
-    out: dict[str, dict[str, FigureSeries]] = {}
-    for direction, tx_rx in (("up", "tx"), ("down", "rx")):
-        out[direction] = {
+    run = result.runs[0]
+    return {
+        direction: {
             label: _trace(
                 "fig11",
                 f"{name}-{direction}",
                 f"{direction}stream bitrate (Mbps)",
-                run.bitrate_series(tx_rx, host),
+                run[f"{tx_rx}:{host}"],
             )
             for label, name, host in (
                 ("incumbent", incumbent, "C1"),
                 ("competitor", competitor, WORKLOAD_CLIENT),
             )
         }
-    return out
+        for direction, tx_rx in (("up", "tx"), ("down", "rx"))
+    }
 
 
 def run_vca_vs_tcp(
@@ -209,6 +259,7 @@ def run_vca_vs_tcp(
     repetitions: int = 3,
     competitor_duration_s: float = COMPETITOR_DURATION_S,
     seed: int = 0,
+    **campaign: Any,
 ) -> TableResult:
     """Figure 12: the share iPerf3 obtains against each incumbent VCA.
 
@@ -219,21 +270,14 @@ def run_vca_vs_tcp(
         title=f"fig12: iPerf3 share of a {capacity_mbps} Mbps link vs incumbent VCAs",
         columns=("incumbent", "direction", "iperf_share", "vca_share", "ci_low", "ci_high"),
     )
-    for vca in vcas:
-        for direction in ("up", "down"):
-            shares = []
-            for repetition in range(repetitions):
-                run = _run_workload(
-                    vca,
-                    "tcp_bulk",
-                    {"flows": 1, "direction": direction},
-                    capacity_mbps,
-                    competitor_duration_s,
-                    seed + repetition,
-                )
-                shares.append(run.share(direction))
-            summary = aggregate_runs(shares)
-            table.add_row(vca, direction, 1.0 - summary.mean, summary.mean, summary.ci_low, summary.ci_high)
+    grid = [(vca, direction) for vca in vcas for direction in ("up", "down")]
+    results = _run_workloads(
+        [(vca, "tcp_bulk", {"flows": 1, "direction": direction}) for vca, direction in grid],
+        capacity_mbps, competitor_duration_s, repetitions, seed, **campaign,
+    )
+    for (vca, direction), result in zip(grid, results):
+        summary = result.summary(f"share_{direction}")
+        table.add_row(vca, direction, 1.0 - summary.mean, summary.mean, summary.ci_low, summary.ci_high)
     return table
 
 
@@ -241,14 +285,15 @@ def run_zoom_burst_trace(
     capacity_mbps: float = 2.0,
     competitor_duration_s: float = COMPETITOR_DURATION_S,
     seed: int = 0,
+    **campaign: Any,
 ) -> dict[str, FigureSeries]:
     """Figure 13: downstream traces of Zoom and a competing iPerf3 download."""
-    run = _run_workload(
-        "zoom", "tcp_bulk", {"flows": 1, "direction": "down"},
-        capacity_mbps, competitor_duration_s, seed,
+    (result,) = _run_workloads(
+        [("zoom", "tcp_bulk", {"flows": 1, "direction": "down"})],
+        capacity_mbps, competitor_duration_s, 1, seed, **campaign,
     )
     return {
-        label: _trace("fig13", label, "downstream bitrate (Mbps)", run.bitrate_series("rx", host))
+        label: _trace("fig13", label, "downstream bitrate (Mbps)", result.runs[0][f"rx:{host}"])
         for label, host in (("zoom", "C1"), ("iperf3", WORKLOAD_CLIENT))
     }
 
@@ -259,26 +304,28 @@ def run_vca_vs_streaming(
     capacity_mbps: float = 0.5,
     competitor_duration_s: float = COMPETITOR_DURATION_S,
     seed: int = 0,
+    **campaign: Any,
 ) -> dict[str, FigureSeries]:
     """Figure 14: a VCA vs a streaming application on a constrained downlink.
 
     Returns the two downstream traces plus (for Netflix) the number of TCP
     connections open per chunk over time.
     """
-    run = _run_workload(
-        vca, "streaming", {"app": app}, capacity_mbps, competitor_duration_s, seed
+    (result,) = _run_workloads(
+        [(vca, "streaming", {"app": app})],
+        capacity_mbps, competitor_duration_s, 1, seed, **campaign,
     )
+    run = result.runs[0]
     out = {
-        label: _trace("fig14a", label, "downstream bitrate (Mbps)", run.bitrate_series("rx", host))
+        label: _trace("fig14a", label, "downstream bitrate (Mbps)", run[f"rx:{host}"])
         for label, host in ((vca, "C1"), (app, WORKLOAD_CLIENT))
     }
-    player = run.workload_apps[0] if run.workload_apps else None
-    if isinstance(player, NetflixPlayer):
+    if "connection_log" in run:
         connections = FigureSeries("fig14b", "tcp-connections", "time (s)", "parallel TCP connections")
-        for t, count in player.connection_log:
+        for t, count in run["connection_log"]:
             connections.add_point(float(t), float(count))
         connections_total = FigureSeries("fig14b-total", "connections-opened", "time (s)", "count")
-        connections_total.add_point(run.workload_end_s, float(player.connections_opened))
+        connections_total.add_point(run["workload_end_s"], float(run["connections_opened"]))
         out["tcp_connections"] = connections
         out["tcp_connections_total"] = connections_total
     return out

@@ -12,10 +12,9 @@ Reproduces Figure 15:
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import Iterable, Optional, Sequence, Union
+from typing import Any, Iterable, Sequence
 
-from repro.core.campaign import CampaignPolicy, Condition, run_campaign
+from repro.core.campaign import Condition, run_campaign
 from repro.core.profiles import PARTICIPANT_COUNTS
 from repro.core.results import FigureSeries
 from repro.experiments.static import DEFAULT_VCAS, call_spec
@@ -53,19 +52,13 @@ def run_participant_sweep(
     duration_s: float = 120.0,
     repetitions: int = 5,
     seed: int = 0,
-    workers: Optional[int | str] = None,
-    store: Union[str, Path, None, object] = None,
-    policy: Optional[CampaignPolicy] = None,
+    **campaign: Any,
 ) -> dict[str, dict[str, FigureSeries]]:
     """Figure 15: C1's network utilization vs the number of participants.
 
     Returns ``{"uplink": {vca: series}, "downlink": {vca: series}}``.  In
     ``speaker`` mode every other participant pins C1 (Figure 15c measures the
-    pinned client's uplink).  ``workers`` fans the grid out over the
-    supervised pool of :func:`repro.core.campaign.run_campaign`; ``store``
-    re-scores unchanged grid cells from the content-addressed result cache
-    (and resumes an interrupted sweep); ``policy`` tunes
-    timeouts/retries/quarantine.
+    pinned client's uplink).
     """
     if mode not in ("gallery", "speaker"):
         raise ValueError("mode must be 'gallery' or 'speaker'")
@@ -95,7 +88,7 @@ def run_participant_sweep(
         )
         for count, vca in grid
     ]
-    results = run_campaign(conditions, workers=workers, store=store, policy=policy)
+    results = run_campaign(conditions, **campaign)
     for condition_result, (count, vca) in zip(results, grid):
         up_summary = condition_result.summary("up_mbps")
         down_summary = condition_result.summary("down_mbps")

@@ -7,15 +7,16 @@ regenerates it, together with a short description.
 
 Every driver can be called with reduced parameters (shorter calls, fewer
 repetitions, a coarser capacity grid) for quick runs; calling it with its
-defaults reproduces the paper-scale campaign.
+defaults reproduces the paper-scale campaign.  Every driver runs its grid
+through :func:`repro.core.campaign.run_campaign` and takes its campaign
+options -- ``workers``, ``store``, ``policy`` and ``hosts`` among them.
 """
 
 from __future__ import annotations
 
 import functools
-import inspect
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 from repro.barometer import campaign as barometer
 from repro.experiments import cascade, competition, disruption, modality, scenario, static
@@ -37,32 +38,6 @@ class ExperimentSpec:
     description: str
     section: str
     driver: Callable
-
-    @property
-    def supports_workers(self) -> bool:
-        """Whether the driver can fan its grid out over a process pool."""
-        return self._has_parameter("workers")
-
-    @property
-    def supports_store(self) -> bool:
-        """Whether the driver can consult a content-addressed result store."""
-        return self._has_parameter("store")
-
-    @property
-    def supports_fault_tolerance(self) -> bool:
-        """Whether the driver forwards ``policy`` to the campaign."""
-        return self._has_parameter("policy")
-
-    @property
-    def supports_hosts(self) -> bool:
-        """Whether the driver can fan out over lease-coordinated hosts."""
-        return self._has_parameter("hosts")
-
-    def _has_parameter(self, name: str) -> bool:
-        try:
-            return name in inspect.signature(self.driver).parameters
-        except (TypeError, ValueError):  # pragma: no cover - builtins only
-            return False
 
 
 EXPERIMENTS: dict[str, ExperimentSpec] = {
@@ -224,52 +199,11 @@ def list_experiments() -> list[str]:
     return sorted(EXPERIMENTS)
 
 
-def run_experiment(
-    experiment_id: str,
-    workers: Optional[int | str] = None,
-    store: Optional[Any] = None,
-    policy: Optional[Any] = None,
-    hosts: Optional[int] = None,
-    **kwargs: Any,
-):
-    """Run one experiment by id, optionally over a supervised process pool.
+def run_experiment(experiment_id: str, **kwargs: Any):
+    """Run one experiment by id: ``get_experiment(experiment_id).driver(**kwargs)``.
 
-    ``workers`` is forwarded to drivers whose grids support the parallel
-    campaign runner (:attr:`ExperimentSpec.supports_workers`) and ``store``
-    (a result-store directory or :class:`repro.results.ResultStore`) to
-    drivers that can re-score unchanged grid cells from cache; ``policy``
-    (a :class:`repro.core.campaign.CampaignPolicy`) reaches drivers that
-    expose the campaign's fault-tolerance controls
-    (:attr:`ExperimentSpec.supports_fault_tolerance`); ``hosts``
-    reaches drivers that support the lease-coordinated multi-host fan-out
-    (:attr:`ExperimentSpec.supports_hosts` -- requires ``store``).  For the
-    remaining drivers a non-default value raises so a typo'd campaign
-    doesn't silently run serially / uncached / unsupervised.
+    ``kwargs`` are the driver's grid arguments plus any campaign option of
+    :func:`repro.core.campaign.run_campaign` (``workers``, ``store``,
+    ``policy``, ``hosts``); a mistyped option raises ``TypeError``.
     """
-    spec = get_experiment(experiment_id)
-    if workers is not None:
-        if not spec.supports_workers:
-            raise ValueError(
-                f"experiment {experiment_id!r} does not support parallel workers"
-            )
-        kwargs["workers"] = workers
-    if hosts is not None:
-        if not spec.supports_hosts:
-            raise ValueError(
-                f"experiment {experiment_id!r} does not support multi-host fan-out"
-            )
-        kwargs["hosts"] = hosts
-    if store is not None:
-        if not spec.supports_store:
-            raise ValueError(
-                f"experiment {experiment_id!r} does not support a result store"
-            )
-        kwargs["store"] = store
-    if policy is not None:
-        if not spec.supports_fault_tolerance:
-            raise ValueError(
-                f"experiment {experiment_id!r} does not support campaign "
-                "fault-tolerance controls (policy)"
-            )
-        kwargs["policy"] = policy
-    return spec.driver(**kwargs)
+    return get_experiment(experiment_id).driver(**kwargs)

@@ -13,11 +13,9 @@ Reproduces:
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import Any, Iterable, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, Sequence
 
-from repro.core.analysis import aggregate_runs
-from repro.core.campaign import CampaignPolicy, Condition, run_campaign
+from repro.core.campaign import Condition, run_campaign
 from repro.core.profiles import STATIC_SHAPING_LEVELS_MBPS
 from repro.core.results import FigureSeries, TableResult
 from repro.netem.scenarios import ScenarioSpec, run_scenario
@@ -25,7 +23,10 @@ from repro.netem.scenarios import ScenarioSpec, run_scenario
 __all__ = [
     "DEFAULT_VCAS",
     "call_spec",
+    "check_direction",
+    "measure_utilization_point",
     "measure_capacity_point",
+    "measure_stats_point",
     "run_unconstrained_utilization",
     "run_capacity_sweep",
     "run_platform_comparison",
@@ -53,13 +54,26 @@ def call_spec(vca: str, duration_s: float, **fields: Any) -> ScenarioSpec:
     )
 
 
-def _shaped(vca: str, direction: str, capacity_mbps: float, duration_s: float) -> ScenarioSpec:
-    """A call whose ``direction`` of C1's access link is held at ``capacity_mbps``."""
+def check_direction(direction: str) -> None:
+    """Reject a ``direction`` other than ``"up"`` or ``"down"``."""
     if direction not in ("up", "down"):
         raise ValueError("direction must be 'up' or 'down'")
+
+
+def _shaped(vca: str, direction: str, capacity_mbps: float, duration_s: float) -> ScenarioSpec:
+    """A call whose ``direction`` of C1's access link is held at ``capacity_mbps``."""
+    check_direction(direction)
     return call_spec(
         vca, duration_s, direction=direction, profile=("constant", {"mbps": capacity_mbps})
     )
+
+
+def measure_utilization_point(
+    vca: str, duration_s: float = 150.0, seed: int = 0
+) -> dict[str, float]:
+    """One repetition of one Table 2 row (campaign work unit)."""
+    metrics = run_scenario(call_spec(vca, duration_s), seed=seed, collect_stats=False).metrics()
+    return {"up_mbps": metrics["mean_up_mbps"], "down_mbps": metrics["mean_down_mbps"]}
 
 
 def run_unconstrained_utilization(
@@ -67,6 +81,7 @@ def run_unconstrained_utilization(
     duration_s: float = 150.0,
     repetitions: int = 5,
     seed: int = 0,
+    **campaign: Any,
 ) -> TableResult:
     """Table 2: average up/down utilization on an unconstrained link."""
     table = TableResult(
@@ -74,17 +89,19 @@ def run_unconstrained_utilization(
         title="Table 2: Unconstrained network utilization (Mbps)",
         columns=("vca", "upstream_mbps", "downstream_mbps", "up_ci_low", "up_ci_high"),
     )
-    for vca in vcas:
-        ups, downs = [], []
-        for repetition in range(repetitions):
-            metrics = run_scenario(
-                call_spec(vca, duration_s), seed=seed + repetition, collect_stats=False
-            ).metrics()
-            ups.append(metrics["mean_up_mbps"])
-            downs.append(metrics["mean_down_mbps"])
-        up_summary = aggregate_runs(ups)
-        down_summary = aggregate_runs(downs)
-        table.add_row(vca, up_summary.mean, down_summary.mean, up_summary.ci_low, up_summary.ci_high)
+    conditions = [
+        Condition(
+            name=vca,
+            fn=measure_utilization_point,
+            params={"vca": vca, "duration_s": duration_s},
+            repetitions=repetitions,
+            seed=seed,
+        )
+        for vca in vcas
+    ]
+    for vca, result in zip(vcas, run_campaign(conditions, **campaign)):
+        up, down = result.summary("up_mbps"), result.summary("down_mbps")
+        table.add_row(vca, up.mean, down.mean, up.ci_low, up.ci_high)
     return table
 
 
@@ -105,42 +122,20 @@ def measure_capacity_point(
     return {"median_mbps": metrics[f"median_{direction}_mbps"]}
 
 
-def run_capacity_sweep(
-    direction: str = "up",
-    vcas: Sequence[str] = DEFAULT_VCAS,
-    levels_mbps: Iterable[float] = STATIC_SHAPING_LEVELS_MBPS,
-    duration_s: float = 150.0,
-    repetitions: int = 5,
-    seed: int = 0,
-    workers: Optional[int | str] = None,
-    store: Union[str, Path, None, object] = None,
-    policy: Optional[CampaignPolicy] = None,
-) -> dict[str, FigureSeries]:
-    """Figure 1a/1b: median bitrate vs shaped capacity, one series per VCA.
-
-    ``workers`` fans the (level x vca x repetition) grid out over the
-    supervised campaign pool of :func:`repro.core.campaign.run_campaign`;
-    the default (serial) produces identical numbers.  ``store`` (a
-    :class:`repro.results.ResultStore` or directory path) makes the sweep
-    incremental: unchanged grid cells re-score from cache, so re-running an
-    interrupted sweep resumes it.  ``policy`` tunes
-    timeouts/retries/quarantine.
-    """
-    figure_id = "fig1a" if direction == "up" else "fig1b"
-    series: dict[str, FigureSeries] = {
-        vca: FigureSeries(
-            figure_id=figure_id,
-            series_name=vca,
-            x_label=f"{direction}link capacity (Mbps)",
-            y_label="median bitrate (Mbps)",
-        )
-        for vca in vcas
-    }
-    levels = list(levels_mbps)
-    conditions = [
+def _shaped_conditions(
+    fn: Callable[..., dict[str, float]],
+    directions: Sequence[str],
+    levels: Sequence[float],
+    vcas: Sequence[str],
+    duration_s: float,
+    repetitions: int,
+    seed: int,
+) -> list[Condition]:
+    """One ``fn`` condition per (level, vca, direction) of a shaping grid."""
+    return [
         Condition(
             name=f"{vca}@{level}{direction}",
-            fn=measure_capacity_point,
+            fn=fn,
             params={
                 "vca": vca,
                 "direction": direction,
@@ -152,12 +147,38 @@ def run_capacity_sweep(
         )
         for level in levels
         for vca in vcas
+        for direction in directions
     ]
-    results = run_campaign(conditions, workers=workers, store=store, policy=policy)
-    for condition_result, (level, vca) in zip(
-        results, ((level, vca) for level in levels for vca in vcas)
-    ):
-        summary = condition_result.summary("median_mbps")
+
+
+def run_capacity_sweep(
+    direction: str = "up",
+    vcas: Sequence[str] = DEFAULT_VCAS,
+    levels_mbps: Iterable[float] = STATIC_SHAPING_LEVELS_MBPS,
+    duration_s: float = 150.0,
+    repetitions: int = 5,
+    seed: int = 0,
+    **campaign: Any,
+) -> dict[str, FigureSeries]:
+    """Figure 1a/1b: median bitrate vs shaped capacity, one series per VCA."""
+    check_direction(direction)
+    figure_id = "fig1a" if direction == "up" else "fig1b"
+    series: dict[str, FigureSeries] = {
+        vca: FigureSeries(
+            figure_id=figure_id,
+            series_name=vca,
+            x_label=f"{direction}link capacity (Mbps)",
+            y_label="median bitrate (Mbps)",
+        )
+        for vca in vcas
+    }
+    levels = list(levels_mbps)
+    conditions = _shaped_conditions(
+        measure_capacity_point, (direction,), levels, vcas, duration_s, repetitions, seed
+    )
+    grid = [(level, vca) for level in levels for vca in vcas]
+    for (level, vca), result in zip(grid, run_campaign(conditions, **campaign)):
+        summary = result.summary("median_mbps")
         series[vca].add_point(level, summary.median, summary.ci_low, summary.ci_high)
     return series
 
@@ -169,9 +190,7 @@ def run_platform_comparison(
     duration_s: float = 150.0,
     repetitions: int = 5,
     seed: int = 0,
-    workers: Optional[int | str] = None,
-    store: Union[str, Path, None, object] = None,
-    policy: Optional[CampaignPolicy] = None,
+    **campaign: Any,
 ) -> dict[str, FigureSeries]:
     """Figure 1c: native vs Chrome clients under uplink shaping."""
     result = run_capacity_sweep(
@@ -181,13 +200,39 @@ def run_platform_comparison(
         duration_s=duration_s,
         repetitions=repetitions,
         seed=seed,
-        workers=workers,
-        store=store,
-        policy=policy,
+        **campaign,
     )
     for series in result.values():
         series.figure_id = "fig1c"
     return result
+
+
+#: The WebRTC stat behind each Figure 2 metric: the sent stream's under an
+#: uplink constraint, the received stream's under a downlink one.
+_STAT_KEYS = {
+    "up": {"qp": "sent_qp", "fps": "sent_fps", "width": "sent_width"},
+    "down": {"qp": "received_qp", "fps": "received_fps", "width": "received_width"},
+}
+
+
+def measure_stats_point(
+    vca: str,
+    direction: str,
+    capacity_mbps: float,
+    duration_s: float = 150.0,
+    seed: int = 0,
+) -> dict[str, float]:
+    """One repetition of one Figure 2 / Figure 3 grid cell (campaign work unit).
+
+    Returns the steady-window means of the ``direction``'s encoding stats
+    (``qp``, ``fps``, ``width``), C1's freeze ratio and the FIR count the
+    other participants sent for C1's video.
+    """
+    run = run_scenario(_shaped(vca, direction, capacity_mbps, duration_s), seed=seed)
+    metrics = {metric: run.mean_stat(key) for metric, key in _STAT_KEYS[direction].items()}
+    metrics["freeze_ratio"] = run.freeze_ratio()
+    metrics["fir_count"] = float(run.fir_count())
+    return metrics
 
 
 def run_encoding_parameters(
@@ -197,6 +242,7 @@ def run_encoding_parameters(
     duration_s: float = 150.0,
     repetitions: int = 5,
     seed: int = 0,
+    **campaign: Any,
 ) -> dict[str, dict[str, FigureSeries]]:
     """Figure 2: QP / FPS / frame width vs capacity from the WebRTC stats.
 
@@ -205,11 +251,7 @@ def run_encoding_parameters(
     stream whose quality the constraint affects); for uplink constraints the
     sent-stream statistics are reported, as in the paper.
     """
-    metrics = ("qp", "fps", "width")
-    stat_keys = {
-        "down": {"qp": "received_qp", "fps": "received_fps", "width": "received_width"},
-        "up": {"qp": "sent_qp", "fps": "sent_fps", "width": "sent_width"},
-    }[direction]
+    check_direction(direction)
     figure_id = "fig2-down" if direction == "down" else "fig2-up"
     out: dict[str, dict[str, FigureSeries]] = {
         metric: {
@@ -221,20 +263,17 @@ def run_encoding_parameters(
             )
             for vca in vcas
         }
-        for metric in metrics
+        for metric in _STAT_KEYS[direction]
     }
-    for level in levels_mbps:
-        for vca in vcas:
-            collected: dict[str, list[float]] = {metric: [] for metric in metrics}
-            for repetition in range(repetitions):
-                run = run_scenario(
-                    _shaped(vca, direction, level, duration_s), seed=seed + repetition
-                )
-                for metric in metrics:
-                    collected[metric].append(run.mean_stat(stat_keys[metric]))
-            for metric in metrics:
-                summary = aggregate_runs(collected[metric])
-                out[metric][vca].add_point(level, summary.mean, summary.ci_low, summary.ci_high)
+    levels = list(levels_mbps)
+    conditions = _shaped_conditions(
+        measure_stats_point, (direction,), levels, vcas, duration_s, repetitions, seed
+    )
+    grid = [(level, vca) for level in levels for vca in vcas]
+    for (level, vca), result in zip(grid, run_campaign(conditions, **campaign)):
+        for metric, series in out.items():
+            summary = result.summary(metric)
+            series[vca].add_point(level, summary.mean, summary.ci_low, summary.ci_high)
     return out
 
 
@@ -244,6 +283,7 @@ def run_video_freezes(
     duration_s: float = 150.0,
     repetitions: int = 5,
     seed: int = 0,
+    **campaign: Any,
 ) -> dict[str, dict[str, FigureSeries]]:
     """Figure 3: freeze ratio vs downlink capacity, FIR count vs uplink capacity.
 
@@ -255,18 +295,15 @@ def run_video_freezes(
     fir_series = {
         vca: FigureSeries("fig3b", vca, "uplink capacity (Mbps)", "total FIR count") for vca in vcas
     }
-    for level in levels_mbps:
+    levels = list(levels_mbps)
+    conditions = _shaped_conditions(
+        measure_stats_point, ("down", "up"), levels, vcas, duration_s, repetitions, seed
+    )
+    results = iter(run_campaign(conditions, **campaign))
+    for level in levels:
         for vca in vcas:
-            freezes, firs = [], []
-            for repetition in range(repetitions):
-                down_run = run_scenario(
-                    _shaped(vca, "down", level, duration_s), seed=seed + repetition
-                )
-                freezes.append(down_run.freeze_ratio())
-                up_run = run_scenario(_shaped(vca, "up", level, duration_s), seed=seed + repetition)
-                firs.append(float(up_run.fir_count()))
-            f_summary = aggregate_runs(freezes)
-            r_summary = aggregate_runs(firs)
+            f_summary = next(results).summary("freeze_ratio")
+            r_summary = next(results).summary("fir_count")
             freeze_series[vca].add_point(level, f_summary.mean, f_summary.ci_low, f_summary.ci_high)
             fir_series[vca].add_point(level, r_summary.mean, r_summary.ci_low, r_summary.ci_high)
     return {"freeze_ratio": freeze_series, "fir_count": fir_series}

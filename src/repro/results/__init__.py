@@ -13,9 +13,8 @@ costs the whole grid.  This package makes sweeps incremental:
   byte-identical.
 
 :func:`repro.core.campaign.run_campaign` consults a store before
-dispatching work units to the process pool, so ``scenario_sweep``,
-``run_capacity_sweep`` and ``run_participant_sweep`` re-execute only cache
-misses.
+dispatching work units to the process pool, so every registered
+experiment re-executes only cache misses.
 """
 
 from repro.results.fingerprint import (

@@ -365,10 +365,7 @@ class TestBarometerSweep:
         from repro.experiments.registry import get_experiment
 
         spec = get_experiment("barometer_sweep")
-        assert spec.supports_workers
-        assert spec.supports_store
-        assert spec.supports_fault_tolerance
-        assert spec.supports_hosts
+        assert spec.driver is run_barometer_sweep
 
     def test_scenario_sweep_scores_use_case(self, tmp_path):
         from repro.experiments.scenario import run_scenario_sweep

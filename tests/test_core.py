@@ -14,7 +14,6 @@ import hypothesis.strategies as st
 from repro.core.analysis import aggregate_runs, confidence_interval, summarize_series
 from repro.core.campaign import Condition, ConditionResult
 from repro.core.capture import FlowSeries, PacketCapture
-from repro.core.experiment import ExperimentConfig, ExperimentRunner, RunOutput
 from repro.core.metrics import (
     jains_fairness,
     link_share,
@@ -282,25 +281,3 @@ class TestOrchestratorAndRunner:
         sim.run(until=10.0)
         assert call.events == [("start", 1.0), ("stop", 6.0)]
         assert app.events == [("start", 2.0), ("stop", 4.0)]
-
-    def test_experiment_runner_aggregates_runs(self):
-        def run_once(config: ExperimentConfig, seed: int) -> RunOutput:
-            return RunOutput(
-                metrics={"value": float(seed)},
-                series={"trace": (np.array([0.0, 1.0]), np.array([seed, seed], dtype=float))},
-            )
-
-        runner = ExperimentRunner(run_once)
-        config = ExperimentConfig(name="demo", repetitions=3, seed=10)
-        result = runner.run(config)
-        assert result.metric("value").n == 3
-        assert result.metric_values("value") == [10.0, 11.0, 12.0]
-        assert "trace" in result.series
-
-    def test_experiment_config_scaling(self):
-        config = ExperimentConfig(name="demo", duration_s=150, repetitions=5)
-        scaled = config.scaled(0.4)
-        assert scaled.duration_s == pytest.approx(60)
-        assert scaled.repetitions == 2
-        with pytest.raises(ValueError):
-            config.scaled(0)

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import inspect
+
 import pytest
 
+from repro.core.campaign import CampaignPolicy
 from repro.experiments import EXPERIMENTS, get_experiment, list_experiments
 from repro.experiments.registry import run_experiment
 from repro.experiments.competition import run_vca_vs_vca, workload_scenario_spec
@@ -12,6 +15,7 @@ from repro.experiments.modality import run_participant_sweep
 from repro.experiments.static import (
     run_capacity_sweep,
     run_encoding_parameters,
+    run_platform_comparison,
     run_unconstrained_utilization,
     run_video_freezes,
 )
@@ -35,14 +39,31 @@ class TestRegistry:
         with pytest.raises(KeyError):
             get_experiment("fig99")
 
-    def test_sweep_drivers_support_parallel_workers(self):
-        for experiment_id in ("fig1a", "fig1b", "fig1c", "fig15ab", "fig15c"):
-            assert get_experiment(experiment_id).supports_workers
+    def test_every_driver_accepts_campaign_options(self):
+        for spec in EXPERIMENTS.values():
+            inspect.signature(spec.driver).bind_partial(
+                workers=2, store="store", policy=CampaignPolicy(), hosts=2
+            )
 
-    def test_run_experiment_rejects_workers_on_serial_only_driver(self):
-        assert not get_experiment("fig4a").supports_workers
-        with pytest.raises(ValueError):
-            run_experiment("fig4a", workers=2)
+    def test_run_experiment_rejects_mistyped_option(self):
+        with pytest.raises(TypeError):
+            run_experiment("fig4a", worker=2)
+
+    @pytest.mark.parametrize(
+        "driver",
+        [
+            run_capacity_sweep,
+            run_platform_comparison,
+            run_encoding_parameters,
+            run_disruption_timeseries,
+            run_ttr_sweep,
+            run_vca_vs_vca,
+        ],
+    )
+    @pytest.mark.parametrize("direction", ["both", "sideways", "x"])
+    def test_drivers_reject_unknown_direction(self, driver, direction):
+        with pytest.raises(ValueError, match="direction"):
+            driver(direction=direction)
 
     def test_run_experiment_forwards_kwargs(self):
         result = run_experiment(

@@ -3,8 +3,8 @@
 The link's analytic single-event schedule must agree with the FIFO
 queueing model it evaluates, its random-loss accounting must balance, a
 one-region cascade must be byte-identical to the classic call, and a
-parallel campaign run must merge to exactly the same results as a serial
-one.  The default packet path's seeded outputs are pinned by
+parallel or multi-host campaign run -- of a paper driver too -- must merge
+to exactly the same results as a serial one.  The default packet path's seeded outputs are pinned by
 ``tests/test_fastpath_golden.py``.
 """
 
@@ -15,11 +15,14 @@ import pytest
 
 from repro.core.campaign import Condition, run_campaign
 from repro.core.capture import PacketCapture
+from repro.experiments.competition import run_vca_vs_tcp
+from repro.experiments.disruption import run_ttr_sweep
 from repro.net.link import Link
 from repro.net.node import Host
 from repro.net.packet import Packet, PacketKind
 from repro.net.router import DelayPipe, Router
 from repro.net.simulator import Simulator
+from repro.results import ResultStore
 
 
 def _stats_tuple(link: Link):
@@ -140,6 +143,25 @@ class TestCampaignEquivalence:
         condition = Condition(name="c", fn=_campaign_metric, params={"scale": 1},
                               repetitions=4, seed=9)
         assert [condition.seed_for(i) for i in range(4)] == [9, 10, 11, 12]
+
+    @pytest.mark.parametrize(
+        "driver, kwargs",
+        [
+            (run_ttr_sweep, dict(
+                direction="up", vcas=("meet", "zoom"), levels_mbps=(0.25,), duration_s=20.0,
+                drop_at_s=8.0, drop_duration_s=5.0, repetitions=1, seed=5,
+            )),
+            (run_vca_vs_tcp, dict(
+                capacity_mbps=2.0, vcas=("zoom", "teams"), competitor_duration_s=15.0,
+                repetitions=1, seed=5,
+            )),
+        ],
+        ids=["fig4b", "fig12"],
+    )
+    def test_paper_driver_pool_and_hosts_match_serial(self, driver, kwargs, tmp_path):
+        serial = driver(**kwargs)
+        assert driver(**kwargs, workers=2) == serial
+        assert driver(**kwargs, hosts=2, store=ResultStore(tmp_path)) == serial
 
     def test_workers_auto_resolves(self):
         condition = Condition(name="c", fn=_campaign_metric, params={"scale": 1},

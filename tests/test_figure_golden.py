@@ -7,7 +7,8 @@ a disruption placed inside the call, a 15 s competitor window) and pins the
 sha256 of the canonical JSON of everything the driver returns: every x, y
 and CI value, series name, label and table row.  Any change that moves one
 figure value, however little, shows here; the y-values are kept in clear
-for a readable diff.
+for a readable diff.  Every driver cell must also reproduce its digest run
+cold into a fresh result store and again warm from it, without simulating.
 
 Re-record (only when results are meant to change)::
 
@@ -17,6 +18,7 @@ Re-record (only when results are meant to change)::
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import importlib.util
 import json
@@ -26,6 +28,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.results import FigureSeries, TableResult
+from repro.results import ResultStore
 from repro.experiments.competition import (
     run_pair_timeseries,
     run_self_competition_timeseries,
@@ -72,67 +75,87 @@ def _broadband_planning() -> list[dict[str, float]]:
     ]
 
 
-CELLS = {
-    "table2": lambda: run_unconstrained_utilization(
+#: Each driver cell: the driver and its reduced-grid arguments.
+DRIVER_CELLS = {
+    "table2": (run_unconstrained_utilization, dict(
         vcas=("meet", "teams", "zoom"), duration_s=SHORT_S, repetitions=2, seed=SEED
-    ),
-    "fig1a": lambda: run_capacity_sweep(
-        "up", vcas=("zoom", "meet", "teams"), levels_mbps=(0.5, 1.0), duration_s=SHORT_S, **ONE
-    ),
-    "fig1b": lambda: run_capacity_sweep(
-        "down", vcas=("teams", "meet"), levels_mbps=(0.8,), duration_s=SHORT_S, **ONE
-    ),
-    "fig1c": lambda: run_platform_comparison(
+    )),
+    "fig1a": (run_capacity_sweep, dict(
+        direction="up", vcas=("zoom", "meet", "teams"), levels_mbps=(0.5, 1.0),
+        duration_s=SHORT_S, **ONE
+    )),
+    "fig1b": (run_capacity_sweep, dict(
+        direction="down", vcas=("teams", "meet"), levels_mbps=(0.8,), duration_s=SHORT_S, **ONE
+    )),
+    "fig1c": (run_platform_comparison, dict(
         vcas=("teams-chrome", "zoom-chrome"), levels_mbps=(0.5,), duration_s=SHORT_S, **ONE
-    ),
-    "fig2-down": lambda: run_encoding_parameters(
-        "down", vcas=("meet", "teams-chrome"), levels_mbps=(0.5,), duration_s=SHORT_S, **ONE
-    ),
-    "fig2-up": lambda: run_encoding_parameters(
-        "up", vcas=("meet", "teams-chrome"), levels_mbps=(0.5,), duration_s=SHORT_S, **ONE
-    ),
-    "fig3": lambda: run_video_freezes(
+    )),
+    "fig2-down": (run_encoding_parameters, dict(
+        direction="down", vcas=("meet", "teams-chrome"), levels_mbps=(0.5,),
+        duration_s=SHORT_S, **ONE
+    )),
+    "fig2-up": (run_encoding_parameters, dict(
+        direction="up", vcas=("meet", "teams-chrome"), levels_mbps=(0.5,),
+        duration_s=SHORT_S, **ONE
+    )),
+    "fig3": (run_video_freezes, dict(
         vcas=("meet", "teams-chrome"), levels_mbps=(0.3, 1.0), duration_s=SHORT_S, **ONE
-    ),
-    "fig4a": lambda: run_disruption_timeseries(
-        "up", 0.25, vcas=("zoom", "teams", "meet"), duration_s=DISRUPTED_S, **ONE, **DROP
-    ),
-    "fig5a": lambda: run_disruption_timeseries(
-        "down", 0.25, vcas=("meet", "teams"), duration_s=DISRUPTED_S, **ONE, **DROP
-    ),
-    "fig4b": lambda: run_ttr_sweep(
-        "up", vcas=("meet", "zoom"), levels_mbps=(0.25,), duration_s=DISRUPTED_S, **ONE, **DROP
-    ),
-    "fig5b": lambda: run_ttr_sweep(
-        "down", vcas=("zoom", "teams"), levels_mbps=(0.25,),
+    )),
+    "fig4a": (run_disruption_timeseries, dict(
+        direction="up", drop_to_mbps=0.25, vcas=("zoom", "teams", "meet"),
         duration_s=DISRUPTED_S, **ONE, **DROP
-    ),
-    "fig6": lambda: run_remote_sender_response(
+    )),
+    "fig5a": (run_disruption_timeseries, dict(
+        direction="down", drop_to_mbps=0.25, vcas=("meet", "teams"),
+        duration_s=DISRUPTED_S, **ONE, **DROP
+    )),
+    "fig4b": (run_ttr_sweep, dict(
+        direction="up", vcas=("meet", "zoom"), levels_mbps=(0.25,),
+        duration_s=DISRUPTED_S, **ONE, **DROP
+    )),
+    "fig5b": (run_ttr_sweep, dict(
+        direction="down", vcas=("zoom", "teams"), levels_mbps=(0.25,),
+        duration_s=DISRUPTED_S, **ONE, **DROP
+    )),
+    "fig6": (run_remote_sender_response, dict(
         vcas=("meet", "teams"), duration_s=DISRUPTED_S, **ONE, **DROP
-    ),
-    "fig8": lambda: run_vca_vs_vca(
-        "up", 0.5, incumbents=("zoom", "meet"), competitors=("meet", "zoom"),
-        repetitions=1, **COMPETITOR
-    ),
-    "fig9": lambda: run_self_competition_timeseries(
+    )),
+    "fig8": (run_vca_vs_vca, dict(
+        direction="up", capacity_mbps=0.5, incumbents=("zoom", "meet"),
+        competitors=("meet", "zoom"), repetitions=1, **COMPETITOR
+    )),
+    "fig9": (run_self_competition_timeseries, dict(
         vcas=("zoom", "meet"), capacity_mbps=0.5, **COMPETITOR
-    ),
-    "fig10": lambda: run_vca_vs_vca(
-        "down", 0.5, incumbents=("teams",), competitors=("zoom", "meet"),
-        repetitions=1, **COMPETITOR
-    ),
-    "fig11": lambda: run_pair_timeseries("teams", "zoom", 1.0, **COMPETITOR),
-    "fig12": lambda: run_vca_vs_tcp(2.0, vcas=("zoom", "teams"), repetitions=1, **COMPETITOR),
-    "fig13": lambda: run_zoom_burst_trace(2.0, **COMPETITOR),
-    "fig14": lambda: run_vca_vs_streaming("zoom", "netflix", 0.5, **COMPETITOR),
-    "fig15ab": lambda: run_participant_sweep(
-        "gallery", vcas=("zoom", "meet", "teams"), participant_counts=(2, 5),
+    )),
+    "fig10": (run_vca_vs_vca, dict(
+        direction="down", capacity_mbps=0.5, incumbents=("teams",),
+        competitors=("zoom", "meet"), repetitions=1, **COMPETITOR
+    )),
+    "fig11": (run_pair_timeseries, dict(
+        incumbent="teams", competitor="zoom", capacity_mbps=1.0, **COMPETITOR
+    )),
+    "fig12": (run_vca_vs_tcp, dict(
+        capacity_mbps=2.0, vcas=("zoom", "teams"), repetitions=1, **COMPETITOR
+    )),
+    "fig13": (run_zoom_burst_trace, dict(capacity_mbps=2.0, **COMPETITOR)),
+    "fig14": (run_vca_vs_streaming, dict(
+        vca="zoom", app="netflix", capacity_mbps=0.5, **COMPETITOR
+    )),
+    "fig15ab": (run_participant_sweep, dict(
+        mode="gallery", vcas=("zoom", "meet", "teams"), participant_counts=(2, 5),
         duration_s=SHORT_S, **ONE
-    ),
-    "fig15c": lambda: run_participant_sweep(
-        "speaker", vcas=("zoom", "teams", "meet"), participant_counts=(3, 6),
+    )),
+    "fig15c": (run_participant_sweep, dict(
+        mode="speaker", vcas=("zoom", "teams", "meet"), participant_counts=(3, 6),
         duration_s=SHORT_S, **ONE
-    ),
+    )),
+}
+
+CELLS = {
+    **{
+        name: functools.partial(driver, **kwargs)
+        for name, (driver, kwargs) in DRIVER_CELLS.items()
+    },
     "example/broadband-planning": _broadband_planning,
 }
 
@@ -161,9 +184,12 @@ def _y_values(value):
     return value
 
 
-def observe(cell: str) -> dict:
-    """The digest of a cell's full driver output plus its y-values in clear."""
-    observation = _plain(CELLS[cell]())
+def observe(cell: str, **campaign) -> dict:
+    """The digest of a cell's full driver output plus its y-values in clear.
+
+    ``campaign`` options (``store``, ``workers``, ...) reach the driver.
+    """
+    observation = _plain(CELLS[cell](**campaign))
     text = json.dumps(observation, sort_keys=True, separators=(",", ":"))
     return {
         "digest": hashlib.sha256(text.encode("utf-8")).hexdigest(),
@@ -180,6 +206,23 @@ def test_figure_cell_matches_golden(cell):
     expected = _golden()["cells"][cell]
     observed = observe(cell)
     assert observed["digest"] == expected["digest"], (observed["y"], expected["y"])
+
+
+@pytest.mark.parametrize("cell", sorted(DRIVER_CELLS))
+def test_figure_cell_rescores_warm_from_a_store(cell, tmp_path):
+    """A cold run into a fresh store and a warm re-run both match the
+    golden digest; the cold run stores every unit and the warm run
+    simulates none."""
+    expected = _golden()["cells"][cell]["digest"]
+    store = ResultStore(tmp_path)
+    units = []
+    cold = observe(cell, store=store, progress=units.append)
+    assert cold["digest"] == expected, cold["y"]
+    assert units and store.puts == len(units) and store.hits == 0
+    store.reset_counters()
+    warm = []
+    assert observe(cell, store=store, progress=warm.append)["digest"] == expected
+    assert store.hits == len(warm) == len(units) and store.puts == 0
 
 
 def test_golden_covers_every_cell():

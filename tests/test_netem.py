@@ -540,10 +540,11 @@ class TestScenarioSweepDriver:
             run_scenario_sweep(tag="no-such-tag")
 
     def test_registry_exposes_scenario_sweep(self):
+        from repro.experiments.scenario import run_scenario_sweep
         from repro.experiments.registry import get_experiment
 
         spec = get_experiment("scenario_sweep")
-        assert spec.supports_workers
+        assert spec.driver is run_scenario_sweep
 
 
 class TestReviewRegressions:

@@ -491,8 +491,12 @@ class TestScenarioSweepIncremental:
             store=store,
         )
         assert len(calls) == 2 and store.puts == 2
-        with pytest.raises(ValueError):
-            run_experiment("fig9", store=store)
+        fig9 = {"vcas": ("zoom",), "competitor_duration_s": 3.0, "store": store}
+        cold = run_experiment("fig9", **fig9)
+        assert store.puts == 3
+        warm = run_experiment("fig9", **fig9)
+        assert store.puts == 3 and store.hits == 1
+        assert warm == cold
 
 
 class TestScenarioTargets:

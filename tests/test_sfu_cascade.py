@@ -328,10 +328,11 @@ class TestCascadeSweepDriver:
             run_cascade_sweep(scenarios=["iid-downlink-zoom"], duration_s=4.0)
 
     def test_registry_exposes_cascade_sweep(self):
+        from repro.experiments.cascade import run_cascade_sweep
         from repro.experiments.registry import get_experiment
 
         spec = get_experiment("cascade_sweep")
-        assert spec.supports_workers
+        assert spec.driver is run_cascade_sweep
 
     def test_cascade_metrics_flow_through_run_scenario_by_name(self):
         metrics = run_scenario_by_name(
