@@ -8,14 +8,17 @@ Two modes:
   fig12 TCP pairs, fig14 Zoom-vs-Netflix) and writes ``CALIBRATION.json``
   with the per-figure margins.  This is what CI's competition-smoke job runs.
 
-* ``--sweep`` fans a candidate grid over the campaign process pool, scores
-  every candidate against all targets at once, and writes the winning
-  constants plus margins to ``CALIBRATION.json``.  Candidates that fix one
+* ``--sweep`` runs the candidate grid as one campaign, scores every
+  candidate against all targets at once, and writes the winning constants
+  plus margins to ``CALIBRATION.json``.  Candidates that fix one
   figure while breaking another are rejected by construction -- the failure
   mode that kept the fig10 bug alive (raising Zoom's loss threshold alone
   flips fig14).
 
-Run with:  python examples/calibrate_competition.py --verify
+Both modes run the Section 5 figure units (one per candidate, cell and
+repetition) through the campaign runner, so ``--workers`` applies to both.
+
+Run with:  python examples/calibrate_competition.py --verify --workers 2
            python examples/calibrate_competition.py --sweep --workers auto \\
                --repetitions 2 --duration 60
 """
@@ -35,7 +38,7 @@ def main() -> int:
     parser.add_argument(
         "--workers",
         default=None,
-        help="process-pool size for the sweep: an integer, 'auto', or omit for serial",
+        help="process-pool size for either mode: an integer, 'auto', or omit for serial",
     )
     parser.add_argument("--output", default="CALIBRATION.json", help="report path (default CALIBRATION.json)")
     args = parser.parse_args()
@@ -64,6 +67,7 @@ def main() -> int:
             competitor_duration_s=args.duration,
             seed=args.seed,
             output_path=args.output,
+            workers=workers,
         )
         print("committed constants, per-target margins (positive = satisfied):")
         for metric, margin in report["margins"].items():

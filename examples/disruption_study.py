@@ -28,10 +28,13 @@ def main() -> None:
         ("vca", "drop_to_mbps", "ttr_seconds"),
         rows,
     ))
+    fastest = min(rows, key=lambda row: row[2])
+    slowest = max(rows, key=lambda row: row[2])
     print()
-    print("All three applications need tens of seconds to return to their")
-    print("pre-disruption sending rate -- the Section 4 takeaway that short")
-    print("outages have long tails for interactive video.")
+    print(
+        f"Once the link is restored, {fastest[0]} is back at 95% of its pre-disruption "
+        f"sending rate after {fastest[2]} s and {slowest[0]} after {slowest[2]} s."
+    )
 
 
 if __name__ == "__main__":

@@ -16,16 +16,16 @@ Layout
 * :mod:`repro.calibrate.constants` -- :class:`CompetitionConstants`, the
   sweepable constant set, and the committed (winning) values the relay
   estimators and controllers read at construction time.
-* :mod:`repro.calibrate.targets` -- the recorded paper share targets and the
-  margin scoring used both by the sweep and by the tier-1 joint test, plus
-  the recorded netem :class:`ScenarioTarget` set (directional scenario
-  behaviours promoted to thresholds with margins).
-* :mod:`repro.calibrate.sweep` -- the campaign-runner-driven parameter sweep
-  that evaluates candidates over a process pool and emits
-  ``CALIBRATION.json`` (winning constants plus per-figure margins).
-* :mod:`repro.calibrate.verify` -- ``verify_scenarios``, the entry point
-  that scores the committed scenario targets (result-store-aware, so an
-  unchanged scenario pack re-scores from cache).
+* :mod:`repro.calibrate.targets` -- the recorded paper share targets, the
+  recorded netem :class:`ScenarioTarget` set (directional scenario
+  behaviours promoted to thresholds) and their margin scoring.
+* :mod:`repro.calibrate.sweep` -- the sweep and ``verify_committed``: a
+  campaign of the Section 5 figure units (candidates x cells x
+  repetitions, store-aware like every paper driver) scored into
+  ``CALIBRATION.json``.
+* :mod:`repro.calibrate.verify` -- ``verify_scenarios``, which scores the
+  committed scenario targets (result-store-aware, so an unchanged scenario
+  pack re-scores from cache).
 
 ``sweep`` and ``verify`` are imported lazily (``import
 repro.calibrate.sweep``) because they pull in the experiment drivers;

@@ -5,9 +5,10 @@ sweep may vary: the parameters of the per-receiver downlink estimators the
 media servers build (:meth:`~repro.vca.sfu.node.SfuNode.add_participant`)
 and the loss-BWE parameters of the Teams sender controller.  The relay
 estimators and controllers read :func:`active_constants` at *construction*
-time, so a sweep worker activates a candidate (:func:`set_active_constants`)
-before building the scenario and every simulation object in that process
-picks it up -- no plumbing through a dozen constructors.
+time, so a calibration unit activates its candidate
+(:func:`set_active_constants`) before building the scenario and every
+simulation object it builds picks it up -- no plumbing through a dozen
+constructors.
 
 ``COMMITTED_CONSTANTS`` is the winning set of the most recent sweep (see
 ``CALIBRATION.json`` at the repository root for its per-figure margins);
@@ -190,8 +191,8 @@ class CompetitionConstants:
 COMMITTED_CONSTANTS = CompetitionConstants()
 
 #: The constants simulation objects read at construction time.  Module-level
-#: on purpose: sweep workers activate a candidate once per work unit and the
-#: whole scenario built afterwards (servers, controllers) inherits it.
+#: on purpose: a calibration unit activates its candidate for its own call and
+#: the whole scenario built meanwhile (servers, controllers) inherits it.
 _ACTIVE: CompetitionConstants = COMMITTED_CONSTANTS
 
 

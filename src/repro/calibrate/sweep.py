@@ -1,37 +1,39 @@
-"""Campaign-driven joint calibration sweep over competition constants.
+"""Joint calibration of the competition constants: a campaign of figure units.
 
 One *candidate* is a set of overrides on :class:`CompetitionConstants`.
-Evaluating a candidate runs every scenario behind the competition figure
-targets (fig8 uplink pairs, the fig10 Teams-vs-Zoom downlink pair, the fig12
-TCP pairs, fig14 Zoom-vs-Netflix) with the candidate activated, and returns
-the named share metrics the targets score.  Each scenario is the Section 5
-workload spec the figure drivers run
-(:func:`repro.experiments.competition.workload_scenario_spec`), so the
-constants are scored on the same shared access link the figures use.  The sweep fans candidates ×
-repetitions over :func:`repro.core.campaign.run_campaign`'s process pool --
-repetition ``i`` always runs with ``seed + i`` -- picks the winner by
-*maximin margin* (largest worst-case margin across targets and repetitions,
-among candidates that satisfy every target in every repetition), and writes
-``CALIBRATION.json``.
+Scoring it runs the seven Section 5 cells behind the figure targets
+(:data:`CELLS`) as :func:`~repro.experiments.competition.measure_competition_point`
+units, the unit Figs 8-14 run, with the overrides in the unit params: they
+key the store entry and the unit activates them itself.  The campaign is
+candidates x cells x repetitions (repetition ``i`` runs with ``seed + i``)
+under the caller's ``run_campaign`` options; :func:`figure_metrics` derives
+the target metrics from each repetition's payloads.  The sweep picks the
+winner by *maximin margin* (largest worst-case margin across targets and
+repetitions, among candidates that satisfy every target in every
+repetition) and writes ``CALIBRATION.json``.
 
-The committed constants are verified -- not swept -- by
-``tests/test_calibration.py`` and the CI competition-smoke job via
-:func:`verify_committed`.
+:func:`verify_committed` scores the committed constants (tier-1 and CI's
+competition-smoke job).  Its units are exactly the figure drivers' units,
+so a store warmed by a figure at the same settings serves them.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import time
 from pathlib import Path
 from typing import Any, Mapping, Optional, Sequence
 
-from repro.calibrate.constants import COMMITTED_CONSTANTS, set_active_constants
+from repro.calibrate.constants import COMMITTED_CONSTANTS
 from repro.calibrate.targets import FIGURE_TARGETS, score_metrics
-from repro.core.campaign import Condition, run_campaign
+from repro.core.campaign import run_campaign
+from repro.experiments.competition import COMPETITOR_START_S, competition_conditions
+from repro.netem.scenarios import WORKLOAD_CLIENT
 
 __all__ = [
-    "evaluate_candidate",
+    "CELLS",
+    "figure_metrics",
     "run_calibration_sweep",
     "verify_committed",
     "write_calibration_report",
@@ -41,93 +43,100 @@ __all__ = [
 #: Duration floor below which the fig14 scoring window would collapse.
 MIN_DURATION_S = 20.0
 
+#: The Section 5 cells the figure targets read: name -> (incumbent,
+#: workload kind, workload params, link capacity in Mbps).
+CELLS: dict[str, tuple[str, str, dict[str, Any], float]] = {
+    "fig8-zoom-vs-meet": ("zoom", "vca", {"app": "meet"}, 0.5),
+    "fig8-meet-vs-zoom": ("meet", "vca", {"app": "zoom"}, 0.5),
+    "fig10-teams-vs-zoom": ("teams", "vca", {"app": "zoom"}, 0.5),
+    "fig12-teams-down": ("teams", "tcp_bulk", {"flows": 1, "direction": "down"}, 2.0),
+    "fig12-teams-up": ("teams", "tcp_bulk", {"flows": 1, "direction": "up"}, 2.0),
+    "fig12-zoom-down": ("zoom", "tcp_bulk", {"flows": 1, "direction": "down"}, 2.0),
+    "fig14-zoom-vs-netflix": ("zoom", "streaming", {"app": "netflix"}, 0.5),
+}
 
-def _effective_duration(competitor_duration_s: float) -> float:
-    """The competitor window actually simulated (clamped at the floor)."""
-    return max(float(competitor_duration_s), MIN_DURATION_S)
+#: Figure metric -> (cell, key of the cell's unit payload).  A ``[times,
+#: mbps]`` trace key scores the mean of its per-second bins inside the
+#: fig14 window, as read off the figure's traces.  The fig10 tx loss (relay
+#: tx vs client rx) is the "floods through sustained 40%+ loss" caveat: the
+#: shed constants bound it from above, the paper's measured aggressiveness
+#: from below.
+_METRICS: dict[str, tuple[str, str]] = {
+    "fig8_zoom_vs_meet_up": ("fig8-zoom-vs-meet", "share_up"),
+    "fig8_meet_vs_zoom_up": ("fig8-meet-vs-zoom", "share_up"),
+    "fig10_teams_vs_zoom_down": ("fig10-teams-vs-zoom", "share_down"),
+    "fig10_zoom_tx_loss": ("fig10-teams-vs-zoom", "competitor_tx_loss_rate"),
+    "fig12_teams_down_share": ("fig12-teams-down", "share_down"),
+    "fig12_teams_up_share": ("fig12-teams-up", "share_up"),
+    "fig12_zoom_down_share": ("fig12-zoom-down", "share_down"),
+    "fig14_zoom_mbps": ("fig14-zoom-vs-netflix", "rx:C1"),
+    "fig14_netflix_mbps": ("fig14-zoom-vs-netflix", f"rx:{WORKLOAD_CLIENT}"),
+}
 
 
 def _targets_payload() -> list[dict[str, object]]:
     """The target definitions as recorded in every calibration report."""
-    return [
-        {
-            "figure": t.figure,
-            "key": t.key,
-            "metric": t.metric,
-            "op": t.op,
-            "threshold": t.threshold,
-            "paper_note": t.paper_note,
-        }
-        for t in FIGURE_TARGETS
-    ]
+    return [{**dataclasses.asdict(t), "key": t.key} for t in FIGURE_TARGETS]
 
 
-def evaluate_candidate(
-    seed: int = 0,
-    competitor_duration_s: float = 60.0,
-    overrides: Optional[Mapping[str, float]] = None,
+def figure_metrics(
+    payloads: Mapping[str, Mapping[str, Any]], competitor_duration_s: float
 ) -> dict[str, float]:
-    """Run every figure-target scenario with a candidate constant set active.
+    """The figure-target metrics of one repetition, from its cells' payloads.
 
-    Module-level and picklable on purpose: this is the ``Condition.fn`` the
-    campaign pool executes.  ``overrides`` is applied on top of the committed
-    constants; ``None`` evaluates the committed set itself.
+    ``payloads`` maps every :data:`CELLS` name to that cell's unit payload.
+    The fig14 window runs from 13 s after the competitor starts to 2 s
+    before it stops.
     """
-    # Imported here, not at module top: the experiment drivers import the VCA
-    # layer, which imports repro.calibrate.constants -- a top-level import
-    # would cycle during package initialisation.
-    from repro.experiments.competition import COMPETITOR_START_S, workload_scenario_spec
-    from repro.netem.scenarios import WORKLOAD_CLIENT, WORKLOAD_SERVER, run_scenario
+    start = COMPETITOR_START_S + 13.0
+    stop = COMPETITOR_START_S + competitor_duration_s - 2.0
+    metrics: dict[str, float] = {}
+    for metric, (cell, key) in _METRICS.items():
+        value = payloads[cell][key]
+        if isinstance(value, list):  # a [times, mbps] trace
+            bins = [float(mbps) for t, mbps in zip(*value) if start <= t <= stop]
+            value = sum(bins) / max(len(bins), 1)
+        metrics[metric] = float(value)
+    metrics["fig12_zoom_down_minus_teams_down"] = (
+        metrics["fig12_zoom_down_share"] - metrics["fig12_teams_down_share"]
+    )
+    metrics["fig14_zoom_minus_netflix_mbps"] = (
+        metrics["fig14_zoom_mbps"] - metrics["fig14_netflix_mbps"]
+    )
+    return metrics
 
-    duration = _effective_duration(competitor_duration_s)
-    candidate = COMMITTED_CONSTANTS.replace(**dict(overrides)) if overrides else COMMITTED_CONSTANTS
-    previous = set_active_constants(candidate)
-    try:
-        def run(incumbent: str, kind: str, params: dict[str, Any], capacity_mbps: float):
-            spec = workload_scenario_spec(incumbent, kind, params, capacity_mbps, duration)
-            return run_scenario(spec, seed=seed, collect_stats=False)
 
-        # The fig10 cell also records Zoom's tx-side downlink loss (relay tx
-        # vs client rx), the "floods through sustained 40%+ loss" caveat:
-        # the shed constants bound it from above, the paper's measured
-        # aggressiveness bounds it from below.
-        fig10_run = run("teams", "vca", {"app": "zoom"}, 0.5)
-        up, down = {"flows": 1, "direction": "up"}, {"flows": 1, "direction": "down"}
-        metrics: dict[str, float] = {
-            "fig8_zoom_vs_meet_up": run("zoom", "vca", {"app": "meet"}, 0.5).share("up"),
-            "fig8_meet_vs_zoom_up": run("meet", "vca", {"app": "zoom"}, 0.5).share("up"),
-            "fig10_teams_vs_zoom_down": fig10_run.share("down"),
-            "fig10_zoom_tx_loss": fig10_run.relay_tx_loss(
-                WORKLOAD_SERVER, WORKLOAD_CLIENT, "competitor"
-            ),
-            "fig12_teams_down_share": run("teams", "tcp_bulk", down, 2.0).share("down"),
-            "fig12_teams_up_share": run("teams", "tcp_bulk", up, 2.0).share("up"),
-            "fig12_zoom_down_share": run("zoom", "tcp_bulk", down, 2.0).share("down"),
-        }
-        metrics["fig12_zoom_down_minus_teams_down"] = (
-            metrics["fig12_zoom_down_share"] - metrics["fig12_teams_down_share"]
+def _evaluate(
+    candidates: Sequence[Optional[Mapping[str, float]]],
+    repetitions: int,
+    duration: float,
+    seed: int,
+    **campaign: Any,
+) -> list[tuple[list[dict[str, float]], list[str]]]:
+    """Run every candidate's cells as one campaign.
+
+    Per candidate, returns the figure metrics of each repetition and the
+    cells that lost a repetition to quarantine; a candidate with such a
+    cell gets no metrics, since its repetitions no longer pair up.
+    """
+    conditions = [
+        condition
+        for overrides in candidates
+        for condition in competition_conditions(
+            CELLS.values(), duration, repetitions, seed, overrides
         )
-
-        # Fig 14 scores the mean of the per-second downstream bins inside
-        # the competition window, as read off the figure's traces.
-        fig14_run = run("zoom", "streaming", {"app": "netflix"}, 0.5)
-        window = (COMPETITOR_START_S + 13.0, COMPETITOR_START_S + duration - 2.0)
-
-        def mean_mbps(host: str) -> float:
-            values = [
-                float(y) for x, y in zip(*fig14_run.bitrate_series("rx", host))
-                if window[0] <= x <= window[1]
-            ]
-            return sum(values) / max(len(values), 1)
-
-        metrics["fig14_zoom_mbps"] = mean_mbps("C1")
-        metrics["fig14_netflix_mbps"] = mean_mbps(WORKLOAD_CLIENT)
-        metrics["fig14_zoom_minus_netflix_mbps"] = (
-            metrics["fig14_zoom_mbps"] - metrics["fig14_netflix_mbps"]
-        )
-        return metrics
-    finally:
-        set_active_constants(previous)
+    ]
+    results = iter(run_campaign(conditions, **campaign))
+    evaluated = []
+    for _ in candidates:
+        runs = {cell: next(results).runs for cell in CELLS}
+        quarantined = [cell for cell, cell_runs in runs.items() if len(cell_runs) < repetitions]
+        metrics = [] if quarantined else [
+            figure_metrics({cell: cell_runs[rep] for cell, cell_runs in runs.items()}, duration)
+            for rep in range(repetitions)
+        ]
+        evaluated.append((metrics, quarantined))
+    return evaluated
 
 
 def default_grid() -> list[dict[str, float]]:
@@ -159,8 +168,8 @@ def run_calibration_sweep(
     repetitions: int = 2,
     competitor_duration_s: float = 60.0,
     seed: int = 0,
-    workers: Optional[int | str] = None,
     output_path: str | Path | None = "CALIBRATION.json",
+    **campaign: Any,
 ) -> dict[str, Any]:
     """Sweep candidates, score them jointly, and write ``CALIBRATION.json``.
 
@@ -169,52 +178,41 @@ def run_calibration_sweep(
     targets and repetitions among fully satisfying candidates; when no
     candidate satisfies everything, ``winner`` is the least-bad one and
     ``satisfied`` is ``False`` (the report is still written so the failure
-    is inspectable).
+    is inspectable).  A candidate with a quarantined cell is listed with
+    its ``quarantined`` cells and never wins; ``winner`` is ``None`` when
+    no candidate is left.  ``campaign`` is passed to ``run_campaign``.
     """
-    duration = _effective_duration(competitor_duration_s)
+    duration = max(float(competitor_duration_s), MIN_DURATION_S)
     grid = [dict(c) for c in (candidates if candidates is not None else default_grid())]
-    conditions = [
-        Condition(
-            name=f"candidate-{index}",
-            fn=evaluate_candidate,
-            params={
-                "overrides": overrides,
-                "competitor_duration_s": duration,
-            },
-            repetitions=repetitions,
-            seed=seed,
-        )
-        for index, overrides in enumerate(grid)
-    ]
-    results = run_campaign(conditions, workers=workers)
-
     scored: list[dict[str, Any]] = []
-    for overrides, result in zip(grid, results):
-        per_rep_margins = [score_metrics(run) for run in result.runs]
-        worst_margins = {
-            target.key: min(m[target.key] for m in per_rep_margins)
-            for target in FIGURE_TARGETS
-        }
-        scored.append(
-            {
-                "overrides": overrides,
-                "margins": worst_margins,
-                "worst_margin": min(worst_margins.values()),
-                "satisfied": all(v > 0.0 for v in worst_margins.values()),
-                "metrics_per_repetition": [dict(run) for run in result.runs],
+    for overrides, (runs, quarantined) in zip(
+        grid, _evaluate(grid, repetitions, duration, seed, **campaign)
+    ):
+        entry: dict[str, Any] = {"overrides": overrides, "metrics_per_repetition": runs}
+        if quarantined:
+            entry.update(quarantined=quarantined, satisfied=False)
+        else:
+            per_rep_margins = [score_metrics(run) for run in runs]
+            margins = {
+                target.key: min(m[target.key] for m in per_rep_margins)
+                for target in FIGURE_TARGETS
             }
-        )
+            entry.update(
+                margins=margins,
+                worst_margin=min(margins.values()),
+                satisfied=all(v > 0.0 for v in margins.values()),
+            )
+        scored.append(entry)
 
     satisfying = [entry for entry in scored if entry["satisfied"]]
-    pool = satisfying if satisfying else scored
-    winner = max(pool, key=lambda entry: entry["worst_margin"])
-    winning_constants = COMMITTED_CONSTANTS.replace(**winner["overrides"])
+    pool = satisfying or [entry for entry in scored if "margins" in entry]
+    winner = max(pool, key=lambda entry: entry["worst_margin"]) if pool else None
 
     report = {
         "mode": "sweep",
         "satisfied": bool(satisfying),
-        "winner": {
-            "constants": winning_constants.as_dict(),
+        "winner": None if winner is None else {
+            "constants": COMMITTED_CONSTANTS.replace(**winner["overrides"]).as_dict(),
             "overrides": winner["overrides"],
             "margins": winner["margins"],
             "worst_margin": winner["worst_margin"],
@@ -238,21 +236,27 @@ def verify_committed(
     competitor_duration_s: float = 60.0,
     seed: int = 0,
     output_path: str | Path | None = None,
+    **campaign: Any,
 ) -> dict[str, Any]:
     """Evaluate the *committed* constants against every figure target.
 
     This is what the tier-1 calibration test and the CI competition-smoke
     job run: no sweep, just the committed set, scored jointly.
+    ``campaign`` is passed to ``run_campaign``; a cell quarantined under
+    ``CampaignPolicy(on_exhausted="quarantine")`` is named under
+    ``quarantined`` and leaves the report unsatisfied, without metrics.
     """
-    duration = _effective_duration(competitor_duration_s)
-    metrics = evaluate_candidate(seed=seed, competitor_duration_s=duration, overrides=None)
-    margins = score_metrics(metrics)
+    duration = max(float(competitor_duration_s), MIN_DURATION_S)
+    ((runs, quarantined),) = _evaluate([None], 1, duration, seed, **campaign)
+    metrics = runs[0] if runs else {}
+    margins = score_metrics(metrics) if runs else {}
     report = {
         "mode": "verify",
-        "satisfied": all(v > 0.0 for v in margins.values()),
+        "satisfied": bool(runs) and all(v > 0.0 for v in margins.values()),
         "constants": COMMITTED_CONSTANTS.as_dict(),
         "metrics": metrics,
         "margins": margins,
+        **({"quarantined": quarantined} if quarantined else {}),
         "targets": _targets_payload(),
         "settings": {"competitor_duration_s": duration, "seed": seed},
         "recorded_at": time.time(),
@@ -263,7 +267,7 @@ def verify_committed(
 
 
 def write_calibration_report(report: Mapping[str, Any], path: str | Path) -> Path:
-    """Write a calibration report as pretty-printed JSON."""
+    """Write a calibration or scenario margin report as pretty-printed JSON."""
     out = Path(path)
     out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return out

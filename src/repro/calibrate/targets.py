@@ -2,8 +2,9 @@
 
 Each :class:`FigureTarget` mirrors one assertion of the competition
 benchmarks (``benchmarks/test_bench_fig8_10.py``, ``test_bench_fig12.py``,
-``test_bench_fig14.py``), restated over the metric names produced by
-:func:`repro.calibrate.sweep.evaluate_candidate`.  A candidate constant set
+``test_bench_fig14.py``), restated over the figure metrics
+:func:`repro.calibrate.sweep.figure_metrics` derives from the Section 5
+campaign units.  A candidate constant set
 *satisfies* the targets only when every margin is positive -- the joint
 constraint that makes the fig10 fix land without silently breaking fig8 or
 fig14.
@@ -25,13 +26,24 @@ __all__ = [
     "FigureTarget",
     "FIGURE_TARGETS",
     "score_metrics",
-    "all_satisfied",
     "ScenarioTarget",
     "SCENARIO_TARGETS",
     "resolve_metric",
     "score_scenario_metrics",
-    "all_scenario_targets_satisfied",
 ]
+
+
+def _margin(op: str, value: float, threshold: float) -> float:
+    """How far ``value`` sits on the ``op`` side of ``threshold``.
+
+    Positive when ``value lt threshold`` (or ``gt``) holds, negative by the
+    amount it is violated.
+    """
+    if op == "lt":
+        return threshold - value
+    if op == "gt":
+        return value - threshold
+    raise ValueError(f"unknown op {op!r}")
 
 
 @dataclass(frozen=True)
@@ -66,12 +78,7 @@ class FigureTarget:
         return f"{self.metric}:{self.op}"
 
     def margin(self, metrics: Mapping[str, float]) -> float:
-        value = float(metrics[self.metric])
-        if self.op == "lt":
-            return self.threshold - value
-        if self.op == "gt":
-            return value - self.threshold
-        raise ValueError(f"unknown op {self.op!r}")
+        return _margin(self.op, float(metrics[self.metric]), self.threshold)
 
 
 #: The joint target set.  Thresholds match the benchmark assertions exactly.
@@ -149,11 +156,6 @@ def score_metrics(metrics: Mapping[str, float]) -> dict[str, float]:
     banded metrics are constrained from both sides by two targets.
     """
     return {target.key: target.margin(metrics) for target in FIGURE_TARGETS}
-
-
-def all_satisfied(metrics: Mapping[str, float]) -> bool:
-    """True when every figure target holds for these metrics."""
-    return all(margin > 0.0 for margin in score_metrics(metrics).values())
 
 
 # --------------------------------------------------------- scenario targets
@@ -243,12 +245,7 @@ class ScenarioTarget:
 
     def margin(self, metrics_by_scenario: Mapping[str, Mapping[str, float]]) -> float:
         """Positive when the recorded behaviour holds."""
-        value = self.value(metrics_by_scenario)
-        if self.op == "lt":
-            return self.threshold - value
-        if self.op == "gt":
-            return value - self.threshold
-        raise ValueError(f"unknown op {self.op!r}")
+        return _margin(self.op, self.value(metrics_by_scenario), self.threshold)
 
 
 #: The committed scenario target set.  Thresholds sit well inside the values
@@ -429,14 +426,3 @@ def score_scenario_metrics(
     if targets is None:
         targets = SCENARIO_TARGETS
     return {target.name: target.margin(metrics_by_scenario) for target in targets}
-
-
-def all_scenario_targets_satisfied(
-    metrics_by_scenario: Mapping[str, Mapping[str, float]],
-    targets: Optional[tuple[ScenarioTarget, ...]] = None,
-) -> bool:
-    """True when every scenario target holds for these per-scenario metrics."""
-    return all(
-        margin > 0.0
-        for margin in score_scenario_metrics(metrics_by_scenario, targets).values()
-    )

@@ -16,11 +16,12 @@ the nightly full-duration gate, and ``examples/scenario_explorer.py
 
 from __future__ import annotations
 
-import json
+import dataclasses
 import time
 from pathlib import Path
-from typing import Any, Mapping, Optional, Sequence, Union
+from typing import Any, Optional, Sequence, Union
 
+from repro.calibrate.sweep import write_calibration_report
 from repro.calibrate.targets import (
     SCENARIO_TARGETS,
     ScenarioTarget,
@@ -28,7 +29,7 @@ from repro.calibrate.targets import (
 )
 from repro.core.campaign import CampaignPolicy, run_campaign
 
-__all__ = ["verify_scenarios", "target_scenario_names", "write_scenario_report"]
+__all__ = ["verify_scenarios", "target_scenario_names"]
 
 #: Seeds aggregated per scenario (repetition ``i`` runs with ``seed + i``),
 #: matching the scenario benchmarks' three-seed aggregation.
@@ -50,19 +51,10 @@ def target_scenario_names(
 
 
 def _targets_payload(targets: Sequence[ScenarioTarget]) -> list[dict[str, Any]]:
+    """The target definitions; ``baseline_metric`` only where a target sets it."""
     return [
-        {
-            "name": t.name,
-            "metric": t.metric,
-            "scenario": t.scenario,
-            "baseline": t.baseline,
-            **({"baseline_metric": t.baseline_metric} if t.baseline_metric else {}),
-            "mode": t.mode,
-            "op": t.op,
-            "threshold": t.threshold,
-            "note": t.note,
-            "recorded": dict(t.recorded),
-        }
+        {key: value for key, value in dataclasses.asdict(t).items()
+         if key != "baseline_metric" or value}
         for t in targets
     ]
 
@@ -171,12 +163,5 @@ def verify_scenarios(
         "recorded_at": time.time(),
     }
     if output_path is not None:
-        write_scenario_report(report, output_path)
+        write_calibration_report(report, output_path)
     return report
-
-
-def write_scenario_report(report: Mapping[str, Any], path: Union[str, Path]) -> Path:
-    """Write a scenario margin report as pretty-printed JSON."""
-    out = Path(path)
-    out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return out

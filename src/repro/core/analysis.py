@@ -49,10 +49,10 @@ def confidence_interval(values: Sequence[float], confidence: float = 0.90) -> tu
 
 
 def aggregate_runs(values: Iterable[float], confidence: float = 0.90) -> RunSummary:
-    """Aggregate one metric measured across repeated runs."""
+    """Aggregate one metric across repeated runs; NaN (a gap) without runs."""
     data = np.asarray(list(values), dtype=float)
     if data.size == 0:
-        return RunSummary(mean=0.0, median=0.0, ci_low=0.0, ci_high=0.0, n=0)
+        return RunSummary(mean=math.nan, median=math.nan, ci_low=math.nan, ci_high=math.nan, n=0)
     low, high = confidence_interval(data, confidence)
     return RunSummary(
         mean=float(np.mean(data)),

@@ -152,14 +152,13 @@ class ConditionResult:
         return [float(run[name]) for run in self.runs if name in run]
 
     def mean(self, name: str) -> float:
-        """Mean of one metric over repetitions (``0.0`` when absent).
+        """Mean of one metric over repetitions (NaN when absent).
 
         Bit-identical to the ``mean`` of :meth:`summary` (``np.mean``, via
         :func:`~repro.core.analysis.exact_mean`), without the median and CI
         quantiles that table merges never read.
         """
-        values = self.metric_values(name)
-        return exact_mean(values) if values else 0.0
+        return exact_mean(self.metric_values(name))
 
     def summary(self, name: str, confidence: float = 0.90) -> RunSummary:
         """Aggregated summary (mean/median/CI) of one metric."""
@@ -374,7 +373,6 @@ class _ProgressReporter:
 def run_campaign(
     conditions: Sequence[Condition],
     workers: Optional[int | str] = None,
-    mp_context: Optional[str] = None,
     store: Union["ResultStore", str, Path, None] = None,
     use_cache: bool = True,
     policy: Optional[CampaignPolicy] = None,
@@ -392,12 +390,10 @@ def run_campaign(
     workers:
         ``None``, ``0`` or ``1`` runs serially in-process; an integer > 1
         fans the units out over that many supervised worker processes;
-        ``"auto"`` uses one worker per available core.
-    mp_context:
-        Multiprocessing start method for the pool.  Defaults to ``fork``
-        where available (cheap worker start-up on Linux) and ``spawn``
-        elsewhere; every work unit is a module-level picklable, so both
-        start methods produce identical results.
+        ``"auto"`` uses one worker per available core.  Worker and host
+        processes start with ``fork`` where available (cheap start-up on
+        Linux) and ``spawn`` elsewhere; every work unit is a module-level
+        picklable, so both start methods produce identical results.
     store:
         A :class:`repro.results.ResultStore` (or a directory path) consulted
         before dispatch; hits are merged without executing, misses execute
@@ -563,16 +559,14 @@ def run_campaign(
     )
 
     host_stats: Optional[dict[str, Any]] = None
+    context = multiprocessing.get_context(
+        "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+    )
     try:
         if pending:
             if hosts_mode:
                 from repro.core.scheduler import execute_distributed
 
-                if mp_context is None:
-                    mp_context = (
-                        "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-                    )
-                context = multiprocessing.get_context(mp_context)
                 dist = execute_distributed(
                     pending,
                     result_store,
@@ -605,11 +599,6 @@ def run_campaign(
             elif serial:
                 execute_serial(pending, policy, chaos, stats, callbacks)
             else:
-                if mp_context is None:
-                    mp_context = (
-                        "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-                    )
-                context = multiprocessing.get_context(mp_context)
                 execute_supervised(
                     pending, int(workers), context, policy, chaos, stats, callbacks
                 )

@@ -27,12 +27,16 @@ from __future__ import annotations
 from typing import Any, Mapping, Optional, Sequence
 
 from repro.apps.netflix import NetflixPlayer
+from repro.calibrate.constants import COMMITTED_CONSTANTS, active_constants, set_active_constants
 from repro.core.campaign import Condition, ConditionResult, run_campaign
 from repro.core.results import FigureSeries, TableResult
-from repro.netem.scenarios import CALL_START_S, WORKLOAD_CLIENT, ScenarioSpec, run_scenario
+from repro.netem.scenarios import (
+    CALL_START_S, WORKLOAD_CLIENT, WORKLOAD_SERVER, ScenarioSpec, run_scenario,
+)
 from repro.experiments.static import DEFAULT_VCAS, check_direction
 
 __all__ = [
+    "competition_conditions",
     "measure_competition_point",
     "run_vca_vs_vca",
     "run_self_competition_timeseries",
@@ -97,25 +101,37 @@ def measure_competition_point(
     competitor_duration_s: float,
     duration_s: Optional[float] = None,
     seed: int = 0,
+    overrides: Optional[Mapping[str, float]] = None,
 ) -> dict[str, Any]:
     """One repetition of one Section 5 cell (campaign work unit).
 
     Runs :func:`workload_scenario_spec` for ``duration_s`` (the spec's own
     call length by default) and returns C1's link shares (``share_up``,
     ``share_down``), the per-second ``[times, mbps]`` trace of each
-    ``"{tx_rx}:{host}"`` of C1 and the competitor F1, and -- against
-    Netflix -- the player's ``[time, connections]`` log, the number of
-    connections it opened and the workload's end time.
+    ``"{tx_rx}:{host}"`` of C1 and the competitor F1, against a VCA its
+    relay's tx-side downlink loss (``competitor_tx_loss_rate``), and --
+    against Netflix -- the player's ``[time, connections]`` log, the number
+    of connections it opened and the workload's end time.  ``overrides``
+    (a calibration candidate) replaces committed constants for this call.
     """
     spec = workload_scenario_spec(
         incumbent_vca, workload_kind, workload_params, capacity_mbps, competitor_duration_s
     )
-    # The drivers only read packet captures, never per-second stats.
-    run = run_scenario(spec, seed=seed, duration_s=duration_s, collect_stats=False)
+    candidate = COMMITTED_CONSTANTS.replace(**overrides) if overrides else active_constants()
+    previous = set_active_constants(candidate)
+    try:
+        # The drivers only read packet captures, never per-second stats.
+        run = run_scenario(spec, seed=seed, duration_s=duration_s, collect_stats=False)
+    finally:
+        set_active_constants(previous)
     metrics: dict[str, Any] = {"share_up": run.share("up"), "share_down": run.share("down")}
     for tx_rx, host in _TRACES:
         times, mbps = run.bitrate_series(tx_rx, host)
         metrics[f"{tx_rx}:{host}"] = [times.tolist(), mbps.tolist()]
+    if workload_kind == "vca":
+        metrics["competitor_tx_loss_rate"] = run.relay_tx_loss(
+            WORKLOAD_SERVER, WORKLOAD_CLIENT, "competitor"
+        )
     player = run.workload_apps[0] if run.workload_apps else None
     if isinstance(player, NetflixPlayer):
         metrics["connection_log"] = [[t, count] for t, count in player.connection_log]
@@ -124,44 +140,48 @@ def measure_competition_point(
     return metrics
 
 
-def _run_workloads(
-    cells: Sequence[tuple[str, str, Mapping[str, Any]]],
-    capacity_mbps: float,
+def competition_conditions(
+    cells: Sequence[tuple[str, str, Mapping[str, Any], float]],
     competitor_duration_s: float,
     repetitions: int,
     seed: int,
-    **campaign: Any,
-) -> list[ConditionResult]:
-    """The campaign of ``(incumbent, workload_kind, workload_params)`` cells."""
+    overrides: Optional[Mapping[str, float]] = None,
+) -> list[Condition]:
+    """Campaign conditions of Section 5 cells given as ``(incumbent, kind, params, Mbps)``.
+
+    ``overrides`` joins the unit params only when non-empty, so a
+    committed-constant unit keys one store entry whichever driver runs it.
+    """
     conditions = []
-    for incumbent, kind, params in cells:
+    for incumbent, kind, params, capacity_mbps in cells:
         spec = workload_scenario_spec(incumbent, kind, params, capacity_mbps, competitor_duration_s)
+        unit_params = {
+            "incumbent_vca": incumbent,
+            "workload_kind": kind,
+            "workload_params": dict(params),
+            "capacity_mbps": capacity_mbps,
+            "competitor_duration_s": competitor_duration_s,
+            # The call's length, from which the campaign budgets the unit.
+            "duration_s": spec.duration_s,
+            **({"overrides": dict(overrides)} if overrides else {}),
+        }
         conditions.append(
-            Condition(
-                name=spec.name,
-                fn=measure_competition_point,
-                params={
-                    "incumbent_vca": incumbent,
-                    "workload_kind": kind,
-                    "workload_params": dict(params),
-                    "capacity_mbps": capacity_mbps,
-                    "competitor_duration_s": competitor_duration_s,
-                    # The call's length, from which the campaign budgets the unit.
-                    "duration_s": spec.duration_s,
-                },
-                repetitions=repetitions,
-                seed=seed,
-            )
+            Condition(spec.name, measure_competition_point, unit_params, repetitions, seed)
         )
-    return run_campaign(conditions, **campaign)
+    return conditions
+
+
+def _only_run(result: ConditionResult) -> Mapping[str, Any]:
+    """The single repetition of a trace cell; empty when it was quarantined."""
+    return result.runs[0] if result.runs else {}
 
 
 def _trace(
-    figure_id: str, name: str, y_label: str, data: Sequence[Sequence[float]]
+    figure_id: str, name: str, y_label: str, run: Mapping[str, Any], key: str
 ) -> FigureSeries:
-    """A per-second ``[times, mbps]`` bitrate trace as a figure series."""
+    """The per-second ``[times, mbps]`` trace ``run[key]``; no points if quarantined."""
     figure = FigureSeries(figure_id, name, "time (s)", y_label)
-    for t, value in zip(*data):
+    for t, value in zip(*run.get(key, ((), ()))):
         figure.add_point(float(t), float(value))
     return figure
 
@@ -189,10 +209,11 @@ def run_vca_vs_vca(
         columns=("incumbent", "competitor", "incumbent_share", "share_ci_low", "share_ci_high"),
     )
     pairs = [(incumbent, competitor) for incumbent in incumbents for competitor in competitors]
-    results = _run_workloads(
-        [(incumbent, "vca", {"app": competitor}) for incumbent, competitor in pairs],
-        capacity_mbps, competitor_duration_s, repetitions, seed, **campaign,
-    )
+    results = run_campaign(competition_conditions(
+        [(incumbent, "vca", {"app": competitor}, capacity_mbps)
+         for incumbent, competitor in pairs],
+        competitor_duration_s, repetitions, seed,
+    ), **campaign)
     for (incumbent, competitor), result in zip(pairs, results):
         summary = result.summary(f"share_{direction}")
         table.add_row(incumbent, competitor, summary.mean, summary.ci_low, summary.ci_high)
@@ -207,14 +228,14 @@ def run_self_competition_timeseries(
     **campaign: Any,
 ) -> dict[str, dict[str, FigureSeries]]:
     """Figure 9: upstream traces of two same-VCA calls sharing a 0.5 Mbps link."""
-    results = _run_workloads(
-        [(vca, "vca", {"app": vca}) for vca in vcas],
-        capacity_mbps, competitor_duration_s, 1, seed, **campaign,
-    )
+    results = run_campaign(competition_conditions(
+        [(vca, "vca", {"app": vca}, capacity_mbps) for vca in vcas],
+        competitor_duration_s, 1, seed,
+    ), **campaign)
     return {
         vca: {
             label: _trace(
-                "fig9", f"{vca}-{label}", "upstream bitrate (Mbps)", result.runs[0][f"tx:{host}"]
+                "fig9", f"{vca}-{label}", "upstream bitrate (Mbps)", _only_run(result), f"tx:{host}"
             )
             for label, host in (("incumbent", "C1"), ("competitor", WORKLOAD_CLIENT))
         }
@@ -231,18 +252,19 @@ def run_pair_timeseries(
     **campaign: Any,
 ) -> dict[str, dict[str, FigureSeries]]:
     """Figure 11: Teams (incumbent) vs Zoom traces in both directions."""
-    (result,) = _run_workloads(
-        [(incumbent, "vca", {"app": competitor})],
-        capacity_mbps, competitor_duration_s, 1, seed, **campaign,
-    )
-    run = result.runs[0]
+    (result,) = run_campaign(competition_conditions(
+        [(incumbent, "vca", {"app": competitor}, capacity_mbps)],
+        competitor_duration_s, 1, seed,
+    ), **campaign)
+    run = _only_run(result)
     return {
         direction: {
             label: _trace(
                 "fig11",
                 f"{name}-{direction}",
                 f"{direction}stream bitrate (Mbps)",
-                run[f"{tx_rx}:{host}"],
+                run,
+                f"{tx_rx}:{host}",
             )
             for label, name, host in (
                 ("incumbent", incumbent, "C1"),
@@ -271,10 +293,11 @@ def run_vca_vs_tcp(
         columns=("incumbent", "direction", "iperf_share", "vca_share", "ci_low", "ci_high"),
     )
     grid = [(vca, direction) for vca in vcas for direction in ("up", "down")]
-    results = _run_workloads(
-        [(vca, "tcp_bulk", {"flows": 1, "direction": direction}) for vca, direction in grid],
-        capacity_mbps, competitor_duration_s, repetitions, seed, **campaign,
-    )
+    results = run_campaign(competition_conditions(
+        [(vca, "tcp_bulk", {"flows": 1, "direction": direction}, capacity_mbps)
+         for vca, direction in grid],
+        competitor_duration_s, repetitions, seed,
+    ), **campaign)
     for (vca, direction), result in zip(grid, results):
         summary = result.summary(f"share_{direction}")
         table.add_row(vca, direction, 1.0 - summary.mean, summary.mean, summary.ci_low, summary.ci_high)
@@ -288,12 +311,12 @@ def run_zoom_burst_trace(
     **campaign: Any,
 ) -> dict[str, FigureSeries]:
     """Figure 13: downstream traces of Zoom and a competing iPerf3 download."""
-    (result,) = _run_workloads(
-        [("zoom", "tcp_bulk", {"flows": 1, "direction": "down"})],
-        capacity_mbps, competitor_duration_s, 1, seed, **campaign,
-    )
+    (result,) = run_campaign(competition_conditions(
+        [("zoom", "tcp_bulk", {"flows": 1, "direction": "down"}, capacity_mbps)],
+        competitor_duration_s, 1, seed,
+    ), **campaign)
     return {
-        label: _trace("fig13", label, "downstream bitrate (Mbps)", result.runs[0][f"rx:{host}"])
+        label: _trace("fig13", label, "downstream bitrate (Mbps)", _only_run(result), f"rx:{host}")
         for label, host in (("zoom", "C1"), ("iperf3", WORKLOAD_CLIENT))
     }
 
@@ -311,13 +334,13 @@ def run_vca_vs_streaming(
     Returns the two downstream traces plus (for Netflix) the number of TCP
     connections open per chunk over time.
     """
-    (result,) = _run_workloads(
-        [(vca, "streaming", {"app": app})],
-        capacity_mbps, competitor_duration_s, 1, seed, **campaign,
-    )
-    run = result.runs[0]
+    (result,) = run_campaign(competition_conditions(
+        [(vca, "streaming", {"app": app}, capacity_mbps)],
+        competitor_duration_s, 1, seed,
+    ), **campaign)
+    run = _only_run(result)
     out = {
-        label: _trace("fig14a", label, "downstream bitrate (Mbps)", run[f"rx:{host}"])
+        label: _trace("fig14a", label, "downstream bitrate (Mbps)", run, f"rx:{host}")
         for label, host in ((vca, "C1"), (app, WORKLOAD_CLIENT))
     }
     if "connection_log" in run:

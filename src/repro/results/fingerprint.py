@@ -33,7 +33,8 @@ __all__ = [
 
 #: Bump when the stored entry format (or the meaning of cached metrics)
 #: changes incompatibly; every existing cache entry becomes a miss.
-STORE_SCHEMA_VERSION = 1
+#: Version 2: Section 5 units against a VCA store ``competitor_tx_loss_rate``.
+STORE_SCHEMA_VERSION = 2
 
 
 def canonical_json(payload: Any) -> str:
@@ -53,9 +54,10 @@ def code_fingerprint() -> str:
     """Fingerprint of the model version cached results were produced by.
 
     Derived from the *active* competition constants (the committed set in
-    normal runs; a sweep candidate while one is activated) plus the store
-    schema version.  Read lazily on every call so a constants edit or an
-    activated candidate is picked up immediately.
+    normal runs) plus the store schema version.  Read lazily on every call
+    so a constants edit or an activated set is picked up immediately.
+    Calibration candidates are keyed by the ``overrides`` in their units'
+    params instead: the unit activates them only for its own call.
     """
     # Local import: repro.results must stay importable from the core layer
     # without dragging the calibration package in at module-import time.
