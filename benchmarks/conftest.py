@@ -16,6 +16,8 @@ import os
 
 import pytest
 
+from repro.results import ResultStore, store_from_env
+
 #: Call duration (seconds) used by the reduced benchmark campaign.
 BENCH_DURATION_S = float(os.environ.get("REPRO_BENCH_DURATION", "45"))
 
@@ -26,15 +28,12 @@ BENCH_REPETITIONS = int(os.environ.get("REPRO_BENCH_REPETITIONS", "1"))
 BENCH_LEVELS_MBPS = (0.3, 0.5, 0.8, 1.0, 2.0)
 
 
-@pytest.fixture
-def bench_params():
-    """The reduced-scale parameters shared by all figure benchmarks."""
-    return {
-        "duration_s": BENCH_DURATION_S,
-        "repetitions": BENCH_REPETITIONS,
-    }
+@pytest.fixture(scope="session")
+def bench_store(tmp_path_factory):
+    """The session's result store: ``REPRO_RESULT_STORE`` when set, else a fresh one.
 
-
-def run_once(fn, *args, **kwargs):
-    """Run ``fn`` once and return its result (the reduced campaign of one figure)."""
-    return fn(*args, **kwargs)
+    Benchmarks that run the same scenario units share them through it, so
+    each unit simulates once per session.
+    """
+    store = store_from_env()
+    return store if store is not None else ResultStore(tmp_path_factory.mktemp("bench-store"))

@@ -1,7 +1,5 @@
 """Ablation benchmarks for the design choices called out in DESIGN.md."""
 
-from conftest import run_once
-
 from repro.core.capture import PacketCapture
 from repro.core.profiles import disruption_profile
 from repro.net.simulator import Simulator
@@ -29,7 +27,7 @@ def _zoom_disruption_peak(probing_enabled: bool) -> float:
 
 def test_bench_ablation_zoom_fec_probing():
     """Disabling FEC probing removes Zoom's post-disruption overshoot."""
-    with_probing = run_once(_zoom_disruption_peak, True)
+    with_probing = _zoom_disruption_peak(True)
     without_probing = _zoom_disruption_peak(False)
     print(f"\nZoom post-disruption peak: probing={with_probing:.2f} Mbps, "
           f"no probing={without_probing:.2f} Mbps")
@@ -51,6 +49,6 @@ def test_bench_ablation_packet_event_cost():
         call.stop()
         return sim.events_processed
 
-    events = run_once(run_call)
+    events = run_call()
     print(f"\nevents processed for a 30 s two-party Meet call: {events}")
     assert events > 10_000

@@ -9,15 +9,16 @@ the barometer exists to expose:
   far below the fiber tier's two-party index,
 * the use-case gradient: for every VCA the five-party population mean sits
   below the two-party mean (a gallery needs more than a 1:1 call),
-* the committed barometer targets (``quality_index:*`` entries of
-  SCENARIO_TARGETS) hold their recorded margins,
 * the per-(VCA, use case) population means stay near the committed
   baseline (``benchmarks/baselines/BENCH_barometer_baseline.json``).
 
 The grid is seed-deterministic, so the means are exact reproductions, not
 statistics; the baseline gate's tolerance only absorbs intentional
-calibration drift.  With ``REPRO_RESULT_STORE`` pointing at a warm store
-(the CI scenario-smoke job) the whole suite re-scores from cache.  Results
+calibration drift.  The committed barometer targets (``quality_index:*``
+rows of SCENARIO_TARGETS) are scored with every other scenario target by
+``benchmarks/test_bench_scenarios.py``.  With ``REPRO_RESULT_STORE``
+pointing at a warm store (the CI scenario-smoke job) the whole suite
+re-scores from cache.  Results
 are emitted to ``BENCH_barometer.json`` for the CI artifact.
 """
 
@@ -25,17 +26,15 @@ from __future__ import annotations
 
 import math
 import statistics
-from typing import Any, Optional
+from typing import Any
 
+import pytest
 from bench_io import load_baseline, record_bench_result
-from conftest import BENCH_DURATION_S, run_once
+from conftest import BENCH_DURATION_S
 
 from repro.barometer.campaign import run_barometer_sweep
 from repro.barometer.population import tier_names
 from repro.barometer.report import render_tier_scorecard, tier_scorecard
-from repro.calibrate.targets import SCENARIO_TARGETS
-from repro.calibrate.verify import verify_scenarios
-from repro.results import store_from_env
 
 #: Reduced population grid (seed 0 draws 5 distinct tiers).
 N_HOUSEHOLDS = 12
@@ -45,22 +44,18 @@ USE_CASES = ("two-party", "five-party-gallery")
 #: Absolute tolerance of the population-mean baseline gate.
 BASELINE_TOLERANCE = 0.15
 
-_TABLE: Optional[Any] = None
 
-
-def barometer_table():
-    """The shared population sweep (memoized; store-aware via the env var)."""
-    global _TABLE
-    if _TABLE is None:
-        _TABLE = run_barometer_sweep(
-            n_households=N_HOUSEHOLDS,
-            vcas=VCAS,
-            use_cases=USE_CASES,
-            duration_s=BENCH_DURATION_S,
-            seed=0,
-            store=store_from_env(),
-        )
-    return _TABLE
+@pytest.fixture(scope="module")
+def table(bench_store):
+    """The population sweep the tests share."""
+    return run_barometer_sweep(
+        n_households=N_HOUSEHOLDS,
+        vcas=VCAS,
+        use_cases=USE_CASES,
+        duration_s=BENCH_DURATION_S,
+        seed=0,
+        store=bench_store,
+    )
 
 
 def _rows(table) -> list[dict[str, Any]]:
@@ -76,9 +71,8 @@ def _mean_index(rows, **filters) -> float:
     return statistics.mean(values)
 
 
-def test_bench_barometer_population_sweep():
+def test_bench_barometer_population_sweep(table):
     """The population grid completes and every index is a sane score."""
-    table = run_once(barometer_table)
     rows = _rows(table)
     assert len(rows) == N_HOUSEHOLDS * len(VCAS) * len(USE_CASES)
     for row in rows:
@@ -112,9 +106,8 @@ def test_bench_barometer_population_sweep():
     )
 
 
-def test_bench_barometer_access_gradient():
+def test_bench_barometer_access_gradient(table):
     """Constrained LTE in a gallery scores far below fiber on a 1:1 call."""
-    table = run_once(barometer_table)
     rows = _rows(table)
     fiber = _mean_index(rows, tier="fiber", use_case="two-party")
     constrained = _mean_index(
@@ -133,9 +126,8 @@ def test_bench_barometer_access_gradient():
     )
 
 
-def test_bench_barometer_use_case_gradient():
+def test_bench_barometer_use_case_gradient(table):
     """For every VCA the five-party population mean trails the two-party mean."""
-    table = run_once(barometer_table)
     rows = _rows(table)
     gaps = {}
     for vca in VCAS:
@@ -152,39 +144,8 @@ def test_bench_barometer_use_case_gradient():
     )
 
 
-def test_bench_barometer_targets_satisfied():
-    """The committed barometer targets hold their recorded margins."""
-    targets = [
-        target for target in SCENARIO_TARGETS
-        if target.metric.startswith("quality_index:")
-    ]
-    assert len(targets) >= 2
-    report = run_once(
-        verify_scenarios,
-        duration_s=BENCH_DURATION_S,
-        repetitions=3,
-        store=store_from_env(),
-        targets=targets,
-    )
-    print("\n" + "\n".join(
-        f"  [{'ok  ' if row['satisfied'] else 'FAIL'}] {row['name']:38s} "
-        f"value={row['value']:8.4f} {row['op']} {row['threshold']:<8g} "
-        f"margin={row['margin']:+.4f}"
-        for row in report["results"]
-    ))
-    assert report["satisfied"], report["results"]
-    record_bench_result(
-        "barometer",
-        "barometer_targets",
-        duration_s=BENCH_DURATION_S,
-        satisfied=report["satisfied"],
-        margins=report["margins"],
-    )
-
-
-def test_bench_barometer_scorecard_verdicts():
+def test_bench_barometer_scorecard_verdicts(table):
     """The scorecard's verdict column reflects the tier gradient."""
-    table = run_once(barometer_table)
     card = tier_scorecard(table, tier_order=tier_names())
     verdicts = {
         (row[0], row[2]): row[-1] for row in card.rows

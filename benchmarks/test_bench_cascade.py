@@ -17,7 +17,7 @@ Results are emitted to ``BENCH_cascade.json`` for the CI artifact.
 from __future__ import annotations
 
 from bench_io import record_bench_result
-from conftest import BENCH_DURATION_S, run_once
+from conftest import BENCH_DURATION_S
 
 from repro.core.capture import PacketCapture
 from repro.experiments.cascade import run_cascade_sweep
@@ -30,8 +30,7 @@ from repro.vca.sfu import CascadePlan, CascadeRegion
 
 def test_bench_cascade_pack_smoke():
     """The cascade pack runs end to end and reports per-region metrics."""
-    table = run_once(
-        run_cascade_sweep,
+    table = run_cascade_sweep(
         duration_s=BENCH_DURATION_S,
         repetitions=1,
         store=store_from_env(),
@@ -103,9 +102,7 @@ def _trunk_fanout_bytes(far_clients: int, duration_s: float):
 def test_bench_trunk_carries_each_train_once():
     """Trunk fan-out is once per trunk, not once per downstream receiver."""
     duration = min(BENCH_DURATION_S, 20.0)
-    trunk_bytes, per_receiver = run_once(
-        _trunk_fanout_bytes, far_clients=3, duration_s=duration
-    )
+    trunk_bytes, per_receiver = _trunk_fanout_bytes(far_clients=3, duration_s=duration)
     assert trunk_bytes > 0
     assert all(v > 0 for v in per_receiver.values())
     # A naive design replicates C1's train per subscriber on the trunk leg;
@@ -136,9 +133,7 @@ def test_bench_trunk_bytes_flat_in_subscriber_count():
     """Adding far-region receivers must not inflate the trunk's carried bytes."""
     duration = min(BENCH_DURATION_S, 20.0)
     one, _ = _trunk_fanout_bytes(far_clients=1, duration_s=duration)
-    three, _ = run_once(
-        _trunk_fanout_bytes, far_clients=3, duration_s=duration
-    )
+    three, _ = _trunk_fanout_bytes(far_clients=3, duration_s=duration)
     print(f"\ntrunk C1 bytes: 1 far receiver={one} 3 far receivers={three}")
     assert one > 0 and three > 0
     # Per-receiver replication would roughly triple the carried bytes; the

@@ -1,14 +1,13 @@
 """Benchmarks regenerating Figure 1 (utilization under static shaping)."""
 
-from conftest import BENCH_DURATION_S, BENCH_LEVELS_MBPS, BENCH_REPETITIONS, run_once
+from conftest import BENCH_DURATION_S, BENCH_LEVELS_MBPS, BENCH_REPETITIONS
 
 from repro.core.results import format_figure
 from repro.experiments.static import run_capacity_sweep, run_platform_comparison
 
 
 def test_bench_fig1a_uplink_sweep():
-    series = run_once(
-        run_capacity_sweep,
+    series = run_capacity_sweep(
         direction="up",
         levels_mbps=BENCH_LEVELS_MBPS,
         duration_s=BENCH_DURATION_S,
@@ -21,8 +20,7 @@ def test_bench_fig1a_uplink_sweep():
 
 
 def test_bench_fig1b_downlink_sweep():
-    series = run_once(
-        run_capacity_sweep,
+    series = run_capacity_sweep(
         direction="down",
         levels_mbps=BENCH_LEVELS_MBPS,
         duration_s=BENCH_DURATION_S,
@@ -34,8 +32,7 @@ def test_bench_fig1b_downlink_sweep():
 
 
 def test_bench_fig1c_platform_comparison():
-    series = run_once(
-        run_platform_comparison,
+    series = run_platform_comparison(
         direction="up",
         levels_mbps=(0.5, 1.0, 2.0),
         duration_s=BENCH_DURATION_S,

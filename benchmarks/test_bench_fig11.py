@@ -1,14 +1,11 @@
 """Benchmark regenerating Figure 11 (Teams vs Zoom at 1 Mbps)."""
 
-from conftest import run_once
-
 from repro.core.results import format_figure
 from repro.experiments.competition import run_pair_timeseries
 
 
 def test_bench_fig11_teams_vs_zoom():
-    result = run_once(
-        run_pair_timeseries,
+    result = run_pair_timeseries(
         incumbent="teams",
         competitor="zoom",
         capacity_mbps=1.0,

@@ -1,14 +1,11 @@
 """Benchmark regenerating Figure 13 (Zoom probing vs a TCP download)."""
 
-from conftest import run_once
-
 from repro.core.results import format_figure
 from repro.experiments.competition import run_zoom_burst_trace
 
 
 def test_bench_fig13_zoom_vs_iperf_trace():
-    series = run_once(
-        run_zoom_burst_trace,
+    series = run_zoom_burst_trace(
         capacity_mbps=2.0,
         competitor_duration_s=60.0,
     )

@@ -1,6 +1,6 @@
 """Benchmarks regenerating Figure 15 (participant count and viewing mode)."""
 
-from conftest import BENCH_REPETITIONS, run_once
+from conftest import BENCH_REPETITIONS
 
 from repro.core.results import format_figure
 from repro.experiments.modality import run_participant_sweep
@@ -9,8 +9,7 @@ DURATION_S = 40.0
 
 
 def test_bench_fig15ab_gallery_sweep():
-    result = run_once(
-        run_participant_sweep,
+    result = run_participant_sweep(
         mode="gallery",
         participant_counts=(2, 4, 5, 7),
         duration_s=DURATION_S,
@@ -28,8 +27,7 @@ def test_bench_fig15ab_gallery_sweep():
 
 
 def test_bench_fig15c_speaker_sweep():
-    result = run_once(
-        run_participant_sweep,
+    result = run_participant_sweep(
         mode="speaker",
         participant_counts=(3, 8),
         duration_s=DURATION_S,

@@ -1,6 +1,6 @@
 """Benchmarks regenerating Figure 2 (encoding parameters vs capacity)."""
 
-from conftest import BENCH_DURATION_S, BENCH_REPETITIONS, run_once
+from conftest import BENCH_DURATION_S, BENCH_REPETITIONS
 
 from repro.core.results import format_figure
 from repro.experiments.static import run_encoding_parameters
@@ -9,8 +9,7 @@ LEVELS = (0.3, 0.5, 1.0, 2.0)
 
 
 def test_bench_fig2_downlink_encoding():
-    result = run_once(
-        run_encoding_parameters,
+    result = run_encoding_parameters(
         direction="down",
         levels_mbps=LEVELS,
         duration_s=BENCH_DURATION_S,
@@ -24,8 +23,7 @@ def test_bench_fig2_downlink_encoding():
 
 
 def test_bench_fig2_uplink_encoding():
-    result = run_once(
-        run_encoding_parameters,
+    result = run_encoding_parameters(
         direction="up",
         levels_mbps=LEVELS,
         duration_s=BENCH_DURATION_S,

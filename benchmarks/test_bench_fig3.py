@@ -1,14 +1,13 @@
 """Benchmark regenerating Figure 3 (freezes and FIR counts)."""
 
-from conftest import BENCH_DURATION_S, BENCH_REPETITIONS, run_once
+from conftest import BENCH_DURATION_S, BENCH_REPETITIONS
 
 from repro.core.results import format_figure
 from repro.experiments.static import run_video_freezes
 
 
 def test_bench_fig3_freezes_and_firs():
-    result = run_once(
-        run_video_freezes,
+    result = run_video_freezes(
         levels_mbps=(0.3, 0.5, 2.0),
         duration_s=BENCH_DURATION_S,
         repetitions=BENCH_REPETITIONS,

@@ -1,6 +1,6 @@
 """Benchmarks regenerating Figure 4 (uplink disruptions)."""
 
-from conftest import BENCH_REPETITIONS, run_once
+from conftest import BENCH_REPETITIONS
 
 from repro.core.results import format_figure
 from repro.experiments.disruption import run_disruption_timeseries, run_ttr_sweep
@@ -9,8 +9,7 @@ DURATION_S = 180.0
 
 
 def test_bench_fig4a_uplink_disruption_trace():
-    series = run_once(
-        run_disruption_timeseries,
+    series = run_disruption_timeseries(
         direction="up",
         drop_to_mbps=0.25,
         duration_s=DURATION_S,
@@ -24,8 +23,7 @@ def test_bench_fig4a_uplink_disruption_trace():
 
 
 def test_bench_fig4b_uplink_ttr():
-    series = run_once(
-        run_ttr_sweep,
+    series = run_ttr_sweep(
         direction="up",
         levels_mbps=(0.25, 1.0),
         duration_s=DURATION_S,

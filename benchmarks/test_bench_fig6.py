@@ -1,14 +1,11 @@
 """Benchmark regenerating Figure 6 (remote sender during a downlink drop)."""
 
-from conftest import run_once
-
 from repro.core.results import format_figure
 from repro.experiments.disruption import run_remote_sender_response
 
 
 def test_bench_fig6_remote_sender_response():
-    series = run_once(
-        run_remote_sender_response,
+    series = run_remote_sender_response(
         drop_to_mbps=0.25,
         duration_s=180.0,
         repetitions=1,

@@ -1,14 +1,11 @@
 """Benchmark regenerating Figure 9 (self-competition traces)."""
 
-from conftest import run_once
-
 from repro.core.results import format_figure
 from repro.experiments.competition import run_self_competition_timeseries
 
 
 def test_bench_fig9_self_competition():
-    result = run_once(
-        run_self_competition_timeseries,
+    result = run_self_competition_timeseries(
         capacity_mbps=0.5,
         competitor_duration_s=60.0,
     )

@@ -1,13 +1,12 @@
 """Benchmark regenerating Table 2 (unconstrained utilization)."""
 
-from conftest import BENCH_DURATION_S, BENCH_REPETITIONS, run_once
+from conftest import BENCH_DURATION_S, BENCH_REPETITIONS
 
 from repro.experiments.static import run_unconstrained_utilization
 
 
 def test_bench_table2():
-    table = run_once(
-        run_unconstrained_utilization,
+    table = run_unconstrained_utilization(
         duration_s=BENCH_DURATION_S,
         repetitions=BENCH_REPETITIONS,
     )

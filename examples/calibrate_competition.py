@@ -6,7 +6,7 @@ Two modes:
 * ``--verify`` (default) evaluates the *committed* constants against every
   recorded figure target (fig8 uplink pairs, fig10 Teams-vs-Zoom downlink,
   fig12 TCP pairs, fig14 Zoom-vs-Netflix) and writes ``CALIBRATION.json``
-  with the per-figure margins.  This is what CI's competition-smoke job runs.
+  with each target's value and margin.  This is what CI's competition-smoke job runs.
 
 * ``--sweep`` runs the candidate grid as one campaign, scores every
   candidate against all targets at once, and writes the winning constants
@@ -70,8 +70,8 @@ def main() -> int:
             workers=workers,
         )
         print("committed constants, per-target margins (positive = satisfied):")
-        for metric, margin in report["margins"].items():
-            print(f"   {metric:38s} {margin:+.3f}")
+        for name, margin in report["margins"].items():
+            print(f"   {name:38s} {margin:+.3f}")
 
     print(f"report written to {args.output}")
     if not report["satisfied"]:

@@ -16,9 +16,10 @@ Layout
 * :mod:`repro.calibrate.constants` -- :class:`CompetitionConstants`, the
   sweepable constant set, and the committed (winning) values the relay
   estimators and controllers read at construction time.
-* :mod:`repro.calibrate.targets` -- the recorded paper share targets, the
-  recorded netem :class:`ScenarioTarget` set (directional scenario
-  behaviours promoted to thresholds) and their margin scoring.
+* :mod:`repro.calibrate.targets` -- every recorded paper claim as a
+  :class:`Target` (a scenario's metric against a threshold): the figure
+  targets over the Section 5 calibration cells, the scenario targets over
+  registered netem scenarios, and the one scorer both use.
 * :mod:`repro.calibrate.sweep` -- the sweep and ``verify_committed``: a
   campaign of the Section 5 figure units (candidates x cells x
   repetitions, store-aware like every paper driver) scored into
@@ -39,24 +40,15 @@ from repro.calibrate.constants import (
     active_constants,
     set_active_constants,
 )
-from repro.calibrate.targets import (
-    FIGURE_TARGETS,
-    SCENARIO_TARGETS,
-    FigureTarget,
-    ScenarioTarget,
-    score_metrics,
-    score_scenario_metrics,
-)
+from repro.calibrate.targets import FIGURE_TARGETS, SCENARIO_TARGETS, Target, score_targets
 
 __all__ = [
     "CompetitionConstants",
     "COMMITTED_CONSTANTS",
     "active_constants",
     "set_active_constants",
-    "FigureTarget",
+    "Target",
     "FIGURE_TARGETS",
-    "score_metrics",
-    "ScenarioTarget",
     "SCENARIO_TARGETS",
-    "score_scenario_metrics",
+    "score_targets",
 ]

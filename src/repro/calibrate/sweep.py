@@ -6,11 +6,11 @@ Scoring it runs the seven Section 5 cells behind the figure targets
 units, the unit Figs 8-14 run, with the overrides in the unit params: they
 key the store entry and the unit activates them itself.  The campaign is
 candidates x cells x repetitions (repetition ``i`` runs with ``seed + i``)
-under the caller's ``run_campaign`` options; :func:`figure_metrics` derives
-the target metrics from each repetition's payloads.  The sweep picks the
-winner by *maximin margin* (largest worst-case margin across targets and
-repetitions, among candidates that satisfy every target in every
-repetition) and writes ``CALIBRATION.json``.
+under the caller's ``run_campaign`` options, and each repetition's cell
+payloads are scored against :data:`~repro.calibrate.targets.FIGURE_TARGETS`.
+The sweep picks the winner by *maximin margin* (largest worst-case margin
+across targets and repetitions, among candidates that satisfy every target
+in every repetition) and writes ``CALIBRATION.json``.
 
 :func:`verify_committed` scores the committed constants (tier-1 and CI's
 competition-smoke job).  Its units are exactly the figure drivers' units,
@@ -19,21 +19,18 @@ so a store warmed by a figure at the same settings serves them.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import time
 from pathlib import Path
 from typing import Any, Mapping, Optional, Sequence
 
 from repro.calibrate.constants import COMMITTED_CONSTANTS
-from repro.calibrate.targets import FIGURE_TARGETS, score_metrics
+from repro.calibrate.targets import FIGURE_TARGETS, score_targets, targets_payload
 from repro.core.campaign import run_campaign
 from repro.experiments.competition import COMPETITOR_START_S, competition_conditions
-from repro.netem.scenarios import WORKLOAD_CLIENT
 
 __all__ = [
     "CELLS",
-    "figure_metrics",
     "run_calibration_sweep",
     "verify_committed",
     "write_calibration_report",
@@ -55,54 +52,26 @@ CELLS: dict[str, tuple[str, str, dict[str, Any], float]] = {
     "fig14-zoom-vs-netflix": ("zoom", "streaming", {"app": "netflix"}, 0.5),
 }
 
-#: Figure metric -> (cell, key of the cell's unit payload).  A ``[times,
-#: mbps]`` trace key scores the mean of its per-second bins inside the
-#: fig14 window, as read off the figure's traces.  The fig10 tx loss (relay
-#: tx vs client rx) is the "floods through sustained 40%+ loss" caveat: the
-#: shed constants bound it from above, the paper's measured aggressiveness
-#: from below.
-_METRICS: dict[str, tuple[str, str]] = {
-    "fig8_zoom_vs_meet_up": ("fig8-zoom-vs-meet", "share_up"),
-    "fig8_meet_vs_zoom_up": ("fig8-meet-vs-zoom", "share_up"),
-    "fig10_teams_vs_zoom_down": ("fig10-teams-vs-zoom", "share_down"),
-    "fig10_zoom_tx_loss": ("fig10-teams-vs-zoom", "competitor_tx_loss_rate"),
-    "fig12_teams_down_share": ("fig12-teams-down", "share_down"),
-    "fig12_teams_up_share": ("fig12-teams-up", "share_up"),
-    "fig12_zoom_down_share": ("fig12-zoom-down", "share_down"),
-    "fig14_zoom_mbps": ("fig14-zoom-vs-netflix", "rx:C1"),
-    "fig14_netflix_mbps": ("fig14-zoom-vs-netflix", f"rx:{WORKLOAD_CLIENT}"),
-}
 
-
-def _targets_payload() -> list[dict[str, object]]:
-    """The target definitions as recorded in every calibration report."""
-    return [{**dataclasses.asdict(t), "key": t.key} for t in FIGURE_TARGETS]
-
-
-def figure_metrics(
+def _cell_metrics(
     payloads: Mapping[str, Mapping[str, Any]], competitor_duration_s: float
-) -> dict[str, float]:
-    """The figure-target metrics of one repetition, from its cells' payloads.
+) -> dict[str, dict[str, float]]:
+    """The keys the figure targets read, per cell, from one repetition's payloads.
 
-    ``payloads`` maps every :data:`CELLS` name to that cell's unit payload.
-    The fig14 window runs from 13 s after the competitor starts to 2 s
-    before it stops.
+    A ``[times, mbps]`` trace key reduces to the mean of its per-second
+    bins inside the fig14 window: from 13 s after the competitor starts to
+    2 s before it stops.
     """
     start = COMPETITOR_START_S + 13.0
     stop = COMPETITOR_START_S + competitor_duration_s - 2.0
-    metrics: dict[str, float] = {}
-    for metric, (cell, key) in _METRICS.items():
-        value = payloads[cell][key]
-        if isinstance(value, list):  # a [times, mbps] trace
-            bins = [float(mbps) for t, mbps in zip(*value) if start <= t <= stop]
-            value = sum(bins) / max(len(bins), 1)
-        metrics[metric] = float(value)
-    metrics["fig12_zoom_down_minus_teams_down"] = (
-        metrics["fig12_zoom_down_share"] - metrics["fig12_teams_down_share"]
-    )
-    metrics["fig14_zoom_minus_netflix_mbps"] = (
-        metrics["fig14_zoom_mbps"] - metrics["fig14_netflix_mbps"]
-    )
+    metrics: dict[str, dict[str, float]] = {}
+    for target in FIGURE_TARGETS:
+        for cell, key in target.reads():
+            value = payloads[cell][key]
+            if isinstance(value, list):  # a [times, mbps] trace
+                bins = [float(mbps) for t, mbps in zip(*value) if start <= t <= stop]
+                value = sum(bins) / max(len(bins), 1)
+            metrics.setdefault(cell, {})[key] = float(value)
     return metrics
 
 
@@ -112,10 +81,10 @@ def _evaluate(
     duration: float,
     seed: int,
     **campaign: Any,
-) -> list[tuple[list[dict[str, float]], list[str]]]:
+) -> list[tuple[list[dict[str, dict[str, float]]], list[str]]]:
     """Run every candidate's cells as one campaign.
 
-    Per candidate, returns the figure metrics of each repetition and the
+    Per candidate, returns the cell metrics of each repetition and the
     cells that lost a repetition to quarantine; a candidate with such a
     cell gets no metrics, since its repetitions no longer pair up.
     """
@@ -132,7 +101,7 @@ def _evaluate(
         runs = {cell: next(results).runs for cell in CELLS}
         quarantined = [cell for cell, cell_runs in runs.items() if len(cell_runs) < repetitions]
         metrics = [] if quarantined else [
-            figure_metrics({cell: cell_runs[rep] for cell, cell_runs in runs.items()}, duration)
+            _cell_metrics({cell: cell_runs[rep] for cell, cell_runs in runs.items()}, duration)
             for rep in range(repetitions)
         ]
         evaluated.append((metrics, quarantined))
@@ -188,16 +157,17 @@ def run_calibration_sweep(
     for overrides, (runs, quarantined) in zip(
         grid, _evaluate(grid, repetitions, duration, seed, **campaign)
     ):
-        entry: dict[str, Any] = {"overrides": overrides, "metrics_per_repetition": runs}
+        entry: dict[str, Any] = {"overrides": overrides}
         if quarantined:
             entry.update(quarantined=quarantined, satisfied=False)
         else:
-            per_rep_margins = [score_metrics(run) for run in runs]
+            scores = [score_targets(FIGURE_TARGETS, metrics) for metrics in runs]
             margins = {
-                target.key: min(m[target.key] for m in per_rep_margins)
-                for target in FIGURE_TARGETS
+                name: min(score["margins"][name] for score in scores)
+                for name in scores[0]["margins"]
             }
             entry.update(
+                values_per_repetition=[score["values"] for score in scores],
                 margins=margins,
                 worst_margin=min(margins.values()),
                 satisfied=all(v > 0.0 for v in margins.values()),
@@ -217,7 +187,7 @@ def run_calibration_sweep(
             "margins": winner["margins"],
             "worst_margin": winner["worst_margin"],
         },
-        "targets": _targets_payload(),
+        "targets": targets_payload(FIGURE_TARGETS),
         "candidates": scored,
         "settings": {
             "repetitions": repetitions,
@@ -245,19 +215,21 @@ def verify_committed(
     ``campaign`` is passed to ``run_campaign``; a cell quarantined under
     ``CampaignPolicy(on_exhausted="quarantine")`` is named under
     ``quarantined`` and leaves the report unsatisfied, without metrics.
+    The report holds each target's value and margin, and under
+    ``metrics`` the cell keys they were derived from.
     """
     duration = max(float(competitor_duration_s), MIN_DURATION_S)
     ((runs, quarantined),) = _evaluate([None], 1, duration, seed, **campaign)
     metrics = runs[0] if runs else {}
-    margins = score_metrics(metrics) if runs else {}
+    scores = score_targets(FIGURE_TARGETS, metrics)
     report = {
         "mode": "verify",
-        "satisfied": bool(runs) and all(v > 0.0 for v in margins.values()),
+        "satisfied": bool(runs) and all(v > 0.0 for v in scores["margins"].values()),
         "constants": COMMITTED_CONSTANTS.as_dict(),
         "metrics": metrics,
-        "margins": margins,
+        **scores,
         **({"quarantined": quarantined} if quarantined else {}),
-        "targets": _targets_payload(),
+        "targets": targets_payload(FIGURE_TARGETS),
         "settings": {"competitor_duration_s": duration, "seed": seed},
         "recorded_at": time.time(),
     }

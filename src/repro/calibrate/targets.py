@@ -1,35 +1,34 @@
-"""Recorded figure and scenario targets and their margin scoring.
+"""The recorded paper claims: one :class:`Target` type, two tables, one scorer.
 
-Each :class:`FigureTarget` mirrors one assertion of the competition
-benchmarks (``benchmarks/test_bench_fig8_10.py``, ``test_bench_fig12.py``,
-``test_bench_fig14.py``), restated over the figure metrics
-:func:`repro.calibrate.sweep.figure_metrics` derives from the Section 5
-campaign units.  A candidate constant set
-*satisfies* the targets only when every margin is positive -- the joint
-constraint that makes the fig10 fix land without silently breaking fig8 or
-fig14.
+A :class:`Target` compares one metric of a named *scenario* -- a Section 5
+calibration cell of :data:`repro.calibrate.sweep.CELLS` or a registered
+netem scenario -- against a committed threshold, on its own value or as a
+difference/ratio against a baseline.  :func:`score_targets` gives each
+target a value and a margin (positive = the behaviour is reproduced), so a
+regression that shrinks an effect without flipping its sign still shows.
 
-:class:`ScenarioTarget` promotes the strongest *directional* assertions of
-the netem scenario benchmarks (bursty-vs-i.i.d. freeze gap, LTE-vs-static
-rate switching, CoDel-vs-drop-tail queueing delay, the competition pack's
-cross-traffic share bands) into the same recorded form: a comparison between registered scenarios with a committed threshold
-and a margin, scored by :func:`repro.calibrate.verify.verify_scenarios`, so
-a netem regression is quantified instead of merely sign-checked.
+The two tables differ only in what simulates them.  :data:`FIGURE_TARGETS`
+reads the Section 5 cells that :func:`repro.calibrate.sweep.verify_committed`
+and the calibration sweep run; a candidate constant set satisfies them only
+when every margin is positive, the joint constraint that keeps a fig10 fix
+from silently breaking fig8 or fig14.  :data:`SCENARIO_TARGETS` reads
+registered scenarios and is scored by
+:func:`repro.calibrate.verify.verify_scenarios`.  Each claim is stated here
+once; no benchmark restates a threshold.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from dataclasses import asdict, dataclass, field
+from typing import Any, Mapping, Optional, Sequence
 
 __all__ = [
-    "FigureTarget",
+    "Target",
     "FIGURE_TARGETS",
-    "score_metrics",
-    "ScenarioTarget",
     "SCENARIO_TARGETS",
     "resolve_metric",
-    "score_scenario_metrics",
+    "score_targets",
+    "targets_payload",
 ]
 
 
@@ -39,126 +38,9 @@ def _margin(op: str, value: float, threshold: float) -> float:
     Positive when ``value lt threshold`` (or ``gt``) holds, negative by the
     amount it is violated.
     """
-    if op == "lt":
-        return threshold - value
-    if op == "gt":
-        return value - threshold
-    raise ValueError(f"unknown op {op!r}")
+    return threshold - value if op == "lt" else value - threshold
 
 
-@dataclass(frozen=True)
-class FigureTarget:
-    """One externally-visible behaviour the paper records.
-
-    ``margin(metrics)`` is positive when the behaviour is reproduced; the
-    sweep maximises the *worst* margin across targets (and the tier-1 test
-    requires all of them positive).
-    """
-
-    #: Paper figure the target comes from.
-    figure: str
-    #: Key into the metrics mapping produced by one candidate evaluation.
-    metric: str
-    #: ``"lt"`` or ``"gt"``.
-    op: str
-    #: The recorded threshold.
-    threshold: float
-    #: What the paper measured (for humans reading CALIBRATION.json).
-    paper_note: str
-
-    @property
-    def key(self) -> str:
-        """Unique key for margin dictionaries.
-
-        Two targets may band the *same* metric from both sides (the fig10
-        tx-loss band: ``gt`` the paper's measured flood floor, ``lt`` the
-        shed ceiling), so the metric name alone would collide and silently
-        drop one side's margin.
-        """
-        return f"{self.metric}:{self.op}"
-
-    def margin(self, metrics: Mapping[str, float]) -> float:
-        return _margin(self.op, float(metrics[self.metric]), self.threshold)
-
-
-#: The joint target set.  Thresholds match the benchmark assertions exactly.
-FIGURE_TARGETS: tuple[FigureTarget, ...] = (
-    FigureTarget(
-        figure="fig8",
-        metric="fig8_zoom_vs_meet_up",
-        op="gt",
-        threshold=0.5,
-        paper_note="Zoom (incumbent) keeps the larger uplink share against Meet (Fig 8a)",
-    ),
-    FigureTarget(
-        figure="fig8",
-        metric="fig8_meet_vs_zoom_up",
-        op="lt",
-        threshold=0.5,
-        paper_note="Meet (incumbent) backs off when a Zoom call joins (Fig 8c)",
-    ),
-    FigureTarget(
-        figure="fig10",
-        metric="fig10_teams_vs_zoom_down",
-        op="lt",
-        threshold=0.6,
-        paper_note="Teams is passive on the downlink against Zoom (Fig 10b)",
-    ),
-    FigureTarget(
-        figure="fig10",
-        metric="fig10_zoom_tx_loss",
-        op="gt",
-        threshold=0.40,
-        paper_note="Zoom's relay keeps flooding through sustained 40%+ downlink loss (PR 3 caveat, measured)",
-    ),
-    FigureTarget(
-        figure="fig10",
-        metric="fig10_zoom_tx_loss",
-        op="lt",
-        threshold=0.75,
-        paper_note="Sustained-loss layer shedding bounds the relay's tx-side flood at the competition floor",
-    ),
-    FigureTarget(
-        figure="fig12",
-        metric="fig12_teams_down_share",
-        op="lt",
-        threshold=0.5,
-        paper_note="iPerf3 takes well over half the downlink from Teams (~80 %, Fig 12)",
-    ),
-    FigureTarget(
-        figure="fig12",
-        metric="fig12_teams_up_share",
-        op="lt",
-        threshold=0.5,
-        paper_note="iPerf3 takes well over half the uplink from Teams (~63 %, Fig 12)",
-    ),
-    FigureTarget(
-        figure="fig12",
-        metric="fig12_zoom_down_minus_teams_down",
-        op="gt",
-        threshold=0.0,
-        paper_note="Zoom holds its own against TCP far better than Teams (Fig 12)",
-    ),
-    FigureTarget(
-        figure="fig14",
-        metric="fig14_zoom_minus_netflix_mbps",
-        op="gt",
-        threshold=0.0,
-        paper_note="Zoom starves Netflix on a 0.5 Mbps downlink (Fig 14a)",
-    ),
-)
-
-
-def score_metrics(metrics: Mapping[str, float]) -> dict[str, float]:
-    """Per-target margins (positive = target satisfied) for one evaluation.
-
-    Keyed by :attr:`FigureTarget.key` (``metric:op``), not the bare metric:
-    banded metrics are constrained from both sides by two targets.
-    """
-    return {target.key: target.margin(metrics) for target in FIGURE_TARGETS}
-
-
-# --------------------------------------------------------- scenario targets
 def resolve_metric(metrics: Mapping[str, float], metric: str) -> float:
     """One scenario's value of a (possibly derived) target metric.
 
@@ -175,65 +57,71 @@ def resolve_metric(metrics: Mapping[str, float], metric: str) -> float:
 
 
 @dataclass(frozen=True)
-class ScenarioTarget:
-    """One recorded directional behaviour of the netem scenario library.
+class Target:
+    """One recorded behaviour: a metric of a scenario against a threshold.
 
-    A target compares one metric of a registered scenario against a
-    committed threshold -- either the scenario's own value (``mode="value"``)
-    or its gap/ratio against a *baseline* scenario (``"difference"`` /
-    ``"ratio"``), both aggregated as the mean over the verification seeds.
+    The value is the scenario's own metric (``mode="value"``) or its gap /
+    ratio against a *baseline* scenario (``"difference"`` / ``"ratio"``),
+    which may be the same scenario read through another metric.
     ``margin`` is positive when the behaviour is reproduced; ``recorded``
-    keeps the values measured when the threshold was committed (per
-    duration, seeds 0-2) so humans can see how much headroom a regression
-    has eaten.
+    keeps the values measured when the threshold was committed, so humans
+    can see how much headroom a regression has eaten.
     """
 
+    #: Unique name; margin and value dictionaries are keyed by it.
     name: str
-    #: Metric key of :meth:`repro.netem.scenarios.ScenarioRun.metrics`, or a
+    #: Key of the scenario's aggregated metrics (a calibration cell's unit
+    #: payload, or :meth:`repro.netem.scenarios.ScenarioRun.metrics`), or a
     #: derived ``"quality_index:<use-case>"`` metric -- the barometer's
-    #: weighted formula (:mod:`repro.barometer.formula`) applied to the
-    #: scenario's aggregated metrics.
+    #: weighted formula (:mod:`repro.barometer.formula`) applied to them.
     metric: str
-    #: Registered scenario supplying the primary value.
+    #: Calibration cell or registered scenario supplying the primary value.
     scenario: str
     #: ``"gt"`` or ``"lt"`` on the derived value.
     op: str
     #: The committed threshold the derived value is compared against.
     threshold: float
-    #: Registered scenario supplying the comparison value (difference/ratio).
+    #: Scenario supplying the comparison value (difference/ratio).
     baseline: Optional[str] = None
     #: Metric evaluated on the baseline scenario; defaults to ``metric``.
-    #: Barometer targets compare *different use cases* across scenarios
-    #: (e.g. a constrained tier's five-party index against a healthy tier's
-    #: two-party index), which a single shared metric key cannot express.
+    #: Lets a target compare two metrics of one scenario (fig14's two
+    #: receivers) or *different use cases* across scenarios (a constrained
+    #: tier's five-party index against a healthy tier's two-party index).
     baseline_metric: Optional[str] = None
     #: ``"value"``, ``"difference"`` (scenario - baseline) or ``"ratio"``
     #: (scenario / baseline).
     mode: str = "value"
-    #: Why the behaviour is expected (for humans reading the margin report).
+    #: What the paper measured, or why the behaviour is expected.
     note: str = ""
-    #: ``{"duration=<s>": measured value}`` at commit time (seeds 0-2 mean).
+    #: ``{"duration=<s>": measured value}`` at commit time.
     recorded: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if self.op not in ("lt", "gt"):
+            raise ValueError(f"target {self.name!r}: unknown op {self.op!r}")
         if self.mode not in ("value", "difference", "ratio"):
-            raise ValueError(f"unknown scenario-target mode {self.mode!r}")
+            raise ValueError(f"target {self.name!r}: unknown mode {self.mode!r}")
         if self.mode != "value" and self.baseline is None:
-            raise ValueError(f"scenario target {self.name!r} needs a baseline scenario")
+            raise ValueError(f"target {self.name!r} needs a baseline scenario")
         if self.baseline_metric is not None and self.baseline is None:
-            raise ValueError(
-                f"scenario target {self.name!r} sets baseline_metric without a baseline"
-            )
+            raise ValueError(f"target {self.name!r} sets baseline_metric without a baseline")
+
+    def reads(self) -> list[tuple[str, str]]:
+        """The ``(scenario, metric)`` pairs the value is derived from."""
+        pairs = [(self.scenario, self.metric)]
+        if self.baseline is not None:
+            pairs.append((self.baseline, self.baseline_metric or self.metric))
+        return pairs
 
     def value(self, metrics_by_scenario: Mapping[str, Mapping[str, float]]) -> float:
         """The derived value this target thresholds."""
-        primary = resolve_metric(metrics_by_scenario[self.scenario], self.metric)
+        primary, *reference = (
+            resolve_metric(metrics_by_scenario[scenario], metric)
+            for scenario, metric in self.reads()
+        )
         if self.mode == "value":
             return primary
-        reference = resolve_metric(
-            metrics_by_scenario[self.baseline],
-            self.baseline_metric if self.baseline_metric is not None else self.metric,
-        )
+        (reference,) = reference
         if self.mode == "difference":
             return primary - reference
         if reference == 0.0:
@@ -248,12 +136,123 @@ class ScenarioTarget:
         return _margin(self.op, self.value(metrics_by_scenario), self.threshold)
 
 
-#: The committed scenario target set.  Thresholds sit well inside the values
-#: measured at both verification durations (10 s and 45 s, seeds 0-2), so
-#: every margin is positive at both scales and a regression that merely
-#: *shrinks* an effect -- without flipping its sign -- still fails loudly.
-SCENARIO_TARGETS: tuple[ScenarioTarget, ...] = (
-    ScenarioTarget(
+def score_targets(
+    targets: Sequence[Target], metrics_by_scenario: Mapping[str, Mapping[str, float]]
+) -> dict[str, dict[str, float]]:
+    """``{"values": ..., "margins": ...}``, each keyed by target name.
+
+    A target that reads a scenario missing from ``metrics_by_scenario``
+    (every run of it quarantined) is in neither mapping.
+    """
+    values: dict[str, float] = {}
+    margins: dict[str, float] = {}
+    for target in targets:
+        if all(scenario in metrics_by_scenario for scenario, _ in target.reads()):
+            values[target.name] = value = target.value(metrics_by_scenario)
+            margins[target.name] = _margin(target.op, value, target.threshold)
+    return {"values": values, "margins": margins}
+
+
+def targets_payload(targets: Sequence[Target]) -> list[dict[str, Any]]:
+    """The target definitions as recorded in a report; unset fields left out."""
+    return [
+        {key: value for key, value in asdict(t).items() if value is not None and value != {}}
+        for t in targets
+    ]
+
+
+#: The Section 5 figure claims, over the cells of
+#: :data:`repro.calibrate.sweep.CELLS`.  A ``[times, mbps]`` trace metric
+#: (fig14's ``rx:<host>``) reads as the mean of its per-second bins inside
+#: the fig14 window.
+FIGURE_TARGETS: tuple[Target, ...] = (
+    Target(
+        name="fig8-zoom-vs-meet-up",
+        metric="share_up",
+        scenario="fig8-zoom-vs-meet",
+        op="gt",
+        threshold=0.5,
+        note="Zoom (incumbent) keeps the larger uplink share against Meet (Fig 8a)",
+    ),
+    Target(
+        name="fig8-meet-vs-zoom-up",
+        metric="share_up",
+        scenario="fig8-meet-vs-zoom",
+        op="lt",
+        threshold=0.5,
+        note="Meet (incumbent) backs off when a Zoom call joins (Fig 8c)",
+    ),
+    Target(
+        name="fig10-teams-vs-zoom-down",
+        metric="share_down",
+        scenario="fig10-teams-vs-zoom",
+        op="lt",
+        threshold=0.6,
+        note="Teams is passive on the downlink against Zoom (Fig 10b)",
+    ),
+    Target(
+        name="fig10-zoom-tx-loss-floor",
+        metric="competitor_tx_loss_rate",
+        scenario="fig10-teams-vs-zoom",
+        op="gt",
+        threshold=0.40,
+        note="Zoom's relay keeps flooding through sustained 40%+ downlink loss "
+        "(relay tx vs client rx, measured)",
+    ),
+    Target(
+        name="fig10-zoom-tx-loss-ceiling",
+        metric="competitor_tx_loss_rate",
+        scenario="fig10-teams-vs-zoom",
+        op="lt",
+        threshold=0.75,
+        note="Sustained-loss layer shedding bounds the relay's tx-side flood "
+        "at the competition floor",
+    ),
+    Target(
+        name="fig12-teams-down-share",
+        metric="share_down",
+        scenario="fig12-teams-down",
+        op="lt",
+        threshold=0.5,
+        note="iPerf3 takes well over half the downlink from Teams (~80 %, Fig 12)",
+    ),
+    Target(
+        name="fig12-teams-up-share",
+        metric="share_up",
+        scenario="fig12-teams-up",
+        op="lt",
+        threshold=0.5,
+        note="iPerf3 takes well over half the uplink from Teams (~63 %, Fig 12)",
+    ),
+    Target(
+        name="fig12-zoom-minus-teams-down",
+        metric="share_down",
+        scenario="fig12-zoom-down",
+        baseline="fig12-teams-down",
+        mode="difference",
+        op="gt",
+        threshold=0.0,
+        note="Zoom holds its own against TCP far better than Teams (Fig 12)",
+    ),
+    Target(
+        name="fig14-zoom-minus-netflix-mbps",
+        metric="rx:C1",
+        scenario="fig14-zoom-vs-netflix",
+        baseline="fig14-zoom-vs-netflix",
+        baseline_metric="rx:F1",
+        mode="difference",
+        op="gt",
+        threshold=0.0,
+        note="Zoom starves Netflix on a 0.5 Mbps downlink (Fig 14a)",
+    ),
+)
+
+
+#: The committed scenario claims.  Thresholds sit well inside the values
+#: measured at both verification durations (10 s and 45 s, mean of seeds
+#: 0-2), so every margin is positive at both scales.
+SCENARIO_TARGETS: tuple[Target, ...] = (
+    Target(
         name="bursty-vs-iid-freeze-gap",
         metric="freeze_ratio",
         scenario="bursty-downlink-zoom",
@@ -268,7 +267,7 @@ SCENARIO_TARGETS: tuple[ScenarioTarget, ...] = (
         ),
         recorded={"duration=10": 0.034, "duration=45": 0.071},
     ),
-    ScenarioTarget(
+    Target(
         name="bursty-freeze-floor",
         metric="freeze_ratio",
         scenario="bursty-downlink-zoom",
@@ -278,7 +277,7 @@ SCENARIO_TARGETS: tuple[ScenarioTarget, ...] = (
         note="burst loss produces a non-trivial amount of frozen video",
         recorded={"duration=10": 0.034, "duration=45": 0.071},
     ),
-    ScenarioTarget(
+    Target(
         name="lte-vs-static-rate-switches",
         metric="rate_switches",
         scenario="lte-uplink-zoom",
@@ -292,7 +291,7 @@ SCENARIO_TARGETS: tuple[ScenarioTarget, ...] = (
         ),
         recorded={"duration=10": 1.0, "duration=45": 6.33},
     ),
-    ScenarioTarget(
+    Target(
         name="codel-vs-droptail-queue-delay",
         metric="mean_queue_delay_s",
         scenario="droptail-downlink-zoom",
@@ -303,7 +302,7 @@ SCENARIO_TARGETS: tuple[ScenarioTarget, ...] = (
         note="CoDel holds the standing queue near its target; drop-tail bufferbloats",
         recorded={"duration=10": 0.107, "duration=45": 0.467},
     ),
-    ScenarioTarget(
+    Target(
         name="lossy-trunk-far-region-freeze",
         metric="cascade_freeze_gap",
         scenario="cascade/lossy-trunk-far-freeze-zoom",
@@ -318,7 +317,7 @@ SCENARIO_TARGETS: tuple[ScenarioTarget, ...] = (
         ),
         recorded={"duration=10": 0.067, "duration=45": 0.040},
     ),
-    ScenarioTarget(
+    Target(
         name="barometer-dsl-two-party-floor",
         metric="quality_index:two-party",
         scenario="barometer/dsl-2p-meet",
@@ -332,7 +331,7 @@ SCENARIO_TARGETS: tuple[ScenarioTarget, ...] = (
         ),
         recorded={"duration=10": 0.796, "duration=45": 0.712},
     ),
-    ScenarioTarget(
+    Target(
         name="barometer-constrained-lte-5p-below-dsl-2p",
         metric="quality_index:five-party-gallery",
         scenario="barometer/constrained-lte-5p-meet",
@@ -349,7 +348,7 @@ SCENARIO_TARGETS: tuple[ScenarioTarget, ...] = (
         ),
         recorded={"duration=10": -0.364, "duration=45": -0.310},
     ),
-    ScenarioTarget(
+    Target(
         name="competition-teams-vs-zoom-down-share-ceiling",
         metric="share_down",
         scenario="competition/teams-vs-zoom-droptail",
@@ -363,7 +362,7 @@ SCENARIO_TARGETS: tuple[ScenarioTarget, ...] = (
         ),
         recorded={"duration=10": 0.368, "duration=45": 0.355},
     ),
-    ScenarioTarget(
+    Target(
         name="competition-teams-vs-zoom-down-share-floor",
         metric="share_down",
         scenario="competition/teams-vs-zoom-droptail",
@@ -376,7 +375,7 @@ SCENARIO_TARGETS: tuple[ScenarioTarget, ...] = (
         ),
         recorded={"duration=10": 0.368, "duration=45": 0.355},
     ),
-    ScenarioTarget(
+    Target(
         name="competition-codel-vs-droptail-vca-share",
         metric="share_down",
         scenario="competition/zoom-vs-tcp-codel",
@@ -391,7 +390,7 @@ SCENARIO_TARGETS: tuple[ScenarioTarget, ...] = (
         ),
         recorded={"duration=10": 0.024, "duration=45": 0.021},
     ),
-    ScenarioTarget(
+    Target(
         name="competition-zoom-holds-uplink-vs-tcp",
         metric="share_up",
         scenario="competition/zoom-vs-tcp-droptail",
@@ -404,7 +403,7 @@ SCENARIO_TARGETS: tuple[ScenarioTarget, ...] = (
         ),
         recorded={"duration=10": 0.954, "duration=45": 0.961},
     ),
-    ScenarioTarget(
+    Target(
         name="codel-throughput-ratio",
         metric="median_down_mbps",
         scenario="codel-downlink-zoom",
@@ -416,13 +415,3 @@ SCENARIO_TARGETS: tuple[ScenarioTarget, ...] = (
         recorded={"duration=10": 0.983, "duration=45": 0.958},
     ),
 )
-
-
-def score_scenario_metrics(
-    metrics_by_scenario: Mapping[str, Mapping[str, float]],
-    targets: Optional[tuple[ScenarioTarget, ...]] = None,
-) -> dict[str, float]:
-    """Per-scenario-target margins (positive = behaviour reproduced)."""
-    if targets is None:
-        targets = SCENARIO_TARGETS
-    return {target.name: target.margin(metrics_by_scenario) for target in targets}

@@ -1,13 +1,13 @@
 """Scoring the committed scenario targets: ``verify_scenarios``.
 
-The netem scenario benchmarks pin *directions* (bursty loss freezes video
-where i.i.d. does not, a trace-driven LTE uplink forces more rate switches
-than static shaping, CoDel tames the standing queue).  The committed
-:data:`~repro.calibrate.targets.SCENARIO_TARGETS` promote those directions
-into recorded values with margins; :func:`verify_scenarios` runs every
-scenario a target references over the campaign pool -- consulting the
-result store first, so an unchanged scenario pack re-scores from cache
-instead of re-simulating -- and reports one margin per target.
+:data:`~repro.calibrate.targets.SCENARIO_TARGETS` record the directional
+physics of the netem scenario library (bursty loss freezes video where
+i.i.d. does not, a trace-driven LTE uplink forces more rate switches than
+static shaping, CoDel tames the standing queue) as thresholds with
+margins.  :func:`verify_scenarios` runs every scenario a target references
+over the campaign pool -- consulting the result store first, so an
+unchanged scenario pack re-scores from cache instead of re-simulating --
+and reports one value and margin per target.
 
 This is the ``verify_scenarios`` entry point the CI scenario-smoke job,
 the nightly full-duration gate, and ``examples/scenario_explorer.py
@@ -16,17 +16,12 @@ the nightly full-duration gate, and ``examples/scenario_explorer.py
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from pathlib import Path
 from typing import Any, Optional, Sequence, Union
 
 from repro.calibrate.sweep import write_calibration_report
-from repro.calibrate.targets import (
-    SCENARIO_TARGETS,
-    ScenarioTarget,
-    score_scenario_metrics,
-)
+from repro.calibrate.targets import SCENARIO_TARGETS, Target, score_targets, targets_payload
 from repro.core.campaign import CampaignPolicy, run_campaign
 
 __all__ = ["verify_scenarios", "target_scenario_names"]
@@ -37,26 +32,12 @@ DEFAULT_REPETITIONS = 3
 
 
 def target_scenario_names(
-    targets: Optional[Sequence[ScenarioTarget]] = None,
+    targets: Optional[Sequence[Target]] = None,
 ) -> list[str]:
     """Every registered scenario the (selected) targets reference, sorted."""
     if targets is None:
         targets = SCENARIO_TARGETS
-    names = set()
-    for target in targets:
-        names.add(target.scenario)
-        if target.baseline is not None:
-            names.add(target.baseline)
-    return sorted(names)
-
-
-def _targets_payload(targets: Sequence[ScenarioTarget]) -> list[dict[str, Any]]:
-    """The target definitions; ``baseline_metric`` only where a target sets it."""
-    return [
-        {key: value for key, value in dataclasses.asdict(t).items()
-         if key != "baseline_metric" or value}
-        for t in targets
-    ]
+    return sorted({scenario for target in targets for scenario, _ in target.reads()})
 
 
 def verify_scenarios(
@@ -70,7 +51,7 @@ def verify_scenarios(
     policy: Optional[CampaignPolicy] = None,
     progress: Union[bool, None] = None,
     hosts: Optional[int] = None,
-    targets: Optional[Sequence[ScenarioTarget]] = None,
+    targets: Optional[Sequence[Target]] = None,
 ) -> dict[str, Any]:
     """Score the committed scenario targets; return the margin report.
 
@@ -80,7 +61,7 @@ def verify_scenarios(
 
     Runs every referenced scenario ``repetitions`` times (seeds ``seed`` ..
     ``seed + repetitions - 1``), aggregates each metric as the mean over
-    repetitions, and scores every :class:`ScenarioTarget`.  ``store`` makes
+    repetitions, and scores every :class:`~repro.calibrate.targets.Target`.  ``store`` makes
     the run incremental (and an interrupted run resumable); ``duration_s=None``
     uses each spec's own duration (the full-duration nightly gate).
     ``policy`` holds the campaign fault-tolerance controls (timeouts,
@@ -88,7 +69,10 @@ def verify_scenarios(
 
     The report records per-target values, thresholds and margins plus the
     per-scenario aggregated metrics; ``satisfied`` is ``True`` only when
-    every margin is positive *and* no unit was quarantined.  The campaign's
+    every margin is positive *and* no unit was quarantined.  A scenario
+    that lost a repetition to quarantine is named under ``quarantined``;
+    one that lost every repetition has no metrics, and the targets that
+    read it are left unscored while the others are still scored.  The campaign's
     execution counters (retries, timeouts, crashes, quarantined units) land
     under ``report["campaign"]`` as provenance for SCENARIO_MARGINS.json;
     a ``hosts=N`` run (lease-coordinated multi-host fan-out) additionally
@@ -117,7 +101,10 @@ def verify_scenarios(
         hosts=hosts,
     )
     metrics_by_scenario: dict[str, dict[str, float]] = {}
+    quarantined = []
     for result in results:
+        if len(result.runs) < repetitions:
+            quarantined.append(result.condition.name)
         if not result.runs:  # every repetition quarantined
             continue
         keys = sorted({key for run in result.runs for key in run})
@@ -125,30 +112,31 @@ def verify_scenarios(
             key: result.mean(key) for key in keys
         }
 
-    margins = score_scenario_metrics(metrics_by_scenario, targets)
-    target_rows = []
-    for target in targets:
-        value = target.value(metrics_by_scenario)
-        target_rows.append(
-            {
-                "name": target.name,
-                "value": value,
-                "op": target.op,
-                "threshold": target.threshold,
-                "margin": margins[target.name],
-                "satisfied": margins[target.name] > 0.0,
-            }
-        )
+    scores = score_targets(targets, metrics_by_scenario)
+    margins = scores["margins"]
+    target_rows = [
+        {
+            "name": target.name,
+            "value": scores["values"][target.name],
+            "op": target.op,
+            "threshold": target.threshold,
+            "margin": margins[target.name],
+            "satisfied": margins[target.name] > 0.0,
+        }
+        for target in targets
+        if target.name in margins
+    ]
 
     report = {
         "mode": "verify_scenarios",
         "satisfied": (
             all(margin > 0.0 for margin in margins.values()) and results.failures.ok
         ),
-        "margins": margins,
+        **scores,
         "results": target_rows,
         "metrics_by_scenario": metrics_by_scenario,
-        "targets": _targets_payload(targets),
+        **({"quarantined": quarantined} if quarantined else {}),
+        "targets": targets_payload(targets),
         "campaign": {
             "stats": results.stats.as_dict(),
             "quarantined": results.failures.as_dict(),

@@ -55,7 +55,7 @@ from repro.barometer.population import (
 from repro.barometer.report import population_cdf, tier_scorecard
 from repro.calibrate.targets import (
     SCENARIO_TARGETS,
-    ScenarioTarget,
+    Target,
     resolve_metric,
 )
 from repro.calibrate.verify import target_scenario_names
@@ -394,7 +394,7 @@ class TestBarometerTargets:
             resolve_metric(metrics, "quality_index:screen-share")
 
     def test_baseline_metric_compares_use_cases(self):
-        target = ScenarioTarget(
+        target = Target(
             name="x",
             metric="quality_index:two-party",
             scenario="a",
@@ -410,7 +410,7 @@ class TestBarometerTargets:
 
     def test_baseline_metric_requires_baseline(self):
         with pytest.raises(ValueError):
-            ScenarioTarget(
+            Target(
                 name="x", metric="freeze_ratio", scenario="a",
                 baseline_metric="tx_loss_rate", mode="value", op="gt",
                 threshold=0.0,

@@ -5,19 +5,17 @@ competition constants satisfy every recorded figure target at once.  A
 change that fixes one figure and silently breaks another fails here, in
 tier-1, not two benchmarks later.
 
-The joint evaluation runs the seven Section 5 calibration units (about
-4 s of wall clock on a 2-vCPU host) into a module-wide result store that
-the fig10 figure driver warmed first; ``REPRO_CALIBRATION_DURATION``
-scales the competitor window if a longer check is wanted locally.  The
-committed ``CALIBRATION.json`` is re-run at its own recorded setting
-(60 s, seed 0; about 9 s) and must match a fresh run exactly.
+The joint evaluation runs the seven Section 5 calibration units at the
+committed ``CALIBRATION.json`` setting (60 s, seed 0; about 9 s on a
+2-vCPU host) into a module-wide result store that the fig10 figure driver
+warmed first.  That one cold report is both the acceptance check and the
+drift check against the committed file.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -26,9 +24,11 @@ import pytest
 from repro.calibrate import (
     COMMITTED_CONSTANTS,
     FIGURE_TARGETS,
+    SCENARIO_TARGETS,
     CompetitionConstants,
+    Target,
     active_constants,
-    score_metrics,
+    score_targets,
     set_active_constants,
 )
 from repro.calibrate.sweep import (
@@ -39,15 +39,16 @@ from repro.calibrate.sweep import (
 )
 from repro.core.campaign import CampaignPolicy, expand_units, run_campaign
 from repro.experiments import competition, static
+from repro.netem.scenarios import SCENARIOS
 from repro.results.fingerprint import code_fingerprint
 from repro.results.store import ResultStore
 
-#: Competitor window of the tier-1 joint check (seconds).  30 s is the
-#: shortest window at which the competition equilibria are established
-#: (Zoom needs ~20 s to displace an incumbent Meet call on the uplink).
-CALIBRATION_DURATION_S = float(os.environ.get("REPRO_CALIBRATION_DURATION", "30"))
-
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+#: The committed report; its ``settings`` (60 s, seed 0) are the setting
+#: of the tier-1 joint check.
+COMMITTED_REPORT = json.loads((REPO_ROOT / "CALIBRATION.json").read_text())
+SETTINGS = COMMITTED_REPORT["settings"]
 
 
 @pytest.fixture(scope="module")
@@ -61,16 +62,13 @@ def calibration_store(tmp_path_factory):
     store = ResultStore(root / "store")
     competition.run_vca_vs_vca(
         direction="down", capacity_mbps=0.5, incumbents=("teams",), competitors=("zoom",),
-        repetitions=1, competitor_duration_s=CALIBRATION_DURATION_S, seed=0, store=store,
+        repetitions=1, store=store, **SETTINGS,
     )
     counts = {"figure": (store.hits, store.puts)}
     reports = {}
     for step, output_path in (("cold", root / "CALIBRATION.json"), ("warm", None)):
         store.reset_counters()
-        reports[step] = verify_committed(
-            competitor_duration_s=CALIBRATION_DURATION_S, seed=0,
-            output_path=output_path, store=store,
-        )
+        reports[step] = verify_committed(output_path=output_path, store=store, **SETTINGS)
         counts[step] = (store.hits, store.puts)
     return SimpleNamespace(
         root=root, path=root / "store", counts=counts, cold=reports["cold"], warm=reports["warm"]
@@ -124,46 +122,82 @@ class TestConstants:
             set_active_constants(previous)
 
 
+def _inside(target: Target) -> float:
+    """A value 0.1 inside ``target``'s threshold."""
+    return target.threshold - 0.1 if target.op == "lt" else target.threshold + 0.1
+
+
+def _cell_metrics_for(values: dict[str, float]) -> dict[str, dict[str, float]]:
+    """Cell metrics giving each figure target the value in ``values``.
+
+    Value targets are set first; a difference target's primary metric is
+    then its value plus whatever its baseline reads (0 when unset).
+    """
+    metrics: dict[str, dict[str, float]] = {t.scenario: {} for t in FIGURE_TARGETS}
+    for t in sorted(FIGURE_TARGETS, key=lambda t: t.mode != "value"):
+        base = 0.0
+        if t.mode == "difference":
+            base = metrics[t.baseline].setdefault(t.baseline_metric or t.metric, 0.0)
+        metrics[t.scenario][t.metric] = values[t.name] + base
+    return metrics
+
+
 class TestTargets:
     def test_margin_signs(self):
-        # One value per metric: a banded metric (same metric constrained gt
-        # and lt) gets the midpoint of its band, a single-sided metric sits
-        # 0.1 inside its threshold.  Every margin must come back positive.
-        thresholds_by_metric: dict[str, dict[str, float]] = {}
-        for t in FIGURE_TARGETS:
-            thresholds_by_metric.setdefault(t.metric, {})[t.op] = t.threshold
-        metrics = {}
-        for metric, ops in thresholds_by_metric.items():
-            if len(ops) == 2:
-                metrics[metric] = (ops["gt"] + ops["lt"]) / 2.0
-            elif "lt" in ops:
-                metrics[metric] = ops["lt"] - 0.1
-            else:
-                metrics[metric] = ops["gt"] + 0.1
-        margins = score_metrics(metrics)
-        assert set(margins) == {t.key for t in FIGURE_TARGETS}
-        assert all(m > 0.0 for m in margins.values())
+        # Both sides of the fig10 tx-loss band read one metric, so it takes
+        # the band's midpoint; every other target sits 0.1 inside.
+        values = {t.name: _inside(t) for t in FIGURE_TARGETS}
+        band = (0.40 + 0.75) / 2.0
+        values["fig10-zoom-tx-loss-floor"] = values["fig10-zoom-tx-loss-ceiling"] = band
+        scores = score_targets(FIGURE_TARGETS, _cell_metrics_for(values))
+        assert set(scores["margins"]) == {t.name for t in FIGURE_TARGETS}
+        assert all(m > 0.0 for m in scores["margins"].values())
 
     def test_every_target_has_a_distinct_key(self):
-        keys = [t.key for t in FIGURE_TARGETS]
-        assert len(keys) == len(set(keys))
-        figures = {t.figure for t in FIGURE_TARGETS}
+        names = [t.name for t in (*FIGURE_TARGETS, *SCENARIO_TARGETS)]
+        assert len(names) == len(set(names))
+        figures = {t.scenario.split("-")[0] for t in FIGURE_TARGETS}
         assert figures == {"fig8", "fig10", "fig12", "fig14"}
 
     def test_tx_loss_band_scores_both_sides(self):
-        # The fig10 tx-loss band is the reason margins are keyed metric:op --
-        # under metric-only keying one side would silently overwrite the
-        # other.  A value above the ceiling must fail *only* the lt side.
-        band = [t for t in FIGURE_TARGETS if t.metric == "fig10_zoom_tx_loss"]
-        assert sorted(t.op for t in band) == ["gt", "lt"]
-        floor = next(t for t in band if t.op == "gt")
-        ceiling = next(t for t in band if t.op == "lt")
+        # Two targets band one metric from both sides; a value above the
+        # ceiling must fail *only* the lt side.
+        by_name = {t.name: t for t in FIGURE_TARGETS}
+        floor = by_name["fig10-zoom-tx-loss-floor"]
+        ceiling = by_name["fig10-zoom-tx-loss-ceiling"]
+        assert (floor.scenario, floor.metric) == (ceiling.scenario, ceiling.metric)
+        assert (floor.op, ceiling.op) == ("gt", "lt")
         assert floor.threshold < ceiling.threshold
-        metrics = {t.metric: (t.threshold - 0.1 if t.op == "lt" else t.threshold + 0.1) for t in FIGURE_TARGETS}
-        metrics["fig10_zoom_tx_loss"] = ceiling.threshold + 0.05
-        margins = score_metrics(metrics)
-        assert margins[ceiling.key] < 0.0
-        assert margins[floor.key] > 0.0
+        values = {t.name: _inside(t) for t in FIGURE_TARGETS}
+        values[floor.name] = values[ceiling.name] = ceiling.threshold + 0.05
+        margins = score_targets(FIGURE_TARGETS, _cell_metrics_for(values))["margins"]
+        assert margins[ceiling.name] < 0.0
+        assert margins[floor.name] > 0.0
+
+    def test_bad_targets_are_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="unknown op"):
+            Target(name="x", metric="m", scenario="s", op="ge", threshold=0.0)
+        with pytest.raises(ValueError, match="unknown mode"):
+            Target(name="x", metric="m", scenario="s", op="gt", threshold=0.0, mode="gap")
+
+    def test_target_tables_name_real_cells_and_scenarios(self, calibration_store):
+        """Figure rows read keys a cell's payload holds; scenario rows, registered scenarios."""
+        store = ResultStore(calibration_store.path)
+        results = run_campaign(
+            competition.competition_conditions(
+                CELLS.values(), SETTINGS["competitor_duration_s"], 1, SETTINGS["seed"]
+            ),
+            store=store,
+        )
+        assert (store.hits, store.puts) == (len(CELLS), 0)
+        payloads = {cell: result.runs[0] for cell, result in zip(CELLS, results)}
+        for target in FIGURE_TARGETS:
+            for cell, key in target.reads():
+                assert cell in CELLS, (target.name, cell)
+                assert key in payloads[cell], (target.name, cell, key)
+        for target in SCENARIO_TARGETS:
+            for scenario, _ in target.reads():
+                assert scenario in SCENARIOS, (target.name, scenario)
 
 
 class TestJointCalibration:
@@ -176,7 +210,7 @@ class TestJointCalibration:
         """
         report = calibration_store.cold
         margins = report["margins"]
-        failing = {metric: margin for metric, margin in margins.items() if margin <= 0.0}
+        failing = {name: margin for name, margin in margins.items() if margin <= 0.0}
         assert not failing, (
             "committed competition constants violate figure targets "
             f"(margins: {margins})"
@@ -285,62 +319,18 @@ class TestQuarantinedCells:
 
 
 class TestCommittedReport:
-    def test_committed_report_matches_a_fresh_run(self):
+    def test_committed_report_matches_a_fresh_run(self, calibration_store):
         """``CALIBRATION.json`` is what ``verify_committed`` gives today, exactly.
 
-        Re-runs the committed report's own setting (60 s, seed 0) and
-        requires every metric and margin to equal the file's, so the file
-        cannot drift from the code silently.  If a model change moves them
-        on purpose, regenerate the file with ``python
-        examples/calibrate_competition.py --verify --duration 60 --seed 0``
-        and record each margin's old and new value.
+        The fixture's cold report ran at the committed report's own setting
+        (60 s, seed 0); everything it wrote but the timestamp must equal the
+        file, so the file cannot drift from the code silently.  If a model
+        change moves the numbers on purpose, regenerate the file with
+        ``python examples/calibrate_competition.py --verify --duration 60
+        --seed 0`` and record each margin's old and new value.
         """
-        committed = json.loads((REPO_ROOT / "CALIBRATION.json").read_text())
-        fresh = verify_committed(**committed["settings"])
-        assert fresh["metrics"] == committed["metrics"]
-        assert fresh["margins"] == committed["margins"]
-
-
-class TestRelayTxSideLoss:
-    """Bounded coverage of the PR 3 modeling caveat.
-
-    Under the committed competition floor, Zoom's SVC relay keeps feeding
-    layers into a saturated 0.5 Mbps downlink: the *received* rate matches
-    the paper's rx-side figures while much of what the relay sends dies at
-    the bottleneck.  This test reads that tx-side loss (server tx capture
-    vs client rx capture, ``core.metrics.tx_loss_rate``) from the fig10
-    calibration unit's payload, without simulating the cell again, and pins
-    it into the band the fig10 figure targets record: above 0.40 (the
-    paper's measured flood aggressiveness) and below 0.75 (the sustained-
-    loss layer shedding bound -- before shedding, the relay shipped the
-    full ladder into a ~77 % loss pipe).  The same band is wired into the
-    calibration sweep via the two ``fig10_zoom_tx_loss`` figure targets,
-    so the margins here and in ``verify_committed`` move together.
-    """
-
-    def test_zoom_tx_loss_under_competition_floor_is_bounded(self, calibration_store):
-        band = {
-            t.op: t.threshold
-            for t in FIGURE_TARGETS
-            if t.metric == "fig10_zoom_tx_loss"
-        }
-        assert set(band) == {"gt", "lt"}
-        # The fig10 calibration unit's payload, read back from the store.
-        store = ResultStore(calibration_store.path)
-        (result,) = run_campaign(
-            competition.competition_conditions(
-                [CELLS["fig10-teams-vs-zoom"]], CALIBRATION_DURATION_S, 1, 0
-            ),
-            store=store,
-        )
-        assert (store.hits, store.puts) == (1, 0)
-        zoom_loss = result.runs[0]["competitor_tx_loss_rate"]
-        print(
-            f"\n[recorded] tx-side downlink loss at 0.5 Mbps floor: "
-            f"zoom={zoom_loss:.3f} band=({band['gt']:.2f}, {band['lt']:.2f})"
-        )
-        # The flood is real (the paper's caveat) but no longer unbounded:
-        # sustained-loss shedding caps the relay's layer budget at a
-        # multiple of the delivered rate once loss stays above the shed
-        # threshold (constants.zoom_relay_shed_*).
-        assert band["gt"] <= zoom_loss <= band["lt"]
+        fresh = json.loads((calibration_store.root / "CALIBRATION.json").read_text())
+        committed = dict(COMMITTED_REPORT)
+        fresh.pop("recorded_at")
+        committed.pop("recorded_at")
+        assert fresh == committed

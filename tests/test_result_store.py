@@ -26,9 +26,9 @@ from hypothesis import given, settings
 import repro.experiments.scenario as scenario_mod
 import repro.results.fingerprint as fingerprint_mod
 from repro.calibrate.constants import COMMITTED_CONSTANTS, set_active_constants
-from repro.calibrate.targets import SCENARIO_TARGETS, ScenarioTarget, score_scenario_metrics
+from repro.calibrate.targets import SCENARIO_TARGETS, Target, score_targets
 from repro.calibrate.verify import target_scenario_names, verify_scenarios
-from repro.core.campaign import Condition, expand_units, run_campaign
+from repro.core.campaign import CampaignPolicy, Condition, expand_units, run_campaign
 from repro.experiments.registry import run_experiment
 from repro.experiments.scenario import (
     SWEEP_METRICS,
@@ -522,7 +522,7 @@ class TestScenarioTargets:
             assert name in SCENARIOS, name
 
     def test_margin_modes(self):
-        margins = score_scenario_metrics(self.METRICS)
+        margins = score_targets(SCENARIO_TARGETS, self.METRICS)["margins"]
         assert margins["bursty-vs-iid-freeze-gap"] == pytest.approx(0.05 - 0.01)
         assert margins["lte-vs-static-rate-switches"] == pytest.approx(3.0 - 0.5)
         assert margins["codel-vs-droptail-queue-delay"] == pytest.approx(0.28 - 0.03)
@@ -550,26 +550,26 @@ class TestScenarioTargets:
     def test_margin_flips_when_behaviour_regresses(self):
         regressed = {k: dict(v) for k, v in self.METRICS.items()}
         regressed["codel-downlink-zoom"]["mean_queue_delay_s"] = 0.29
-        margins = score_scenario_metrics(regressed)
+        margins = score_targets(SCENARIO_TARGETS, regressed)["margins"]
         assert margins["codel-vs-droptail-queue-delay"] < 0.0
 
     def test_ratio_collapse_to_zero_is_a_violation(self):
         collapsed = {k: dict(v) for k, v in self.METRICS.items()}
         collapsed["codel-downlink-zoom"]["median_down_mbps"] = 0.0
         collapsed["droptail-downlink-zoom"]["median_down_mbps"] = 0.0
-        margins = score_scenario_metrics(collapsed)
+        margins = score_targets(SCENARIO_TARGETS, collapsed)["margins"]
         assert margins["codel-throughput-ratio"] < 0.0
         # A baseline-only collapse is a genuinely infinite ratio, though.
         collapsed["codel-downlink-zoom"]["median_down_mbps"] = 0.1
-        assert score_scenario_metrics(collapsed)["codel-throughput-ratio"] > 0.0
+        assert score_targets(SCENARIO_TARGETS, collapsed)["margins"]["codel-throughput-ratio"] > 0.0
 
     def test_invalid_target_definitions_rejected(self):
         with pytest.raises(ValueError):
-            ScenarioTarget(
+            Target(
                 name="x", metric="m", scenario="s", op="gt", threshold=0.0, mode="quotient"
             )
         with pytest.raises(ValueError):
-            ScenarioTarget(
+            Target(
                 name="x", metric="m", scenario="s", op="gt", threshold=0.0, mode="ratio"
             )
 
@@ -586,6 +586,28 @@ class TestScenarioTargets:
         warm = verify_scenarios(duration_s=4.0, repetitions=2, store=store)
         assert len(calls) == 0, "warm verification must re-score from cache"
         assert warm["margins"] == report["margins"]
+
+    def test_verify_scenarios_reports_a_quarantined_scenario(self, monkeypatch):
+        """A scenario whose every run raises is named, and only its targets go unscored."""
+        _dispatch_log(monkeypatch)
+        fake_run = scenario_mod.run_scenario_by_name
+
+        def poisoned(name, seed=0, duration_s=None):
+            if name == "codel-downlink-zoom":
+                raise RuntimeError("poisoned scenario")
+            return fake_run(name, seed=seed, duration_s=duration_s)
+
+        monkeypatch.setattr(scenario_mod, "run_scenario_by_name", poisoned)
+        by_name = {t.name: t for t in SCENARIO_TARGETS}
+        targets = [by_name["codel-throughput-ratio"], by_name["bursty-freeze-floor"]]
+        report = verify_scenarios(
+            duration_s=4.0, repetitions=1, targets=targets,
+            policy=CampaignPolicy(max_attempts=1, on_exhausted="quarantine"),
+        )
+        assert report["satisfied"] is False
+        assert report["quarantined"] == ["codel-downlink-zoom"]
+        assert set(report["margins"]) == set(report["values"]) == {"bursty-freeze-floor"}
+        assert [row["name"] for row in report["results"]] == ["bursty-freeze-floor"]
 
     def test_verify_scenarios_writes_report(self, tmp_path, monkeypatch):
         _dispatch_log(monkeypatch)

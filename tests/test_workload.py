@@ -327,3 +327,5 @@ class TestAdapterEquivalence:
             assert list(out[label].y) == [float(v) for v in y]
         player = run.workload_apps[0]
         assert list(out["tcp_connections_total"].y) == [float(player.connections_opened)]
+        # Fig 14b: the Netflix player opens at least one TCP connection.
+        assert player.connections_opened >= 1
