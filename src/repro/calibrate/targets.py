@@ -32,15 +32,6 @@ __all__ = [
 ]
 
 
-def _margin(op: str, value: float, threshold: float) -> float:
-    """How far ``value`` sits on the ``op`` side of ``threshold``.
-
-    Positive when ``value lt threshold`` (or ``gt``) holds, negative by the
-    amount it is violated.
-    """
-    return threshold - value if op == "lt" else value - threshold
-
-
 def resolve_metric(metrics: Mapping[str, float], metric: str) -> float:
     """One scenario's value of a (possibly derived) target metric.
 
@@ -63,7 +54,8 @@ class Target:
     The value is the scenario's own metric (``mode="value"``) or its gap /
     ratio against a *baseline* scenario (``"difference"`` / ``"ratio"``),
     which may be the same scenario read through another metric.
-    ``margin`` is positive when the behaviour is reproduced; ``recorded``
+    Its margin (:func:`score_targets`) is positive when the behaviour is
+    reproduced, negative by the amount it is violated; ``recorded``
     keeps the values measured when the threshold was committed, so humans
     can see how much headroom a regression has eaten.
     """
@@ -131,10 +123,6 @@ class Target:
             return float("inf") if primary > 0.0 else 0.0
         return primary / reference
 
-    def margin(self, metrics_by_scenario: Mapping[str, Mapping[str, float]]) -> float:
-        """Positive when the recorded behaviour holds."""
-        return _margin(self.op, self.value(metrics_by_scenario), self.threshold)
-
 
 def score_targets(
     targets: Sequence[Target], metrics_by_scenario: Mapping[str, Mapping[str, float]]
@@ -149,7 +137,9 @@ def score_targets(
     for target in targets:
         if all(scenario in metrics_by_scenario for scenario, _ in target.reads()):
             values[target.name] = value = target.value(metrics_by_scenario)
-            margins[target.name] = _margin(target.op, value, target.threshold)
+            margins[target.name] = (
+                target.threshold - value if target.op == "lt" else value - target.threshold
+            )
     return {"values": values, "margins": margins}
 
 

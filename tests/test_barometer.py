@@ -57,6 +57,7 @@ from repro.calibrate.targets import (
     SCENARIO_TARGETS,
     Target,
     resolve_metric,
+    score_targets,
 )
 from repro.calibrate.verify import target_scenario_names
 from repro.results.fingerprint import canonical_json
@@ -405,8 +406,9 @@ class TestBarometerTargets:
             threshold=-0.05,
         )
         metrics = {"a": dict(AWFUL), "b": dict(PERFECT)}
-        assert target.value(metrics) == pytest.approx(-1.0)
-        assert target.margin(metrics) > 0.0
+        scores = score_targets([target], metrics)
+        assert scores["values"]["x"] == pytest.approx(-1.0)
+        assert scores["margins"]["x"] > 0.0
 
     def test_baseline_metric_requires_baseline(self):
         with pytest.raises(ValueError):
